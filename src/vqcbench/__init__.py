@@ -14,11 +14,8 @@ from .simulator import (  # noqa: F401
     apply_gate,
     basis_state,
     expectation_z,
-    inverse_circuit,
-    kraus_reset_branches,
     run_circuit,
     state_fidelity,
-    state_overlap,
     zero_state,
 )
 from .ansatz import (  # noqa: F401

@@ -233,7 +233,18 @@ def build_ansatz(spec: AnsatzSpec) -> tuple[Circuit, QcnnLayout | None]:
 
 
 def param_count(spec: AnsatzSpec) -> int:
-    """Closed-form slot count; matches the built circuit's slot table."""
+    """Closed-form slot count; matches the built circuit's slot table.
+
+    QCNN with weight sharing: ``conv + 2`` slots per layer, where ``conv``
+    is the convolution block's count (2 for qcnn_ry, 6 for qcnn_so4, 15 for
+    qcnn_su4) and 2 belong to the pooling unit, plus one readout RY at full
+    depth (layers == log2 N).  Without sharing every convolution block (one
+    per active qubit once four or more are active, else one) and every
+    pooling unit (half the active qubits) has its own slots.  HEA: 1
+    (hea_ry) or 3 (hea_rxrzrx) slots per site and rotation column, with
+    ``layers + 1`` columns (single_column) or ``2 layers + 1``
+    (double_column).
+    """
     n, l = spec.num_qubits, spec.layers
     if spec.is_qcnn:
         cp = _CONV_PARAMS[spec.family]

@@ -80,7 +80,7 @@ def _run_metadata(config: BenchConfig) -> dict:
         "h_c": config.data.h_c,
         "hea_template": config.model.hea_template,
         "param_count_formula": "qcnn shared: l*(conv+2)+[l==log2 N]; "
-                               "hea: sites*columns (see README)",
+                               "hea: sites*columns (see vqcbench.ansatz.param_count)",
         "data": config.data.to_dict(),
         "version": __version__,
     }
@@ -136,7 +136,7 @@ def cmd_train(config: BenchConfig, args) -> int:
     status = "converged" if record.converged else "not converged"
     print(
         f"trained {model_name(config.model)} on {len(dataset)} samples: "
-        f"final cost {record.cost_history[-1]:.6g} ({status}), "
+        f"final cost {record.final_cost:.6g} ({status}), "
         f"{record.evaluations} evaluations, {record.wall_time_total:.3f}s"
     )
     return 0
@@ -220,7 +220,7 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
             cspec = CompressionSpec(tuple(ctx["discard"]))
             report = evaluate_autoencoder(
                 ctx["circuit"], record.final_params, cspec, eval_ds,
-                final_cost=record.cost_history[-1],
+                final_cost=record.final_cost,
             )
             row["metric_value"] = report.mean_fidelity
         row["time_total_s"] = record.wall_time_total

@@ -2,8 +2,11 @@
 
 Validation is strict: unknown keys anywhere in the document are rejected
 with the offending key named, so typos surface as exit code 2 instead of
-silently falling back to defaults.  The exact schema is documented in the
-README.
+silently falling back to defaults.  The schema is the set of keys each
+``from_dict`` below accepts; what the values mean is documented where they
+are used: model families and parameter counts in ``vqcbench.ansatz``
+(``param_count``), datasets in ``vqcbench.spinmodels``, optimizers in
+``vqcbench.optimizers`` and the reported metrics in ``vqcbench.metrics``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
         raise ConfigError(
             f"unknown family {family!r} in {where}; expected one of {list(FAMILIES)}"
         )
+    weight_sharing = d.get("weight_sharing", True)
+    if not isinstance(weight_sharing, bool):
+        raise ConfigError(
+            f"weight_sharing in {where} must be true or false, got {weight_sharing!r}"
+        )
     template = d.get("hea_template", "single_column")
     if template not in HEA_TEMPLATES:
         raise ConfigError(f"unknown hea_template {template!r} in {where}")
@@ -59,7 +67,7 @@ def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
             family=family,
             num_qubits=int(_require(d, "num_qubits", where)),
             layers=int(_require(d, "layers", where)),
-            weight_sharing=bool(d.get("weight_sharing", True)),
+            weight_sharing=weight_sharing,
             hea_template=template,
         )
     except ValueError as exc:
@@ -152,11 +160,16 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
     if "seed" in d:
         kwargs["seed"] = int(d["seed"])
     spsa = d.get("spsa", {})
+    if not isinstance(spsa, dict):
+        raise ConfigError(f"{where}.spsa must be an object, got {spsa!r}")
     _check_keys(spsa, {"a", "c", "alpha", "gamma"}, f"{where}.spsa")
     for src, dst in (("a", "spsa_a"), ("c", "spsa_c"),
                      ("alpha", "spsa_alpha"), ("gamma", "spsa_gamma")):
         if src in spsa:
-            kwargs[dst] = float(spsa[src])
+            value = spsa[src]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{where}.spsa.{src} must be a number, got {value!r}")
+            kwargs[dst] = float(value)
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:

@@ -1,13 +1,16 @@
 """Task evaluation: classifier predictions, accuracy, ROC/AUC, and
 autoencoder reconstruction fidelity through the reset channel.
 
-The decoded state after resetting ``n_d`` qubits is mixed, so the reported
-fidelity is <psi| rho_dec |psi>, computed as the Kraus sum
-    F = sum_b |<psi| Udag K_b U |psi>|^2
-with one decoder (inverse-encoder) statevector pass per reset branch.  This
-coincides with the plain squared overlap whenever the encoding is exact.
-A post-selected variant (conditioning on the all-|0> reset outcome) is
-available behind a flag.
+Encoding |psi> with U, resetting the ``n_d`` discarded qubits to |0> and
+decoding with U^dagger leaves a mixed state rho_dec; the reported fidelity
+is <psi| rho_dec |psi> = sum_b |<psi| U^dagger K_b U |psi>|^2, where K_b
+maps discard pattern b to |0...0>.  Arrange the encoded amplitudes as a
+matrix A (kept x discarded) and let a0 be its column for the all-|0>
+discard pattern; each term is then |(A^dagger a0)_b|^2, so
+    F = ||A^dagger a0||^2
+(Romero, Olson and Aspuru-Guzik, arXiv:1612.02806): one encoder pass, no
+decoder.  F is 1 whenever the encoding is exact.  The post-selected
+variant, conditioned on the all-|0> reset outcome, is F_ps = ||a0||^2.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ from .simulator import (
     State,
     expectation_z,
     expectation_z_batch,
-    inverse_circuit,
-    kraus_reset_branches,
     run_circuit,
     run_circuit_batch,
-    state_overlap,
 )
 
 # Default compression inputs: TFI ground states straddling the h=1 boundary
@@ -175,23 +175,19 @@ def reconstruct_fidelity(
     """Fidelity of the decode(reset(encode(state))) round trip.
 
     ``post_select=True`` instead conditions on the all-|0> reset outcome and
-    normalizes by its probability.
+    normalizes by its probability; an outcome of probability 0 gives 0.
     """
-    if spec.discard[-1] >= encoder.num_qubits:
-        raise ValueError(f"discard set {spec.discard} invalid for {encoder.num_qubits} qubits")
-    encoded = run_circuit(encoder, params, state)
-    decoder = inverse_circuit(encoder)
-    branches = kraus_reset_branches(encoded, spec.discard)
+    n = encoder.num_qubits
+    if spec.discard[-1] >= n:
+        raise ValueError(f"discard set {spec.discard} invalid for {n} qubits")
+    encoded = run_circuit_batch(encoder, params, state.amplitudes[None, :])[0]
+    kept = [q for q in range(n) if q not in spec.discard]
+    a = encoded.reshape((2,) * n).transpose(kept + list(spec.discard))
+    a = a.reshape(1 << len(kept), 1 << spec.n_d)
+    a0 = a[:, 0]
     if post_select:
-        weight = branches[0].norm() ** 2
-        if weight == 0.0:
-            return 0.0
-        decoded = run_circuit(decoder, params, branches[0])
-        return abs(state_overlap(state, decoded)) ** 2 / weight
-    branch_mat = np.array([b.amplitudes for b in branches])
-    decoded = run_circuit_batch(decoder, params, branch_mat)
-    overlaps = decoded @ state.amplitudes.conj()
-    return float(np.sum(np.abs(overlaps) ** 2))
+        return float(np.vdot(a0, a0).real)
+    return float(np.sum(np.abs(a0.conj() @ a) ** 2))
 
 
 def evaluate_autoencoder(

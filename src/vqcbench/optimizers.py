@@ -2,14 +2,15 @@
 gradient-descent driver.
 
 All four share the same result contract: they return the best parameter
-vector and a TrainRecord whose cost_history lists every objective
-evaluation in call order.  Everything is deterministic given the config
-(SPSA through its seed), which is what makes benchmark runs reproducible
-bit for bit.
+vector and a TrainRecord whose final_cost is the cost at that vector and
+whose cost_history lists every objective evaluation in call order.
+Everything is deterministic given the config (SPSA through its seed), which
+is what makes benchmark runs reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +47,13 @@ class OptimizerConfig:
                      "line_search_step", "line_search_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # written so that NaN fails every comparison and is rejected too
+        for name in ("spsa_a", "spsa_c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("spsa_alpha", "spsa_gamma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass
@@ -63,6 +71,7 @@ class TrainRecord:
     wall_time_total: float = 0.0
     wall_time_per_sample: float = 0.0
     converged: bool = False
+    final_cost: float = math.nan  # cost at final_params, as evaluated in the run
 
 
 class _Tracker:
@@ -91,10 +100,11 @@ def _check_x0(x0) -> np.ndarray:
     return x
 
 
-def _finish(tracker, x, converged, t0) -> TrainRecord:
+def _finish(tracker, x, fx, converged, t0) -> TrainRecord:
     elapsed = time.perf_counter() - t0
     return TrainRecord(
         final_params=x,
+        final_cost=float(fx),
         cost_history=tracker.history,
         evaluations=tracker.count,
         wall_time_total=elapsed,
@@ -258,7 +268,7 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRe
                     directions[i_big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
 
-    return x, _finish(tracker, x, converged, t0)
+    return x, _finish(tracker, x, fx, converged, t0)
 
 
 def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
@@ -316,7 +326,7 @@ def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, Tr
 
     order = np.argsort(values, kind="stable")
     best = simplex[order[0]].copy()
-    return best, _finish(tracker, best, converged, t0)
+    return best, _finish(tracker, best, values[order[0]], converged, t0)
 
 
 def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
@@ -351,7 +361,7 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
 
     mark = int(np.floor(0.8 * config.max_iterations))
     stable = best_trace[mark] - best_trace[-1] <= config.cost_tolerance * (1.0 + abs(best_f))
-    return best_x, _finish(tracker, best_x, stable, t0)
+    return best_x, _finish(tracker, best_x, best_f, stable, t0)
 
 
 def gradient_descent_minimize(
@@ -375,4 +385,4 @@ def gradient_descent_minimize(
         if small_cost or small_step:
             converged = True
             break
-    return x, _finish(tracker, x, converged, t0)
+    return x, _finish(tracker, x, fx, converged, t0)

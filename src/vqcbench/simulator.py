@@ -16,7 +16,7 @@ test oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,16 +43,10 @@ _SWAP_MAT = np.array(
 
 @dataclass
 class State:
-    """Pure state of ``num_qubits`` qubits as a dense amplitude vector.
-
-    ``normalized=False`` marks intentionally sub-normalized vectors
-    (Kraus branches of the reset channel); everything else must have unit
-    norm.
-    """
+    """Pure state of ``num_qubits`` qubits as a dense amplitude vector."""
 
     num_qubits: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -72,7 +66,7 @@ class State:
         return float(np.linalg.norm(self.amplitudes))
 
     def copy(self) -> "State":
-        return State(self.num_qubits, self.amplitudes.copy(), self.normalized)
+        return State(self.num_qubits, self.amplitudes.copy())
 
 
 def zero_state(num_qubits: int) -> State:
@@ -119,9 +113,10 @@ class Gate:
     """One gate: a kind, target wire(s), and an angle source.
 
     Rotation kinds carry either a bound ``angle`` (radians) or a parameter
-    ``slot`` index, never both.  ``scale`` multiplies the resolved angle and
-    is how circuit inversion negates slot-bound rotations without touching
-    the slot table.  ``u2`` gates carry an explicit 4x4 unitary instead.
+    ``slot`` index, never both.  ``scale`` multiplies the resolved angle, so
+    a slot-bound rotation can be negated (as in an inverse circuit) without
+    touching the slot table.  ``u2`` gates carry an explicit 4x4 unitary
+    instead.
     """
 
     kind: str
@@ -358,7 +353,7 @@ def apply_gate(state: State, gate: Gate, params=None) -> State:
     """Return the state after one gate; the input is left untouched."""
     amp = state.amplitudes.copy()
     _apply_gate_inplace(amp, state.num_qubits, gate, params)
-    return State(state.num_qubits, amp, state.normalized)
+    return State(state.num_qubits, amp)
 
 
 def run_circuit(circuit: Circuit, params, input_state: State) -> State:
@@ -376,7 +371,7 @@ def run_circuit(circuit: Circuit, params, input_state: State) -> State:
     n = circuit.num_qubits
     for gate in circuit.gates:
         _apply_gate_inplace(amp, n, gate, params)
-    return State(n, amp, input_state.normalized)
+    return State(n, amp)
 
 
 @lru_cache(maxsize=None)
@@ -391,8 +386,6 @@ def expectation_z(state: State, qubit: int) -> float:
     """<Z_qubit> of a normalized state, in [-1, 1]."""
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    if not state.normalized:
-        raise ValueError("expectation_z requires a normalized state")
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
     return float(probs @ _z_signs(state.num_qubits, qubit))
 
@@ -425,52 +418,3 @@ def expectation_z_batch(amplitudes: np.ndarray, num_qubits: int, qubit: int) -> 
         raise ValueError(f"qubit {qubit} out of range")
     probs = amplitudes.real**2 + amplitudes.imag**2
     return probs @ _z_signs(num_qubits, qubit)
-
-
-def inverse_circuit(circuit: Circuit) -> Circuit:
-    """Adjoint circuit: reversed order, each gate replaced by its adjoint.
-
-    Rotation angles are negated through ``scale`` so slot-bound gates keep
-    their slots and the same parameter vector drives the inverse.
-    """
-    inv = []
-    for gate in reversed(circuit.gates):
-        if gate.kind in ROTATION_KINDS:
-            inv.append(replace(gate, scale=-gate.scale))
-        elif gate.kind == "u2":
-            inv.append(replace(gate, matrix=gate.matrix.conj().T))
-        else:  # x, h, cnot, cz are self-adjoint
-            inv.append(replace(gate))
-    return Circuit(circuit.num_qubits, inv, circuit.param_count)
-
-
-def kraus_reset_branches(state: State, discard) -> list[State]:
-    """Branches K_b|psi> of resetting ``discard`` qubits to |0>.
-
-    K_b projects the discarded qubits onto basis pattern b and maps them to
-    |0...0>; the 2^{n_d} returned states are flagged unnormalized and their
-    squared norms sum to 1.  Pattern bit order follows the sorted discard
-    list, first qubit most significant.
-    """
-    discard = sorted(set(int(q) for q in discard))
-    if not discard:
-        raise ValueError("discard set must be non-empty")
-    n = state.num_qubits
-    if discard[0] < 0 or discard[-1] >= n:
-        raise ValueError(f"discard qubits {discard} out of range for {n} qubits")
-    n_d = len(discard)
-    idx = np.arange(state.dim)
-    pattern = np.zeros(state.dim, dtype=np.int64)
-    keep_mask = state.dim - 1
-    for pos, q in enumerate(discard):
-        shift = n - 1 - q
-        pattern |= ((idx >> shift) & 1) << (n_d - 1 - pos)
-        keep_mask &= ~(1 << shift)
-    cleared = idx & keep_mask
-    branches = []
-    for b in range(1 << n_d):
-        sel = pattern == b
-        amp = np.zeros(state.dim, dtype=complex)
-        amp[cleared[sel]] = state.amplitudes[sel]
-        branches.append(State(n, amp, normalized=False))
-    return branches

@@ -9,8 +9,13 @@ Both are real symmetric in the computational basis, so ground states are
 real vectors.  Site j maps to qubit j (qubit 0 = most significant bit, the
 simulator convention).  Ground states come from LAPACK below 2^12 and from
 a fully reorthogonalized Lanczos iteration above; the global sign is fixed
-by making the largest-magnitude amplitude positive so persisted datasets
-are solver-independent.
+by making the largest-magnitude amplitude positive, so a non-degenerate
+ground state is persisted the same whichever solver found it.  A
+degenerate (or nearly degenerate) ground space has no such fix: the solver
+returns an arbitrary, solver- and seed-dependent vector in it.  That
+happens for XXZ with h > 1, where |0...0> and |1...1> are both ground
+states, and for TFI at small h on 16 sites, where the splitting of the two
+lowest levels is below the 1e-8 Lanczos tolerance.
 """
 
 from __future__ import annotations

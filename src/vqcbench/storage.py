@@ -150,7 +150,7 @@ def write_train_record(path, record: TrainRecord) -> None:
     obj = {
         "format_version": FORMAT_VERSION,
         "cost_history": [float(c) for c in record.cost_history],
-        "final_cost": float(record.cost_history[-1]),
+        "final_cost": float(record.final_cost),
         "best_cost": float(min(record.cost_history)),
         "evaluations": record.evaluations,
         "wall_time_total": record.wall_time_total,

@@ -1,5 +1,8 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
-the strided kernels, plus random circuit/state generators."""
+the strided kernels, circuit inversion and the Kraus branches of the reset
+channel, plus random circuit/state generators."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +57,73 @@ def circuit_full_matrix(circuit, params=None):
     for g in circuit.gates:
         full = gate_full_matrix(g, circuit.num_qubits, params) @ full
     return full
+
+
+def inverse_circuit(circuit):
+    """Adjoint circuit: reversed order, each gate replaced by its adjoint.
+
+    Rotation angles are negated through ``scale`` so slot-bound gates keep
+    their slots and the same parameter vector drives the inverse.
+    """
+    inv = []
+    for gate in reversed(circuit.gates):
+        if gate.kind in sim.ROTATION_KINDS:
+            inv.append(replace(gate, scale=-gate.scale))
+        elif gate.kind == "u2":
+            inv.append(replace(gate, matrix=gate.matrix.conj().T))
+        else:  # x, h, cnot, cz are self-adjoint
+            inv.append(replace(gate))
+    return sim.Circuit(circuit.num_qubits, inv, circuit.param_count)
+
+
+def kraus_reset_branches(amplitudes, discard):
+    """Branches K_b|psi> of resetting ``discard`` qubits to |0>, as arrays.
+
+    K_b projects the discarded qubits onto basis pattern b and maps them to
+    |0...0>; the 2^{n_d} returned (sub-normalized) vectors have squared
+    norms summing to |psi|^2.  Pattern bit order follows the sorted discard
+    list, first qubit most significant.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    dim = amplitudes.shape[0]
+    n = dim.bit_length() - 1
+    discard = sorted(set(int(q) for q in discard))
+    if not discard:
+        raise ValueError("discard set must be non-empty")
+    if discard[0] < 0 or discard[-1] >= n:
+        raise ValueError(f"discard qubits {discard} out of range for {n} qubits")
+    n_d = len(discard)
+    idx = np.arange(dim)
+    pattern = np.zeros(dim, dtype=np.int64)
+    keep_mask = dim - 1
+    for pos, q in enumerate(discard):
+        shift = n - 1 - q
+        pattern |= ((idx >> shift) & 1) << (n_d - 1 - pos)
+        keep_mask &= ~(1 << shift)
+    cleared = idx & keep_mask
+    branches = []
+    for b in range(1 << n_d):
+        sel = pattern == b
+        amp = np.zeros(dim, dtype=complex)
+        amp[cleared[sel]] = amplitudes[sel]
+        branches.append(amp)
+    return branches
+
+
+def kraus_fidelity(encoder, params, discard, state, post_select=False):
+    """Reset-channel fidelity by simulation: encode, split into Kraus
+    branches, decode every branch with the inverse circuit, sum |<psi|.>|^2
+    (only branch 0, normalized by its weight, when post-selecting)."""
+    encoded = sim.run_circuit(encoder, params, state)
+    branches = kraus_reset_branches(encoded.amplitudes, discard)
+    if post_select:
+        weight = np.vdot(branches[0], branches[0]).real
+        if weight == 0.0:
+            return 0.0
+        branches = branches[:1]
+    decoded = sim.run_circuit_batch(inverse_circuit(encoder), params, np.array(branches))
+    total = float(np.sum(np.abs(decoded @ state.amplitudes.conj()) ** 2))
+    return total / weight if post_select else total
 
 
 def random_state(n, rng):

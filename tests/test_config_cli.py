@@ -58,6 +58,22 @@ def test_config_rejects_model_data_size_mismatch(tmp_path):
         load_config(cfg)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_weight_sharing_must_be_a_json_boolean(tmp_path, value):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, model={"family": "qcnn_ry", "num_qubits": 4, "layers": 2,
+                             "weight_sharing": value})
+    with pytest.raises(ConfigError, match="weight_sharing"):
+        load_config(cfg)
+
+
+def test_weight_sharing_false_is_read_as_false(tmp_path):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, model={"family": "qcnn_ry", "num_qubits": 4, "layers": 2,
+                             "weight_sharing": False})
+    assert load_config(cfg).model.weight_sharing is False
+
+
 def test_config_defaults(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(cfg)
@@ -169,6 +185,18 @@ def test_unknown_family_key_exits_2(tmp_path, capsys):
     write_config(cfg, model={"family": "qcnn_xy", "num_qubits": 4, "layers": 1})
     assert cli.main(["gen-data", "--config", str(cfg)]) == 2
     assert "qcnn_xy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gain", [{"c": 0}, {"a": -0.2}, {"alpha": -1},
+                                  {"gamma": float("nan")}, {"c": float("inf")},
+                                  {"c": None}, {"a": "0.2"}, {"c": True}, 5])
+def test_bad_spsa_gain_exits_2_without_traceback(tmp_path, capsys, gain):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, optimizer={"kind": "spsa", "max_iterations": 2, "spsa": gain})
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "spsa" in err
 
 
 def test_train_missing_dataset_exits_3(tmp_path):

@@ -1,8 +1,11 @@
-"""Classifier metrics (ROC/AUC) and compression fidelity, including the
-density-matrix channel oracle."""
+"""Classifier metrics (ROC/AUC) and compression fidelity, checked against
+the Kraus-branch simulation and the density-matrix channel oracle."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqcbench.ansatz import AnsatzSpec, build_qcnn
 from vqcbench.metrics import (
@@ -20,8 +23,6 @@ from vqcbench.simulator import (
     State,
     basis_state,
     h as h_gate,
-    inverse_circuit,
-    kraus_reset_branches,
     run_circuit,
     zero_state,
 )
@@ -29,7 +30,13 @@ from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, build_hamiltonia
 from vqcbench.training import autoencoder_cost, train
 from vqcbench.optimizers import OptimizerConfig
 
-from conftest import circuit_full_matrix, random_circuit, random_state
+from conftest import (
+    circuit_full_matrix,
+    inverse_circuit,
+    kraus_fidelity,
+    random_circuit,
+    random_state,
+)
 
 
 def make_dataset(states, labels, n):
@@ -40,8 +47,11 @@ def make_dataset(states, labels, n):
     return Dataset("tfi", n, records, {})
 
 
-def density_matrix_fidelity(encoder, params, discard, state):
-    """Oracle: build the reset channel explicitly on density matrices."""
+def density_matrix_fidelity(encoder, params, discard, state, post_select=False):
+    """Oracle: build the reset channel explicitly on density matrices.
+
+    With ``post_select`` only the all-|0> outcome is kept and renormalized.
+    """
     n = encoder.num_qubits
     dim = 1 << n
     u = circuit_full_matrix(encoder, params)
@@ -51,7 +61,7 @@ def density_matrix_fidelity(encoder, params, discard, state):
     discard = sorted(discard)
     n_d = len(discard)
     rho_reset = np.zeros_like(rho)
-    for b in range(1 << n_d):
+    for b in range(1 if post_select else 1 << n_d):
         k_full = np.eye(1)
         pos = 0
         for q in range(n):
@@ -63,6 +73,11 @@ def density_matrix_fidelity(encoder, params, discard, state):
             else:
                 k_full = np.kron(k_full, np.eye(2))
         rho_reset += k_full @ rho @ k_full.conj().T
+    if post_select:
+        weight = np.trace(rho_reset).real
+        if weight == 0.0:
+            return 0.0
+        rho_reset /= weight
     rho_dec = u_inv @ rho_reset @ u_inv.conj().T
     return float(np.real(state.amplitudes.conj() @ rho_dec @ state.amplitudes))
 
@@ -166,10 +181,55 @@ def test_fidelity_matches_density_matrix_oracle(rng):
         n_d = int(rng.integers(1, n))
         discard = tuple(sorted(rng.choice(n, size=n_d, replace=False).tolist()))
         spec = CompressionSpec(discard)
-        kraus = reconstruct_fidelity(circ, params, spec, state)
+        got = reconstruct_fidelity(circ, params, spec, state)
         oracle = density_matrix_fidelity(circ, params, list(discard), state)
-        assert kraus == pytest.approx(oracle, abs=1e-10)
-        assert 0.0 <= kraus <= 1.0 + 1e-9
+        assert got == pytest.approx(oracle, abs=1e-10)
+        assert 0.0 <= got <= 1.0 + 1e-9
+
+
+@st.composite
+def compression_cases(draw):
+    """A random circuit on 2-6 qubits, a discard set and a random state."""
+    n = draw(st.integers(2, 6))
+    discard = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    n_gates = draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circ = random_circuit(n, rng, n_gates=n_gates, param_count=3)
+    params = rng.uniform(-np.pi, np.pi, size=3)
+    return circ, params, discard, random_state(n, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(compression_cases(), st.booleans())
+def test_closed_form_fidelity_matches_kraus_and_density_oracles(case, post_select):
+    circ, params, discard, state = case
+    got = reconstruct_fidelity(circ, params, CompressionSpec(discard), state,
+                               post_select=post_select)
+    kraus = kraus_fidelity(circ, params, discard, state, post_select=post_select)
+    dense = density_matrix_fidelity(circ, params, list(discard), state,
+                                    post_select=post_select)
+    assert got == pytest.approx(kraus, abs=1e-10)
+    assert got == pytest.approx(dense, abs=1e-10)
+    assert -1e-12 <= got <= 1.0 + 1e-9
+
+
+def test_fidelity_memory_stays_within_a_few_states(rng):
+    # The Kraus-branch route held a 2^n_d x 2^N batch (64 states here); the
+    # closed form holds the encoded state, the gate kernels' half-size
+    # temporaries and one reordered copy of the encoded state.
+    n = 12
+    circ = random_circuit(n, rng, n_gates=24, param_count=4)
+    params = rng.uniform(-np.pi, np.pi, size=4)
+    spec = CompressionSpec(tuple(range(0, n, 2)))
+    state = random_state(n, rng)
+    reconstruct_fidelity(circ, params, spec, state)
+    tracemalloc.start()
+    try:
+        reconstruct_fidelity(circ, params, spec, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * state.amplitudes.nbytes
 
 
 def test_fidelity_one_when_encoder_output_factorizes(rng):
@@ -214,6 +274,9 @@ def test_post_selected_fidelity_flag():
     conditioned = reconstruct_fidelity(Circuit(2), [], spec, state, post_select=True)
     assert mixed == pytest.approx(0.5)
     assert conditioned == pytest.approx(0.5)  # branch prob 1/2, overlap 1/4
+    # an all-|0> outcome of probability 0 gives 0
+    assert reconstruct_fidelity(Circuit(2), [], spec, basis_state(2, 0b10),
+                                post_select=True) == 0.0
 
 
 def test_evaluate_autoencoder_report(rng):

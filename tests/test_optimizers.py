@@ -1,5 +1,7 @@
 """Minimizer behavior on analytic objectives."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from vqcbench.optimizers import (
     powell_minimize,
     spsa_minimize,
 )
+from vqcbench.storage import write_train_record
 
 
 def quad1(x):
@@ -89,6 +92,32 @@ def test_spsa_seeded_runs_identical():
     assert ra.converged == rb.converged
 
 
+def test_spsa_records_cost_of_returned_iterate(tmp_path):
+    # A first gain this large overshoots the minimum and every later step
+    # moves further away, so the best iterate is x0, not the last one.
+    cfg = OptimizerConfig(kind="spsa", max_iterations=5, spsa_a=10.0)
+    x, rec = spsa_minimize(quad1, [2.9], cfg)
+    assert rec.cost_history[-1] > min(rec.cost_history)
+    assert np.array_equal(x, rec.final_params)
+    assert rec.final_cost == quad1(rec.final_params)
+    write_train_record(tmp_path / "train_record.json", rec)
+    saved = json.loads((tmp_path / "train_record.json").read_text())
+    assert saved["final_cost"] == quad1(rec.final_params)
+
+
+@pytest.mark.parametrize("kind", ["powell", "nelder_mead", "param_shift_gd"])
+def test_final_cost_is_cost_at_returned_params(kind):
+    cfg = OptimizerConfig(kind=kind, max_iterations=3, learning_rate=0.04)
+    if kind == "param_shift_gd":
+        grad = lambda x: np.array([2.0 * (x[0] - 1.0), 20.0 * (x[1] + 2.0)])
+        x, rec = gradient_descent_minimize(quad2, grad, [0.0, 0.0], cfg)
+    else:
+        minimize = powell_minimize if kind == "powell" else nelder_mead_minimize
+        x, rec = minimize(rosenbrock, [-1.2, 1.0], cfg)
+    f = quad2 if kind == "param_shift_gd" else rosenbrock
+    assert rec.final_cost == f(x)
+
+
 def test_gradient_descent_quadratic():
     grad = lambda x: np.array([2.0 * (x[0] - 3.0)])
     cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=500, learning_rate=0.1)
@@ -119,6 +148,20 @@ def test_config_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(cost_tolerance=-1.0)
+
+
+@pytest.mark.parametrize("gain", [
+    {"spsa_a": 0.0}, {"spsa_c": 0.0}, {"spsa_c": -0.1}, {"spsa_a": float("inf")},
+    {"spsa_c": float("nan")}, {"spsa_alpha": -0.5}, {"spsa_gamma": float("nan")},
+])
+def test_spsa_gain_validation(gain):
+    with pytest.raises(ValueError, match=next(iter(gain))):
+        OptimizerConfig(kind="spsa", **gain)
+
+
+def test_spsa_gain_limits_accepted():
+    cfg = OptimizerConfig(kind="spsa", spsa_alpha=0.0, spsa_gamma=0.0)
+    assert cfg.spsa_alpha == 0.0 and cfg.spsa_gamma == 0.0
 
 
 def test_history_counts_every_evaluation():
