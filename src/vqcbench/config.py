@@ -2,7 +2,10 @@
 
 Validation is strict: unknown keys anywhere in the document are rejected
 with the offending key named, so typos surface as exit code 2 instead of
-silently falling back to defaults.  The schema is the set of keys each
+silently falling back to defaults.  Numeric keys take finite JSON numbers
+only, never null, booleans or strings, and a fraction given for an
+integer key (counts, sizes, seeds, qubit indices) is rejected, not
+truncated.  The schema is the set of keys each
 ``from_dict`` below accepts; what the values mean is documented where they
 are used: model families and parameter counts in ``vqcbench.ansatz``
 (``param_count``), datasets in ``vqcbench.spinmodels``, optimizers in
@@ -12,6 +15,7 @@ are used: model families and parameter counts in ``vqcbench.ansatz``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +31,7 @@ from .spinmodels import (
     uniform_grid,
 )
 from .metrics import DEFAULT_COMPRESSION_H
-
-TASKS = ("classify", "autoencode")
+from .training import TASKS, _check_discard
 
 
 class ConfigError(ValueError):
@@ -36,6 +39,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {section!r}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -45,6 +50,35 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {where}")
     return section[key]
+
+
+def _number(value, key: str, where: str) -> float:
+    """A finite JSON number; null, booleans and strings are rejected."""
+    try:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str, where: str) -> int:
+    """A JSON integer (2.0 counts as 2); fractions are rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _items(section: dict, key: str, where: str, parse) -> list:
+    """The JSON list under key, each item read by ``parse``."""
+    value = section[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
+    return [parse(item, f"{key}[{i}]", where) for i, item in enumerate(value)]
 
 
 def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
@@ -65,8 +99,8 @@ def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
     try:
         return AnsatzSpec(
             family=family,
-            num_qubits=int(_require(d, "num_qubits", where)),
-            layers=int(_require(d, "layers", where)),
+            num_qubits=_integer(_require(d, "num_qubits", where), "num_qubits", where),
+            layers=_integer(_require(d, "layers", where), "layers", where),
             weight_sharing=weight_sharing,
             hea_template=template,
         )
@@ -104,23 +138,23 @@ class DataSpec:
         kind = d.get("kind", "tfi")
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown data kind {kind!r} in {where}")
-        num_sites = int(_require(d, "num_sites", where))
-        h_c = float(d.get("h_c", CRITICAL_POINT[kind]))
+        num_sites = _integer(_require(d, "num_sites", where), "num_sites", where)
+        h_c = _number(d.get("h_c", CRITICAL_POINT[kind]), "h_c", where)
         if "h_values" in d:
             if any(k in d for k in ("h_start", "h_stop", "h_count")):
                 raise ConfigError(f"{where}: give either h_values or h_start/h_stop/h_count")
-            h_values = [float(h) for h in d["h_values"]]
+            h_values = _items(d, "h_values", where, _number)
         elif any(k in d for k in ("h_start", "h_stop", "h_count")):
-            start = float(d.get("h_start", DEFAULT_H_RANGE[0]))
-            stop = float(d.get("h_stop", DEFAULT_H_RANGE[1]))
-            count = int(d.get("h_count", DEFAULT_GRID_SIZE))
+            start = _number(d.get("h_start", DEFAULT_H_RANGE[0]), "h_start", where)
+            stop = _number(d.get("h_stop", DEFAULT_H_RANGE[1]), "h_stop", where)
+            count = _integer(d.get("h_count", DEFAULT_GRID_SIZE), "h_count", where)
             h_values = uniform_grid(start, stop, count)
         elif task == "autoencode":
             h_values = list(DEFAULT_COMPRESSION_H)
         else:
             h_values = uniform_grid(*DEFAULT_H_RANGE, DEFAULT_GRID_SIZE)
         default_fraction = 1.0 if task == "autoencode" else 0.75
-        fraction = float(d.get("train_fraction", default_fraction))
+        fraction = _number(d.get("train_fraction", default_fraction), "train_fraction", where)
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"{where}: train_fraction must be in [0, 1]")
         solver = d.get("solver", "auto")
@@ -128,7 +162,8 @@ class DataSpec:
             raise ConfigError(f"{where}: unknown solver {solver!r}")
         return cls(
             kind=kind, num_sites=num_sites, h_values=h_values, h_c=h_c,
-            train_fraction=fraction, seed=int(d.get("seed", 0)), solver=solver,
+            train_fraction=fraction, seed=_integer(d.get("seed", 0), "seed", where),
+            solver=solver,
             train_path=d.get("train_path"), test_path=d.get("test_path"),
         )
 
@@ -150,26 +185,19 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
     if kind not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer kind {kind!r} in {where}")
     kwargs = {"kind": kind}
-    for key in ("max_iterations",):
+    for key in ("max_iterations", "seed"):
         if key in d:
-            kwargs[key] = int(d[key])
+            kwargs[key] = _integer(d[key], key, where)
     for key in ("cost_tolerance", "param_tolerance", "learning_rate",
                 "line_search_step", "line_search_tol"):
         if key in d:
-            kwargs[key] = float(d[key])
-    if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
+            kwargs[key] = _number(d[key], key, where)
     spsa = d.get("spsa", {})
-    if not isinstance(spsa, dict):
-        raise ConfigError(f"{where}.spsa must be an object, got {spsa!r}")
     _check_keys(spsa, {"a", "c", "alpha", "gamma"}, f"{where}.spsa")
     for src, dst in (("a", "spsa_a"), ("c", "spsa_c"),
                      ("alpha", "spsa_alpha"), ("gamma", "spsa_gamma")):
         if src in spsa:
-            value = spsa[src]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}.spsa.{src} must be a number, got {value!r}")
-            kwargs[dst] = float(value)
+            kwargs[dst] = _number(spsa[src], src, f"{where}.spsa")
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:
@@ -213,19 +241,18 @@ class BenchConfig:
         model = model_spec_from_dict(_require(d, "model", "config"))
         data = DataSpec.from_dict(_require(d, "data", "config"), task)
         optimizer = optimizer_from_dict(d.get("optimizer", {}))
-        models = [
-            model_spec_from_dict(m, f"models[{i}]") for i, m in enumerate(d.get("models", []))
-        ]
-        train_sizes = [int(s) for s in d.get("train_sizes", [])]
+        models = _items(d, "models", "config",
+                        lambda m, key, _: model_spec_from_dict(m, key)) if "models" in d else []
+        train_sizes = _items(d, "train_sizes", "config", _integer) if "train_sizes" in d else []
         if any(s <= 0 for s in train_sizes):
             raise ConfigError("train_sizes must be positive")
-        discard = d.get("discard")
-        if discard is not None:
-            discard = sorted(int(q) for q in discard)
-            if any(q < 0 or q >= model.num_qubits for q in discard):
-                raise ConfigError(
-                    f"discard qubits {discard} out of range for {model.num_qubits} qubits"
-                )
+        discard = None
+        if d.get("discard") is not None:
+            discard = _items(d, "discard", "config", _integer)
+            try:
+                discard = _check_discard(discard, model.num_qubits)
+            except ValueError as exc:
+                raise ConfigError(f"{exc} for {model.num_qubits} qubits") from exc
         eval_on = d.get("eval_on")
         if eval_on not in (None, "train", "test"):
             raise ConfigError(f"eval_on must be 'train' or 'test', got {eval_on!r}")
@@ -241,7 +268,7 @@ class BenchConfig:
                 )
         return cls(
             task=task, model=model, data=data, optimizer=optimizer,
-            seed=int(d.get("seed", 0)), out_dir=str(d.get("out_dir", "runs")),
+            seed=_integer(d.get("seed", 0), "seed", "config"), out_dir=str(d.get("out_dir", "runs")),
             models=models, train_sizes=train_sizes, discard=discard,
             eval_on=eval_on or ("train" if task == "autoencode" else "test"),
             raw=d,

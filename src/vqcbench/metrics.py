@@ -27,6 +27,7 @@ from .simulator import (
     run_circuit,
     run_circuit_batch,
 )
+from .training import _check_discard
 
 # Default compression inputs: TFI ground states straddling the h=1 boundary
 # (the exact critical point is excluded; 0.9 stands in for 1.0).
@@ -40,11 +41,7 @@ class CompressionSpec:
     discard: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "discard", tuple(sorted(set(int(q) for q in self.discard))))
-        if not self.discard:
-            raise ValueError("discard set must be non-empty")
-        if self.discard[0] < 0:
-            raise ValueError("discard qubits must be non-negative")
+        object.__setattr__(self, "discard", tuple(_check_discard(self.discard)))
 
     @property
     def n_d(self) -> int:
@@ -178,8 +175,7 @@ def reconstruct_fidelity(
     normalizes by its probability; an outcome of probability 0 gives 0.
     """
     n = encoder.num_qubits
-    if spec.discard[-1] >= n:
-        raise ValueError(f"discard set {spec.discard} invalid for {n} qubits")
+    _check_discard(spec.discard, n)
     encoded = run_circuit_batch(encoder, params, state.amplitudes[None, :])[0]
     kept = [q for q in range(n) if q not in spec.discard]
     a = encoded.reshape((2,) * n).transpose(kept + list(spec.discard))

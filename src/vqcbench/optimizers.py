@@ -364,25 +364,46 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
     return best_x, _finish(tracker, best_x, best_f, stable, t0)
 
 
+def _finite_cost(value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"gradient descent reached a non-finite cost {value}")
+    return value
+
+
 def gradient_descent_minimize(
     f, grad, x0, config: OptimizerConfig
 ) -> tuple[np.ndarray, TrainRecord]:
-    """Fixed-step gradient descent driven by an external gradient oracle."""
+    """Fixed-step gradient descent driven by an external gradient oracle.
+
+    Raises FloatingPointError when a cost or the parameters become
+    non-finite, or when a step larger than param_tolerance leaves x
+    unchanged: that step was lost to rounding (x has grown far past where
+    angles resolve), so the cost would repeat and pass the tolerance test.
+    """
     t0 = time.perf_counter()
     x = _check_x0(x0)
     tracker = _Tracker(f)
-    fx = tracker(x)
+    fx = _finite_cost(tracker(x))
     converged = False
     for _ in range(config.max_iterations):
-        step = config.learning_rate * np.asarray(grad(x), dtype=float)
-        x_new = x - step
-        f_new = tracker(x_new)
+        with np.errstate(over="ignore"):
+            step = config.learning_rate * np.asarray(grad(x), dtype=float)
+            x_new = x - step
+        if not np.all(np.isfinite(x_new)):
+            raise FloatingPointError("gradient descent diverged to non-finite parameters")
+        small_step = np.max(np.abs(step)) <= config.param_tolerance
+        if not small_step and np.array_equal(x_new, x):
+            raise FloatingPointError(
+                f"gradient descent diverged: a step of {np.max(np.abs(step)):.3g} "
+                f"is lost to rounding at parameters of {np.max(np.abs(x)):.3g}"
+            )
+        f_new = _finite_cost(tracker(x_new))
         small_cost = 2.0 * abs(fx - f_new) <= config.cost_tolerance * (
             abs(fx) + abs(f_new)
         ) + 1e-20
-        small_step = np.max(np.abs(step)) <= config.param_tolerance
         x, fx = x_new, f_new
         if small_cost or small_step:
             converged = True
             break
     return x, _finish(tracker, x, fx, converged, t0)
+

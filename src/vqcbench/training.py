@@ -1,4 +1,4 @@
-"""Task cost functions, parameter-shift gradients, and the training loop.
+"""Task cost functions, their exact gradients, and the training loop.
 
 The classification cost is the mean squared error between the label and the
 *continuous* readout expectation <Z_r>; the sign is applied only at
@@ -11,6 +11,12 @@ The autoencoder cost penalizes discarded qubits that are not in |0>:
     C = mean_i  (n_d - sum_{q in discard} <Z_q>_i) / 2
 which vanishes exactly when every discarded qubit of every encoded state is
 |0>, and equals n_d when they are all |1>.
+
+Both costs are smooth functions of expectations of diagonal observables, so
+their gradient is exact: ``param_shift_gradient`` returns the gradient the
+parameter-shift rule (Schuld et al., arXiv:1811.11184) defines, computed by
+adjoint differentiation (Jones and Gacon, arXiv:2009.02823): one forward
+pass and one backward sweep, whatever the parameter count.
 """
 
 from __future__ import annotations
@@ -29,32 +35,16 @@ from .optimizers import (
     spsa_minimize,
 )
 from .simulator import (
+    ROTATION_KINDS,
     Circuit,
-    State,
+    Gate,
     _apply_gate_inplace,
-    expectation_z,
+    _z_signs,
     expectation_z_batch,
-    resolved_angle,
-    run_circuit,
     run_circuit_batch,
 )
 
 TASKS = ("classify", "autoencode")
-
-# Two-point rule for rotation generators with eigenvalues +-1/2, and the
-# four-term rule for controlled rotations (frequencies 1/2 and 1).
-_SQRT2 = np.sqrt(2.0)
-_SHIFT_RULES = {
-    "ry": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
-    "rx": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
-    "rz": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
-    "cry": (
-        (np.pi / 2, (_SQRT2 + 1) / (4 * _SQRT2)),
-        (-np.pi / 2, -(_SQRT2 + 1) / (4 * _SQRT2)),
-        (3 * np.pi / 2, -(_SQRT2 - 1) / (4 * _SQRT2)),
-        (-3 * np.pi / 2, (_SQRT2 - 1) / (4 * _SQRT2)),
-    ),
-}
 
 
 def _states_matrix(dataset, num_qubits: int) -> np.ndarray:
@@ -93,11 +83,13 @@ def classification_cost(circuit: Circuit, readout: int, dataset, params) -> floa
     return make_classification_cost(circuit, readout, dataset)(params)
 
 
-def _check_discard(discard, num_qubits) -> list[int]:
+def _check_discard(discard, num_qubits: int | None = None) -> list[int]:
+    """Sorted, de-duplicated discard qubits; non-empty, non-negative and,
+    when ``num_qubits`` is given, below it."""
     discard = sorted(set(int(q) for q in discard))
     if not discard:
         raise ValueError("discard set must be non-empty")
-    if any(q < 0 or q >= num_qubits for q in discard):
+    if discard[0] < 0 or (num_qubits is not None and discard[-1] >= num_qubits):
         raise ValueError(f"discard qubits {discard} out of range")
     return discard
 
@@ -121,20 +113,12 @@ def autoencoder_cost(encoder: Circuit, discard, dataset, params) -> float:
     return make_autoencoder_cost(encoder, discard, dataset)(params)
 
 
-def _shifted_observables(circuit, params, mat, gate_index, shift, observe):
-    """Per-sample observable with one gate occurrence's angle offset by shift.
-
-    The gate list is replayed directly (not via a new Circuit) because the
-    substituted bound gate may leave a parameter slot without references,
-    which Circuit construction would reject.
-    """
-    gate = circuit.gates[gate_index]
-    bound = replace(gate, angle=resolved_angle(gate, params) + shift, slot=None, scale=1.0)
-    amp = mat.copy()
-    n = circuit.num_qubits
-    for i, g in enumerate(circuit.gates):
-        _apply_gate_inplace(amp, n, bound if i == gate_index else g, params)
-    return observe(amp)
+def _adjoint(gate: Gate) -> Gate:
+    if gate.kind in ROTATION_KINDS:
+        return replace(gate, scale=-gate.scale)
+    if gate.kind == "u2":
+        return replace(gate, matrix=gate.matrix.conj().T)
+    return gate  # x, h, cnot and cz are self-adjoint
 
 
 def param_shift_gradient(
@@ -145,43 +129,52 @@ def param_shift_gradient(
     readout: int | None = None,
     discard=None,
 ) -> np.ndarray:
-    """Exact gradient of the selected cost via the parameter-shift rule.
+    """Exact gradient of the selected task cost, computed by an adjoint sweep.
 
-    Shared slots accumulate the contributions of every gate occurrence; the
-    MSE / linear chain rule is applied outside the expectation-level shift.
-    Raises for parameterized gates without a known shift rule.
+    It is the gradient the parameter-shift rule defines (the name is kept for
+    the ``param_shift_gd`` optimizer and other callers), at the price of
+    2 * len(gates) + (parameterized gates) gate applications instead of a
+    circuit replay per shift term.  One forward pass gives the outputs psi_i;
+    lam_i = w_i O psi_i carries the chain rule, with w_i = dC/d<O>_i and O
+    the readout Z or the sum of the discarded Z's.  Both are walked back
+    through the circuit together.  Standing just after gate k, where
+    dR(t)/dt R(t)^dagger = R(pi)/2 for rx, ry and rz (for cry the same on
+    the control = 1 block and zero on the control = 0 block), gate k adds
+    scale * Re<lam|R(pi) psi> to its slot, so shared slots sum over their
+    occurrences.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if task == "classify" and readout is None:
+        raise ValueError("classification gradient needs a readout qubit")
     params = np.asarray(params, dtype=float)
-    mat = _states_matrix(dataset, circuit.num_qubits)
     n = circuit.num_qubits
-    occurrences = circuit.parameterized_gates()
-    for _, gate in occurrences:
-        if gate.kind not in _SHIFT_RULES:
-            raise ValueError(f"no shift rule for parameterized gate kind {gate.kind!r}")
-
+    size = len(dataset)
+    psi = run_circuit_batch(circuit, params, _states_matrix(dataset, n))
     if task == "classify":
-        if readout is None:
-            raise ValueError("classification gradient needs a readout qubit")
-        observe = lambda amp: expectation_z_batch(amp, n, readout)
-        expectations = observe(run_circuit_batch(circuit, params, mat))
+        m = expectation_z_batch(psi, n, readout)
+        obs = _z_signs(n, readout)
         # dC/dm_i for C = (1/M) sum (l_i - m_i)^2
-        prefactors = 2.0 * (expectations - dataset.labels()) / len(dataset)
+        weights = 2.0 * (m - dataset.labels()) / size
     else:
         discard = _check_discard(discard or (), n)
-        observe = lambda amp: sum(expectation_z_batch(amp, n, q) for q in discard)
+        obs = sum(_z_signs(n, q) for q in discard)
         # dC/ds_i for C = (1/M) sum (n_d - s_i)/2
-        prefactors = np.full(len(dataset), -0.5 / len(dataset))
+        weights = np.full(size, -0.5 / size)
 
+    # One array, so each gate is undone on psi and lam in a single call.
+    both = np.concatenate([psi, weights[:, None] * obs * psi])
+    psi, lam = both[:size], both[size:]
     grad = np.zeros(circuit.param_count)
-    for gate_index, gate in occurrences:
-        d_expect = np.zeros(len(dataset))
-        for shift, coeff in _SHIFT_RULES[gate.kind]:
-            d_expect += coeff * _shifted_observables(
-                circuit, params, mat, gate_index, shift, observe
-            )
-        grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
+    for gate in reversed(circuit.gates):
+        if gate.slot is not None:
+            if gate.kind == "cry":
+                mu = psi * (0.5 - 0.5 * _z_signs(n, gate.targets[0]))
+            else:
+                mu = psi.copy()
+            _apply_gate_inplace(mu, n, Gate(gate.kind, gate.targets, angle=np.pi))
+            grad[gate.slot] += gate.scale * np.vdot(lam, mu).real
+        _apply_gate_inplace(both, n, _adjoint(gate), params)
     return grad
 
 

@@ -1,6 +1,7 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
-the strided kernels, circuit inversion and the Kraus branches of the reset
-channel, plus random circuit/state generators."""
+the strided kernels, circuit inversion, the Kraus branches of the reset
+channel and parameter-shift gradients, plus random circuit/state
+generators."""
 
 from dataclasses import replace
 
@@ -124,6 +125,51 @@ def kraus_fidelity(encoder, params, discard, state, post_select=False):
     decoded = sim.run_circuit_batch(inverse_circuit(encoder), params, np.array(branches))
     total = float(np.sum(np.abs(decoded @ state.amplitudes.conj()) ** 2))
     return total / weight if post_select else total
+
+
+# Two-point rule for rotation generators with eigenvalues +-1/2, and the
+# four-term rule for controlled rotations (frequencies 1/2 and 1).
+_SQRT2 = np.sqrt(2.0)
+SHIFT_RULES = {
+    "ry": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
+    "rx": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
+    "rz": ((np.pi / 2, 0.5), (-np.pi / 2, -0.5)),
+    "cry": (
+        (np.pi / 2, (_SQRT2 + 1) / (4 * _SQRT2)),
+        (-np.pi / 2, -(_SQRT2 + 1) / (4 * _SQRT2)),
+        (3 * np.pi / 2, -(_SQRT2 - 1) / (4 * _SQRT2)),
+        (-3 * np.pi / 2, (_SQRT2 - 1) / (4 * _SQRT2)),
+    ),
+}
+
+
+def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
+                       discard=None):
+    """Task-cost gradient by the parameter-shift rule: every parameterized
+    gate occurrence is replayed with its angle shifted, the chain rule
+    (MSE or linear) applied outside the expectation-level shift."""
+    params = np.asarray(params, dtype=float)
+    n = circuit.num_qubits
+    mat = np.array([np.asarray(r.state, dtype=complex) for r in dataset.records])
+    if task == "classify":
+        observe = lambda amp: sim.expectation_z_batch(amp, n, readout)
+        m = observe(sim.run_circuit_batch(circuit, params, mat))
+        prefactors = 2.0 * (m - dataset.labels()) / len(dataset)
+    else:
+        observe = lambda amp: sum(sim.expectation_z_batch(amp, n, q) for q in discard)
+        prefactors = np.full(len(dataset), -0.5 / len(dataset))
+    grad = np.zeros(circuit.param_count)
+    for index, gate in circuit.parameterized_gates():
+        d_expect = np.zeros(len(dataset))
+        for shift, coeff in SHIFT_RULES[gate.kind]:
+            bound = replace(gate, angle=sim.resolved_angle(gate, params) + shift,
+                            slot=None, scale=1.0)
+            amp = mat.copy()
+            for i, g in enumerate(circuit.gates):
+                sim._apply_gate_inplace(amp, n, bound if i == index else g, params)
+            d_expect += coeff * observe(amp)
+        grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
+    return grad
 
 
 def random_state(n, rng):

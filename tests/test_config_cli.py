@@ -199,6 +199,61 @@ def test_bad_spsa_gain_exits_2_without_traceback(tmp_path, capsys, gain):
     assert "spsa" in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("optimizer", "max_iterations", None),
+    ("optimizer", "max_iterations", 2.9),
+    ("optimizer", "max_iterations", "3"),
+    ("optimizer", "seed", True),
+    ("optimizer", "learning_rate", None),
+    ("optimizer", "cost_tolerance", "1e-8"),
+    ("model", "layers", 1.7),
+    ("model", "num_qubits", None),
+    ("data", "num_sites", "4"),
+    ("data", "h_count", 2.5),
+    ("data", "h_start", None),
+    ("data", "h_c", float("inf")),
+    ("data", "train_fraction", False),
+    ("data", "seed", 7.5),
+    ("config", "seed", "42"),
+    ("config", "train_sizes", [2.5]),
+    ("config", "train_sizes", 4),
+    ("config", "discard", [0.5]),
+    ("config", "models", 5),
+])
+def test_bad_numeric_key_exits_2_without_traceback(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "c.json"
+    base = write_config(cfg)
+    if section == "config":
+        base[key] = value
+    else:
+        base[section][key] = value
+    cfg.write_text(json.dumps(base))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+
+
+def test_bad_h_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, data={"kind": "tfi", "num_sites": 4, "h_values": [0.5, None]})
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "h_values[1]" in capsys.readouterr().err
+
+
+def test_diverging_gradient_descent_exits_4_without_traceback(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, optimizer={"kind": "param_shift_gd", "max_iterations": 50,
+                                 "learning_rate": 1e308})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "diverged" in err
+    assert not (out / "train_record.json").exists()
+
+
 def test_train_missing_dataset_exits_3(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(cfg)

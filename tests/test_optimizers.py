@@ -126,6 +126,21 @@ def test_gradient_descent_quadratic():
     assert rec.converged
 
 
+@pytest.mark.parametrize("f,grad,x0,lr,match", [
+    (quad1, lambda x: np.array([np.nan]), [0.0], 0.1, "non-finite parameters"),
+    (quad1, lambda x: np.array([2.0 * (x[0] - 3.0)]), [0.0], 1e308, "non-finite parameters"),
+    (lambda x: 1.0 / x[0] if x[0] > 0 else np.inf, lambda x: np.array([1.0]), [0.5], 1.0,
+     "non-finite cost"),
+    # ulp(1e17) = 16: a step of 0.1 leaves x where it was, the cost repeats
+    (lambda x: np.cos(x[0]), lambda x: np.array([-np.sin(x[0])]), [1e17], 0.1,
+     "lost to rounding"),
+])
+def test_gradient_descent_raises_instead_of_converging_on_divergence(f, grad, x0, lr, match):
+    cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=50, learning_rate=lr)
+    with pytest.raises(FloatingPointError, match=match):
+        gradient_descent_minimize(f, grad, x0, cfg)
+
+
 def test_running_minimum_monotone():
     for minimize in (powell_minimize, nelder_mead_minimize):
         _, rec = minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=50))

@@ -1,14 +1,20 @@
-"""Cost functions, parameter-shift gradients against finite differences,
-and the end-to-end training loop."""
+"""Cost functions, adjoint gradients against the parameter-shift rule and
+finite differences, and the end-to-end training loop."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import param_shift_oracle, random_circuit
+from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import OptimizerConfig
 from vqcbench.simulator import Circuit, Gate, basis_state, ry, zero_state
 from vqcbench.spinmodels import DataRecord, Dataset
 from vqcbench.training import (
+    TASKS,
     autoencoder_cost,
     classification_cost,
     initial_parameters,
@@ -196,6 +202,76 @@ def test_shared_slot_gradient_equals_sum_of_unshared(rng):
     # every other slot is untouched by the re-slotting
     for s in range(1, circ.param_count):
         assert g_unshared[s] == pytest.approx(g_shared[s], abs=1e-10)
+
+
+@st.composite
+def gradient_cases(draw):
+    """2-5 qubits, gates of every kind (u2 fixed, rotations bound or on
+    shared slots with scale +-1), a random complex dataset and a task."""
+    n = draw(st.integers(2, 5))
+    task = draw(st.sampled_from(TASKS))
+    param_count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slotted = random_circuit(n, rng, n_gates=draw(st.integers(0, 12)), param_count=param_count)
+    bound = random_circuit(n, rng, n_gates=draw(st.integers(0, 4)))
+    gates = [replace(g, scale=float(rng.choice([-1.0, 1.0]))) if g.slot is not None else g
+             for g in bound.gates + slotted.gates]
+    rng.shuffle(gates)
+    circ = Circuit(n, gates, param_count)
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        records.append(DataRecord(amp / np.linalg.norm(amp), 0.0, int(rng.choice([-1, 1]))))
+    ds = Dataset("tfi", n, records, {})
+    params = rng.uniform(-np.pi, np.pi, size=param_count)
+    if task == "classify":
+        target = {"readout": int(rng.integers(n))}
+    else:
+        size = int(rng.integers(1, n + 1))
+        target = {"discard": sorted(rng.choice(n, size=size, replace=False).tolist())}
+    return circ, ds, params, task, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(gradient_cases())
+def test_adjoint_gradient_matches_shift_rule_and_finite_differences(case):
+    circ, ds, params, task, target = case
+    grad = param_shift_gradient(circ, ds, params, task=task, **target)
+    oracle = param_shift_oracle(circ, ds, params, task=task, **target)
+    assert np.max(np.abs(grad - oracle)) < 1e-10
+    if task == "classify":
+        cost = lambda p: classification_cost(circ, target["readout"], ds, p)
+    else:
+        cost = lambda p: autoencoder_cost(circ, target["discard"], ds, p)
+    assert np.max(np.abs(grad - finite_difference(cost, params))) < 1e-5
+
+
+@pytest.mark.parametrize("spec", [
+    AnsatzSpec("qcnn_ry", 8, 3), AnsatzSpec("qcnn_su4", 8, 3),
+    AnsatzSpec("qcnn_so4", 8, 3, weight_sharing=False),
+    AnsatzSpec("hea_ry", 4, 2), AnsatzSpec("hea_rxrzrx", 8, 1),
+])
+def test_gradient_gate_applications_do_not_grow_with_parameters(spec, monkeypatch, rng):
+    circ, _ = build_ansatz(spec)
+    n = spec.num_qubits
+    ds = make_dataset([np.eye(1 << n)[0], np.eye(1 << n)[-1]], [1, -1], n)
+    calls = []
+
+    def counting(kernel):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+        return counted
+
+    # the forward pass runs in the simulator, the backward sweep in training
+    monkeypatch.setattr(simulator, "_apply_gate_inplace",
+                        counting(simulator._apply_gate_inplace))
+    monkeypatch.setattr(training, "_apply_gate_inplace",
+                        counting(training._apply_gate_inplace))
+    params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
+    param_shift_gradient(circ, ds, params, readout=0)
+    parameterized = len(circ.parameterized_gates())
+    assert len(calls) <= 3 * len(circ.gates) + parameterized
 
 
 # ---------------------------------------------------------------------------
