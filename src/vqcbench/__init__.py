@@ -10,13 +10,8 @@ __version__ = "0.1.0"
 from .simulator import (  # noqa: F401
     Circuit,
     Gate,
-    State,
-    apply_gate,
-    basis_state,
-    expectation_z,
-    run_circuit,
-    state_fidelity,
-    zero_state,
+    expectation_z_batch,
+    run_circuit_batch,
 )
 from .ansatz import (  # noqa: F401
     AnsatzSpec,
@@ -58,6 +53,5 @@ from .metrics import (  # noqa: F401
     CompressionSpec,
     evaluate_autoencoder,
     evaluate_classifier,
-    predict,
     reconstruct_fidelity,
 )

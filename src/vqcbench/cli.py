@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config or validation error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -19,14 +20,17 @@ from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
 from .config import (
     BenchConfig,
     ConfigError,
+    _integer,
+    _items,
     cell_seed,
     load_config,
+    model_spec_from_dict,
     model_spec_to_dict,
-    optimizer_to_dict,
 )
 from .metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
 from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
 from .storage import (
+    atomic_write,
     config_hash,
     read_dataset,
     read_model,
@@ -161,16 +165,15 @@ def cmd_eval(config: BenchConfig, args) -> int:
             f"model file was trained for task {model['task']!r} "
             f"but the config says {config.task!r}"
         )
-    from .config import model_spec_from_dict
-
     spec = model_spec_from_dict(model["model"], "model file")
     circuit, _ = build_ansatz(spec)
     dataset = _eval_dataset(config, out_dir)
     if config.task == "classify":
-        report = evaluate_classifier(circuit, model["readout"], model["params"], dataset)
+        readout = _integer(model.get("readout"), "readout", "model file")
+        report = evaluate_classifier(circuit, readout, model["params"], dataset)
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:
-        cspec = CompressionSpec(tuple(model["discard"]))
+        cspec = CompressionSpec(tuple(_items(model, "discard", "model file", _integer)))
         report = evaluate_autoencoder(circuit, model["params"], cspec, dataset)
         headline = f"mean fidelity {report.mean_fidelity:.4f} over {len(report.fidelities)} states"
     write_report(out_dir / "report.json", config.task, report.to_dict())
@@ -275,12 +278,14 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
     else:
         rows = [run_cell(c) for c in cells]
 
+    failures = [r for r in rows if r["status"].startswith("error")]
     meta = {
         "run_seed": run_seed,
         "config_hash": config_hash(config.raw),
         "config": config.raw,
         "metadata": _run_metadata(config),
         "rows": len(rows),
+        "failed_cells": len(failures),
     }
     if args.format == "json":
         write_results_json(out_dir / "results.json", rows)
@@ -288,10 +293,7 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
     else:
         write_results_csv(out_dir / "results.csv", rows)
         print(f"wrote {len(rows)} rows to {out_dir / 'results.csv'}")
-    import json
-
-    (out_dir / "benchmark_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    failures = [r for r in rows if r["status"].startswith("error")]
+    atomic_write(out_dir / "benchmark_meta.json", json.dumps(meta, indent=2) + "\n")
     for r in failures:
         print(f"cell {r['model']} size {r['train_size']}: {r['status']}", file=sys.stderr)
     return 0

@@ -5,7 +5,8 @@ with the offending key named, so typos surface as exit code 2 instead of
 silently falling back to defaults.  Numeric keys take finite JSON numbers
 only, never null, booleans or strings, and a fraction given for an
 integer key (counts, sizes, seeds, qubit indices) is rejected, not
-truncated.  The schema is the set of keys each
+truncated.  Path keys (``train_path``, ``test_path``, ``out_dir``) take
+strings only.  The schema is the set of keys each
 ``from_dict`` below accepts; what the values mean is documented where they
 are used: model families and parameter counts in ``vqcbench.ansatz``
 (``param_count``), datasets in ``vqcbench.spinmodels``, optimizers in
@@ -75,10 +76,18 @@ def _integer(value, key: str, where: str) -> int:
 
 def _items(section: dict, key: str, where: str, parse) -> list:
     """The JSON list under key, each item read by ``parse``."""
-    value = section[key]
+    value = section.get(key)
     if not isinstance(value, list):
         raise ConfigError(f"{where}.{key} must be a list, got {value!r}")
     return [parse(item, f"{key}[{i}]", where) for i, item in enumerate(value)]
+
+
+def _path(section: dict, key: str, where: str, default=None):
+    """The string under key, or ``default`` when the key is absent."""
+    value = section.get(key, default)
+    if key in section and not isinstance(value, str):
+        raise ConfigError(f"{where}.{key} must be a string, got {value!r}")
+    return value
 
 
 def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
@@ -164,7 +173,7 @@ class DataSpec:
             kind=kind, num_sites=num_sites, h_values=h_values, h_c=h_c,
             train_fraction=fraction, seed=_integer(d.get("seed", 0), "seed", where),
             solver=solver,
-            train_path=d.get("train_path"), test_path=d.get("test_path"),
+            train_path=_path(d, "train_path", where), test_path=_path(d, "test_path", where),
         )
 
     def to_dict(self) -> dict:
@@ -268,7 +277,8 @@ class BenchConfig:
                 )
         return cls(
             task=task, model=model, data=data, optimizer=optimizer,
-            seed=_integer(d.get("seed", 0), "seed", "config"), out_dir=str(d.get("out_dir", "runs")),
+            seed=_integer(d.get("seed", 0), "seed", "config"),
+            out_dir=_path(d, "out_dir", "config", "runs"),
             models=models, train_sizes=train_sizes, discard=discard,
             eval_on=eval_on or ("train" if task == "autoencode" else "test"),
             raw=d,

@@ -11,6 +11,8 @@ discard pattern; each term is then |(A^dagger a0)_b|^2, so
 (Romero, Olson and Aspuru-Guzik, arXiv:1612.02806): one encoder pass, no
 decoder.  F is 1 whenever the encoding is exact.  The post-selected
 variant, conditioned on the all-|0> reset outcome, is F_ps = ||a0||^2.
+``reconstruct_fidelity`` takes a (batch, 2^N) amplitude matrix and
+returns F for every row from one batched encoder pass.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulator import (
-    Circuit,
-    State,
-    expectation_z,
-    expectation_z_batch,
-    run_circuit,
-    run_circuit_batch,
-)
+from .simulator import Circuit, expectation_z_batch, run_circuit_batch
 from .training import _check_discard
 
 # Default compression inputs: TFI ground states straddling the h=1 boundary
@@ -90,12 +85,6 @@ class CompressionReport:
         }
 
 
-def predict(circuit: Circuit, readout: int, params, state: State) -> int:
-    """sign(<Z_readout>) after the circuit; exact zero maps to +1."""
-    m = expectation_z(run_circuit(circuit, params, state), readout)
-    return 1 if m >= 0.0 else -1
-
-
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """Exact ROC: thresholds sweep every distinct score plus +-inf sentinels.
 
@@ -135,13 +124,10 @@ def auc_score(scores, labels) -> float | None:
 
 
 def evaluate_classifier(circuit: Circuit, readout: int, params, test) -> ClassificationReport:
-    """Accuracy from sign predictions plus the exact ROC curve and AUC."""
-    states = test.states()
-    if not states:
-        raise ValueError("test set must be non-empty")
+    """Accuracy from sign predictions (sign(<Z_readout>), an exact zero
+    predicting +1) plus the exact ROC curve and AUC."""
+    out = run_circuit_batch(circuit, params, test.amplitudes())
     labels = [int(l) for l in test.labels()]
-    mat = np.array([s.amplitudes for s in states])
-    out = run_circuit_batch(circuit, params, mat)
     scores = [float(m) for m in expectation_z_batch(out, circuit.num_qubits, readout)]
     predictions = [1 if m >= 0.0 else -1 for m in scores]
     correct = sum(p == l for p, l in zip(predictions, labels))
@@ -166,24 +152,27 @@ def reconstruct_fidelity(
     encoder: Circuit,
     params,
     spec: CompressionSpec,
-    state: State,
+    amplitudes: np.ndarray,
     post_select: bool = False,
-) -> float:
-    """Fidelity of the decode(reset(encode(state))) round trip.
+) -> np.ndarray:
+    """Fidelity of the decode(reset(encode(state))) round trip for every
+    row of a (batch, 2^N) amplitude matrix.
 
     ``post_select=True`` instead conditions on the all-|0> reset outcome and
     normalizes by its probability; an outcome of probability 0 gives 0.
     """
     n = encoder.num_qubits
     _check_discard(spec.discard, n)
-    encoded = run_circuit_batch(encoder, params, state.amplitudes[None, :])[0]
+    encoded = run_circuit_batch(encoder, params, amplitudes)
+    batch = encoded.shape[0]
     kept = [q for q in range(n) if q not in spec.discard]
-    a = encoded.reshape((2,) * n).transpose(kept + list(spec.discard))
-    a = a.reshape(1 << len(kept), 1 << spec.n_d)
-    a0 = a[:, 0]
+    a = encoded.reshape((batch,) + (2,) * n)
+    a = a.transpose([0] + [1 + q for q in kept + list(spec.discard)])
+    a = a.reshape(batch, 1 << len(kept), 1 << spec.n_d)
+    a0_dagger = a[:, :, 0].conj()[:, None, :]
     if post_select:
-        return float(np.vdot(a0, a0).real)
-    return float(np.sum(np.abs(a0.conj() @ a) ** 2))
+        return np.matmul(a0_dagger, a[:, :, :1])[:, 0, 0].real  # ||a0||^2
+    return np.sum(np.abs(np.matmul(a0_dagger, a)[:, 0]) ** 2, axis=1)  # ||A^dagger a0||^2
 
 
 def evaluate_autoencoder(
@@ -193,10 +182,7 @@ def evaluate_autoencoder(
     test,
     final_cost: float | None = None,
 ) -> CompressionReport:
-    states = test.states()
-    if not states:
-        raise ValueError("test set must be non-empty")
-    fidelities = [reconstruct_fidelity(encoder, params, spec, s) for s in states]
+    fidelities = reconstruct_fidelity(encoder, params, spec, test.amplitudes()).tolist()
     return CompressionReport(
         fidelities=fidelities,
         mean_fidelity=float(np.mean(fidelities)),

@@ -5,7 +5,10 @@ All four share the same result contract: they return the best parameter
 vector and a TrainRecord whose final_cost is the cost at that vector and
 whose cost_history lists every objective evaluation in call order.
 Everything is deterministic given the config (SPSA through its seed), which
-is what makes benchmark runs reproducible bit for bit.
+is what makes benchmark runs reproducible bit for bit.  Every objective
+evaluation goes through ``_Tracker``, which raises FloatingPointError when
+a trial point or its cost is non-finite, so no method can report a run
+that diverged as converged.
 """
 
 from __future__ import annotations
@@ -75,14 +78,19 @@ class TrainRecord:
 
 
 class _Tracker:
-    """Wraps the objective: counts evaluations, records history."""
+    """Wraps the objective: counts evaluations, records history, and stops
+    the run on a non-finite trial point or cost."""
 
     def __init__(self, f):
         self.f = f
         self.history: list[float] = []
 
     def __call__(self, x):
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("optimizer diverged to non-finite parameters")
         value = float(self.f(x))
+        if not math.isfinite(value):
+            raise FloatingPointError(f"optimizer diverged to a non-finite cost {value}")
         self.history.append(value)
         return value
 
@@ -171,14 +179,17 @@ def _brent(g, xa, xb, xc, fb, tol, max_iter=100):
                 p = -p
             q = abs(q)
             e_prev, e = e, d
-            if abs(p) >= abs(0.5 * q * e_prev) or p <= q * (a - x) or p >= q * (b - x):
-                e = (a - x) if x >= xm else (b - x)
-                d = _CGOLD * e
-            else:
+            # Take the parabolic step only if it is small and inside (a, b);
+            # a fit that overflowed to nan fails every test and falls back
+            # to golden section instead of dividing by q.
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
                 d = p / q
                 u = x + d
                 if u - a < tol2 or b - u < tol2:
                     d = tol1 if xm - x >= 0 else -tol1
+            else:
+                e = (a - x) if x >= xm else (b - x)
+                d = _CGOLD * e
         else:
             e = (a - x) if x >= xm else (b - x)
             d = _CGOLD * e
@@ -211,6 +222,10 @@ def _line_minimize(f, x, direction, fx, step, tol):
         return f(x + alpha * direction)
 
     xa, xb, xc, fa, fb, fc = _bracket(g, 0.0, step, fx, g(step))
+    if not math.isfinite(xc - xa):
+        raise FloatingPointError(
+            f"line search diverged: the bracket [{xa:.3g}, {xc:.3g}] has a non-finite width"
+        )
     alpha, f_min = _brent(g, xa, xb, xc, fb, tol)
     if f_min > fx:  # numerical safety; the bracket is anchored at alpha=0
         return 0.0, fx
@@ -364,40 +379,33 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
     return best_x, _finish(tracker, best_x, best_f, stable, t0)
 
 
-def _finite_cost(value: float) -> float:
-    if not math.isfinite(value):
-        raise FloatingPointError(f"gradient descent reached a non-finite cost {value}")
-    return value
-
-
 def gradient_descent_minimize(
     f, grad, x0, config: OptimizerConfig
 ) -> tuple[np.ndarray, TrainRecord]:
     """Fixed-step gradient descent driven by an external gradient oracle.
 
     Raises FloatingPointError when a cost or the parameters become
-    non-finite, or when a step larger than param_tolerance leaves x
-    unchanged: that step was lost to rounding (x has grown far past where
-    angles resolve), so the cost would repeat and pass the tolerance test.
+    non-finite (through ``_Tracker``), or when a step larger than
+    param_tolerance leaves x unchanged: that step was lost to rounding (x
+    has grown far past where angles resolve), so the cost would repeat and
+    pass the tolerance test.
     """
     t0 = time.perf_counter()
     x = _check_x0(x0)
     tracker = _Tracker(f)
-    fx = _finite_cost(tracker(x))
+    fx = tracker(x)
     converged = False
     for _ in range(config.max_iterations):
         with np.errstate(over="ignore"):
             step = config.learning_rate * np.asarray(grad(x), dtype=float)
             x_new = x - step
-        if not np.all(np.isfinite(x_new)):
-            raise FloatingPointError("gradient descent diverged to non-finite parameters")
         small_step = np.max(np.abs(step)) <= config.param_tolerance
         if not small_step and np.array_equal(x_new, x):
             raise FloatingPointError(
                 f"gradient descent diverged: a step of {np.max(np.abs(step)):.3g} "
                 f"is lost to rounding at parameters of {np.max(np.abs(x)):.3g}"
             )
-        f_new = _finite_cost(tracker(x_new))
+        f_new = tracker(x_new)
         small_cost = 2.0 * abs(fx - f_new) <= config.cost_tolerance * (
             abs(fx) + abs(f_new)
         ) + 1e-20

@@ -1,5 +1,8 @@
 """Exact statevector simulation of small parameterized circuits.
 
+A state of N qubits is a row of 2^N complex amplitudes; every circuit pass
+acts on a (batch, 2^N) array of them, and a single state is a batch of 1.
+
 Conventions, fixed once and relied on everywhere (including persisted data):
 
 * Qubit 0 is the most significant bit of the basis-state index, i.e. for
@@ -8,6 +11,8 @@ Conventions, fixed once and relied on everywhere (including persisted data):
 * Rotations follow RY(t) = exp(-i t Y/2), so
   RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]], and likewise for
   RX and RZ.
+* A two-qubit gate's 4x4 matrix (``u2``) is indexed with its first target
+  as the high bit of the pair, whatever the wire order.
 
 Gates act through strided in-place kernels on the amplitude array; full
 2^N x 2^N matrices are never built here (the dense route exists only as a
@@ -28,84 +33,7 @@ GATE_KINDS = ROTATION_KINDS | FIXED_KINDS | {"u2"}
 _TWO_QUBIT_KINDS = frozenset({"cnot", "cz", "cry", "u2"})
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
-_X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _H_MAT = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
-_CNOT_MAT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CZ_MAT = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-# Exchanges the two middle basis states |01> and |10>; used to reorder a
-# two-qubit matrix when gate targets are given against wire order.
-_SWAP_MAT = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-@dataclass
-class State:
-    """Pure state of ``num_qubits`` qubits as a dense amplitude vector."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"amplitude array must have length {1 << self.num_qubits}, "
-                f"got shape {self.amplitudes.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "State":
-        return State(self.num_qubits, self.amplitudes.copy())
-
-
-def zero_state(num_qubits: int) -> State:
-    amp = np.zeros(1 << num_qubits, dtype=complex)
-    amp[0] = 1.0
-    return State(num_qubits, amp)
-
-
-def basis_state(num_qubits: int, index: int) -> State:
-    if not 0 <= index < (1 << num_qubits):
-        raise ValueError("basis index out of range")
-    amp = np.zeros(1 << num_qubits, dtype=complex)
-    amp[index] = 1.0
-    return State(num_qubits, amp)
-
-
-def from_amplitudes(amplitudes, num_qubits: int | None = None) -> State:
-    """Build a normalized State, checking the unit-norm invariant (1e-9)."""
-    amp = np.asarray(amplitudes, dtype=complex)
-    if num_qubits is None:
-        n = int(amp.shape[0]).bit_length() - 1
-        if (1 << n) != amp.shape[0]:
-            raise ValueError("amplitude length is not a power of two")
-        num_qubits = n
-    state = State(num_qubits, amp)
-    if abs(state.norm() - 1.0) > 1e-9:
-        raise ValueError(f"state norm {state.norm()} deviates from 1 by more than 1e-9")
-    return state
-
-
-def state_overlap(a: State, b: State) -> complex:
-    """<a|b> (conjugates the first argument)."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("overlap of states with different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def state_fidelity(a: State, b: State) -> float:
-    return abs(state_overlap(a, b)) ** 2
 
 
 @dataclass(eq=False)
@@ -249,24 +177,17 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
 
 
 def gate_matrix(gate: Gate, params=None) -> np.ndarray:
-    """2x2 or 4x4 unitary of the gate in its own target order."""
+    """2x2 unitary of a single-qubit rotation or h, or a u2 gate's 4x4.
+
+    The kernels apply x, cnot, cz and cry directly, without a matrix.
+    """
     if gate.kind in ("ry", "rx", "rz"):
         return _rotation_matrix(gate.kind, resolved_angle(gate, params))
-    if gate.kind == "x":
-        return _X_MAT
     if gate.kind == "h":
         return _H_MAT
-    if gate.kind == "cnot":
-        return _CNOT_MAT
-    if gate.kind == "cz":
-        return _CZ_MAT
-    if gate.kind == "cry":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = _rotation_matrix("ry", resolved_angle(gate, params))
-        return m
     if gate.kind == "u2":
         return gate.matrix
-    raise ValueError(gate.kind)
+    raise ValueError(f"{gate.kind} has no matrix here")
 
 
 def _apply_1q(amp: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
@@ -279,21 +200,22 @@ def _apply_1q(amp: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
     a3[:, 1, :] = u[1, 0] * lo + u[1, 1] * hi
 
 
-def _apply_2q(amp: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray) -> None:
-    # qa < qb in wire order; u indexed with qa as the high bit of the pair.
-    mid = 1 << (qb - qa - 1)
-    right = 1 << (n - 1 - qb)
-    a5 = amp.reshape(-1, 2, mid, 2, right)
+def _pair_view(amp: np.ndarray, n: int, targets) -> np.ndarray:
+    """amp as (left, first target, mid, second target, right).
+
+    For targets against wire order this is a transposed view of the
+    wire-ordered reshape, so it indexes the same elements.
+    """
+    qa, qb = sorted(targets)
+    a5 = amp.reshape(-1, 2, 1 << (qb - qa - 1), 2, 1 << (n - 1 - qb))
+    return a5 if targets[0] == qa else a5.transpose(0, 3, 2, 1, 4)
+
+
+def _apply_2q(a5: np.ndarray, u: np.ndarray) -> None:
+    # u indexed with the pair view's axis 1 as the high bit.
     b = [a5[:, i, :, j, :].copy() for i in (0, 1) for j in (0, 1)]
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         a5[:, i, :, j, :] = u[k, 0] * b[0] + u[k, 1] * b[1] + u[k, 2] * b[2] + u[k, 3] * b[3]
-
-
-def _pair_views(amp: np.ndarray, n: int, qa: int, qb: int):
-    """The four (control, target)-block views of amp for wires qa < qb."""
-    mid = 1 << (qb - qa - 1)
-    right = 1 << (n - 1 - qb)
-    return amp.reshape(-1, 2, mid, 2, right)
 
 
 def _apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate, params=None) -> None:
@@ -306,72 +228,24 @@ def _apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate, params=None) -> Non
         a3 = amp.reshape(-1, 2, right)
         a3[:, [0, 1], :] = a3[:, [1, 0], :]
         return
+    if len(gate.targets) == 1:
+        _apply_1q(amp, n, gate.targets[0], gate_matrix(gate, params))
+        return
+    # two-qubit kinds: the control (or first target) on axis 1
+    a5 = _pair_view(amp, n, gate.targets)
     if kind == "cz":  # diagonal: phase the |11> block only
-        qa, qb = sorted(gate.targets)
-        a5 = _pair_views(amp, n, qa, qb)
         a5[:, 1, :, 1, :] *= -1.0
-        return
-    if kind == "cnot":  # swap target values within the control=1 block
-        control, target = gate.targets
-        qa, qb = sorted(gate.targets)
-        a5 = _pair_views(amp, n, qa, qb)
-        c_axis_first = control == qa
-        if c_axis_first:
-            a5[:, 1, :, [0, 1], :] = a5[:, 1, :, [1, 0], :]
-        else:
-            a5[:, [0, 1], :, 1, :] = a5[:, [1, 0], :, 1, :]
-        return
-    if kind == "cry":  # 2x2 rotation on the target within the control=1 block
+    elif kind == "cnot":  # swap target values within the control=1 block
+        a5[:, 1, :, [0, 1], :] = a5[:, 1, :, [1, 0], :]
+    elif kind == "cry":  # 2x2 rotation on the target within the control=1 block
         half = 0.5 * resolved_angle(gate, params)
         c, s = np.cos(half), np.sin(half)
-        control, target = gate.targets
-        qa, qb = sorted(gate.targets)
-        a5 = _pair_views(amp, n, qa, qb)
-        if control == qa:
-            lo = a5[:, 1, :, 0, :].copy()
-            hi = a5[:, 1, :, 1, :]
-            a5[:, 1, :, 0, :] = c * lo - s * hi
-            a5[:, 1, :, 1, :] = s * lo + c * hi
-        else:
-            lo = a5[:, 0, :, 1, :].copy()
-            hi = a5[:, 1, :, 1, :]
-            a5[:, 0, :, 1, :] = c * lo - s * hi
-            a5[:, 1, :, 1, :] = s * lo + c * hi
-        return
-    u = gate_matrix(gate, params)
-    if len(gate.targets) == 1:
-        _apply_1q(amp, n, gate.targets[0], u)
+        lo = a5[:, 1, :, 0, :].copy()
+        hi = a5[:, 1, :, 1, :]
+        a5[:, 1, :, 0, :] = c * lo - s * hi
+        a5[:, 1, :, 1, :] = s * lo + c * hi
     else:
-        qa, qb = gate.targets
-        if qa > qb:
-            u = _SWAP_MAT @ u @ _SWAP_MAT
-            qa, qb = qb, qa
-        _apply_2q(amp, n, qa, qb, u)
-
-
-def apply_gate(state: State, gate: Gate, params=None) -> State:
-    """Return the state after one gate; the input is left untouched."""
-    amp = state.amplitudes.copy()
-    _apply_gate_inplace(amp, state.num_qubits, gate, params)
-    return State(state.num_qubits, amp)
-
-
-def run_circuit(circuit: Circuit, params, input_state: State) -> State:
-    """Apply all gates in list order to a copy of ``input_state``."""
-    if circuit.num_qubits != input_state.num_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.num_qubits} qubits, state has {input_state.num_qubits}"
-        )
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.param_count,):
-        raise ValueError(
-            f"expected {circuit.param_count} parameters, got {params.shape}"
-        )
-    amp = input_state.amplitudes.copy()
-    n = circuit.num_qubits
-    for gate in circuit.gates:
-        _apply_gate_inplace(amp, n, gate, params)
-    return State(n, amp)
+        _apply_2q(a5, gate_matrix(gate, params))
 
 
 @lru_cache(maxsize=None)
@@ -380,14 +254,6 @@ def _z_signs(num_qubits: int, qubit: int) -> np.ndarray:
     signs = 1.0 - 2.0 * ((np.arange(1 << num_qubits) >> shift) & 1)
     signs.setflags(write=False)
     return signs
-
-
-def expectation_z(state: State, qubit: int) -> float:
-    """<Z_qubit> of a normalized state, in [-1, 1]."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    return float(probs @ _z_signs(state.num_qubits, qubit))
 
 
 def run_circuit_batch(circuit: Circuit, params, amplitudes: np.ndarray) -> np.ndarray:

@@ -5,10 +5,12 @@ Hamiltonians (Pauli matrices, site index j from 0, open chain):
     H_tfi = - sum_{j<N-1} Z_j Z_{j+1}  -  h sum_j X_j
     H_xxz = - sum_{j<N-1} (X_j X_{j+1} + Y_j Y_{j+1} + h Z_j Z_{j+1})
 
-Both are real symmetric in the computational basis, so ground states are
-real vectors.  Site j maps to qubit j (qubit 0 = most significant bit, the
-simulator convention).  Ground states come from LAPACK below 2^12 and from
-a fully reorthogonalized Lanczos iteration above; the global sign is fixed
+Both are real symmetric in the computational basis, so the solvers return
+ground states as real float64 vectors; ``Dataset.amplitudes`` stacks them
+into the (samples, 2^N) complex matrix the simulator takes.  Site j maps
+to qubit j (qubit 0 = most significant bit, the simulator convention).
+Ground states come from LAPACK below 2^12 and from a fully
+reorthogonalized Lanczos iteration above; the global sign is fixed
 by making the largest-magnitude amplitude positive, so a non-degenerate
 ground state is persisted the same whichever solver found it.  A
 degenerate (or nearly degenerate) ground space has no such fix: the solver
@@ -26,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-
-from .simulator import State
 
 MODEL_KINDS = ("tfi", "xxz")
 MAX_SITES = 16
@@ -140,14 +140,13 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[k] < 0 else vec
 
 
-def ground_state_dense(hamiltonian: SparseHamiltonian) -> tuple[float, State]:
+def ground_state_dense(hamiltonian: SparseHamiltonian) -> tuple[float, np.ndarray]:
     """Lowest eigenpair via LAPACK; only for dimension <= 2^12."""
     dim = hamiltonian.dimension
     if dim > DENSE_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the dense ceiling {DENSE_MAX_DIM}")
     w, v = scipy.linalg.eigh(hamiltonian.to_dense(), subset_by_index=(0, 0))
-    vec = _fix_sign(v[:, 0])
-    return float(w[0]), State(hamiltonian.num_sites, vec.astype(complex))
+    return float(w[0]), _fix_sign(v[:, 0])
 
 
 def ground_state_lanczos(
@@ -155,7 +154,7 @@ def ground_state_lanczos(
     max_krylov: int = 300,
     tol: float = 1e-8,
     seed: int = 0,
-) -> tuple[float, State]:
+) -> tuple[float, np.ndarray]:
     """Lowest eigenpair by Lanczos with full reorthogonalization.
 
     The Krylov basis is reorthogonalized (two Gram-Schmidt passes) at every
@@ -204,8 +203,7 @@ def ground_state_lanczos(
             energy = float(vec @ hv)
             residual = float(np.linalg.norm(hv - energy * vec))
             if residual <= tol or exhausted:
-                vec = _fix_sign(vec)
-                return energy, State(hamiltonian.num_sites, vec.astype(complex))
+                return energy, _fix_sign(vec)
             if k == limit:
                 raise LanczosConvergenceError(
                     f"residual {residual:.3e} > tol {tol:.3e} after {k} Krylov steps"
@@ -221,8 +219,8 @@ def ground_state_lanczos(
 
 def ground_state(
     hamiltonian: SparseHamiltonian, solver: str = "auto", seed: int = 0
-) -> tuple[float, State, str]:
-    """Dispatch dense/Lanczos; returns (energy, state, solver_used)."""
+) -> tuple[float, np.ndarray, str]:
+    """Dispatch dense/Lanczos; returns (energy, real vector, solver_used)."""
     if solver not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
     if solver == "dense" or (solver == "auto" and hamiltonian.dimension <= DENSE_MAX_DIM):
@@ -251,8 +249,20 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def states(self) -> list[State]:
-        return [State(self.num_sites, np.asarray(r.state, dtype=complex)) for r in self.records]
+    def amplitudes(self) -> np.ndarray:
+        """The records' states as a (samples, 2^num_sites) complex matrix."""
+        if not self.records:
+            raise ValueError("dataset must be non-empty")
+        dim = 1 << self.num_sites
+        mat = np.empty((len(self.records), dim), dtype=complex)
+        for i, rec in enumerate(self.records):
+            state = np.asarray(rec.state)
+            if state.shape != (dim,):
+                raise ValueError(
+                    f"record {i} has {state.shape[0]} amplitudes, expected {dim}"
+                )
+            mat[i] = state
+        return mat
 
     def labels(self) -> np.ndarray:
         return np.array([r.label for r in self.records], dtype=int)
@@ -291,9 +301,7 @@ def generate_dataset(
     solver_used = None
     for h in h_grid:
         ham = build_hamiltonian(SpinModel(kind, num_sites, h))
-        _, state, used = ground_state(ham, solver=solver, seed=seed)
-        solver_used = used
-        vec = state.amplitudes.real.astype(np.float64)
+        _, vec, solver_used = ground_state(ham, solver=solver, seed=seed)
         records.append(DataRecord(state=vec, h=h, label=1 if h > h_c else -1))
 
     rng = np.random.default_rng(seed)

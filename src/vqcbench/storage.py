@@ -6,13 +6,20 @@ so write -> read -> write is byte-identical and parameter vectors survive
 at full binary precision.  Records omit the "im" array when every
 imaginary part is exactly zero (always true for the spin-chain ground
 states persisted here).
+
+Every file is written atomically by ``atomic_write``: a temporary file in
+the target's directory, then ``os.replace``, so a failed write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +44,24 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+def atomic_write(path, text: str) -> None:
+    """Replace path's contents with text, creating its directory.
+
+    The text goes to a temporary file beside path, which ``os.replace`` then
+    moves over it; on any failure the temporary file is removed and path
+    keeps its previous contents.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(
         json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode()
@@ -44,8 +69,6 @@ def config_hash(config_dict: dict) -> str:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = dataset.metadata
     header = {
         "format_version": FORMAT_VERSION,
@@ -68,7 +91,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         if np.iscomplexobj(state) and np.any(state.imag != 0.0):
             obj["im"] = [float(v) for v in state.imag]
         lines.append(_dumps(obj))
-    path.write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_dataset(path) -> Dataset:
@@ -119,8 +142,6 @@ def read_dataset(path) -> Dataset:
 
 def write_model(path, task, model_spec_dict, params, readout=None, discard=None,
                 init_seed=None, metadata=None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     obj = {
         "format_version": FORMAT_VERSION,
         "task": task,
@@ -133,7 +154,7 @@ def write_model(path, task, model_spec_dict, params, readout=None, discard=None,
         "init_seed": init_seed,
         "metadata": metadata or {},
     }
-    path.write_text(_dumps(obj) + "\n")
+    atomic_write(path, _dumps(obj) + "\n")
 
 
 def read_model(path) -> dict:
@@ -145,8 +166,6 @@ def read_model(path) -> dict:
 
 
 def write_train_record(path, record: TrainRecord) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     obj = {
         "format_version": FORMAT_VERSION,
         "cost_history": [float(c) for c in record.cost_history],
@@ -157,34 +176,29 @@ def write_train_record(path, record: TrainRecord) -> None:
         "wall_time_per_sample": record.wall_time_per_sample,
         "converged": record.converged,
     }
-    path.write_text(_dumps(obj) + "\n")
+    atomic_write(path, _dumps(obj) + "\n")
 
 
 def write_report(path, task: str, report_dict: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     obj = {"format_version": FORMAT_VERSION, "task": task}
     obj.update(report_dict)
-    path.write_text(_dumps(obj) + "\n")
+    atomic_write(path, _dumps(obj) + "\n")
 
 
 def write_results_csv(path, rows: list[dict]) -> None:
     """Rows sorted by (model, train_size); missing values become ''."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(rows, key=lambda r: (str(r.get("model")), int(r.get("train_size", 0))))
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in ordered:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in RESULT_COLUMNS})
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=RESULT_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for row in ordered:
+        writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in RESULT_COLUMNS})
+    atomic_write(path, buf.getvalue())
 
 
 def write_results_json(path, rows: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ordered = sorted(rows, key=lambda r: (str(r.get("model")), int(r.get("train_size", 0))))
-    path.write_text(json.dumps(ordered, indent=2) + "\n")
+    atomic_write(path, json.dumps(ordered, indent=2) + "\n")
 
 
 def strip_timing_columns(csv_text: str) -> str:

@@ -47,27 +47,11 @@ from .simulator import (
 TASKS = ("classify", "autoencode")
 
 
-def _states_matrix(dataset, num_qubits: int) -> np.ndarray:
-    """Dataset amplitudes stacked as a (samples, 2^N) complex matrix."""
-    if len(dataset) == 0:
-        raise ValueError("dataset must be non-empty")
-    dim = 1 << num_qubits
-    mat = np.empty((len(dataset), dim), dtype=complex)
-    for i, rec in enumerate(dataset.records):
-        state = np.asarray(rec.state)
-        if state.shape != (dim,):
-            raise ValueError(
-                f"record {i} has {state.shape[0]} amplitudes, expected {dim}"
-            )
-        mat[i] = state
-    return mat
-
-
 def make_classification_cost(circuit: Circuit, readout: int, dataset):
     """Cost closure evaluating the whole dataset in one batched pass."""
     if not 0 <= readout < circuit.num_qubits:
         raise ValueError(f"readout qubit {readout} out of range")
-    mat = _states_matrix(dataset, circuit.num_qubits)
+    mat = dataset.amplitudes()
     labels = dataset.labels().astype(float)
 
     def cost(params) -> float:
@@ -96,7 +80,7 @@ def _check_discard(discard, num_qubits: int | None = None) -> list[int]:
 
 def make_autoencoder_cost(encoder: Circuit, discard, dataset):
     discard = _check_discard(discard, encoder.num_qubits)
-    mat = _states_matrix(dataset, encoder.num_qubits)
+    mat = dataset.amplitudes()
     n_d = len(discard)
     n = encoder.num_qubits
 
@@ -150,7 +134,7 @@ def param_shift_gradient(
     params = np.asarray(params, dtype=float)
     n = circuit.num_qubits
     size = len(dataset)
-    psi = run_circuit_batch(circuit, params, _states_matrix(dataset, n))
+    psi = run_circuit_batch(circuit, params, dataset.amplitudes())
     if task == "classify":
         m = expectation_z_batch(psi, n, readout)
         obs = _z_signs(n, readout)

@@ -1,7 +1,11 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
 the strided kernels, circuit inversion, the Kraus branches of the reset
-channel and parameter-shift gradients, plus random circuit/state
-generators."""
+channel and parameter-shift gradients, plus state vectors and random
+circuit/state generators.
+
+A single state here is a 1-D complex vector of 2^N amplitudes; the
+simulator takes states as rows of a (batch, 2^N) array, so a test runs
+one state as ``state[None, :]``."""
 
 from dataclasses import replace
 
@@ -9,6 +13,51 @@ import numpy as np
 import pytest
 
 from vqcbench import simulator as sim
+
+
+def zero_state(n):
+    return basis_state(n, 0)
+
+
+def basis_state(n, index):
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[index] = 1.0
+    return amp
+
+
+def random_state(n, rng):
+    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amp / np.linalg.norm(amp)
+
+
+# Gate matrices from the conventions stated in the simulator docstring:
+# R_P(t) = exp(-i t P/2) = cos(t/2) I - i sin(t/2) P, and a two-qubit
+# matrix has the gate's first target as the high bit.
+_I2 = np.eye(2)
+_PAULI = {
+    "rx": np.array([[0, 1], [1, 0]], dtype=complex),
+    "ry": np.array([[0, -1j], [1j, 0]]),
+    "rz": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_FIXED = {
+    "x": _PAULI["rx"],
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "cnot": np.block([[_I2, np.zeros((2, 2))], [np.zeros((2, 2)), _PAULI["rx"]]]),
+    "cz": np.diag([1.0, 1.0, 1.0, -1.0]),
+}
+
+
+def oracle_gate_matrix(gate, params=None):
+    """2x2 or 4x4 unitary of a gate in its own target order."""
+    if gate.kind == "u2":
+        return gate.matrix
+    if gate.kind in _FIXED:
+        return _FIXED[gate.kind]
+    t = gate.scale * (gate.angle if gate.angle is not None else params[gate.slot])
+    ry = np.cos(t / 2) * _I2 - 1j * np.sin(t / 2) * _PAULI["ry"]
+    if gate.kind == "cry":
+        return np.block([[_I2, np.zeros((2, 2))], [np.zeros((2, 2)), ry]])
+    return np.cos(t / 2) * _I2 - 1j * np.sin(t / 2) * _PAULI[gate.kind]
 
 
 def embed_1q(u, q, n):
@@ -46,7 +95,7 @@ def embed_2q(u, qa, qb, n):
 
 
 def gate_full_matrix(gate, n, params=None):
-    u = sim.gate_matrix(gate, params)
+    u = oracle_gate_matrix(gate, params)
     if len(gate.targets) == 1:
         return embed_1q(u, gate.targets[0], n)
     qa, qb = gate.targets
@@ -115,15 +164,15 @@ def kraus_fidelity(encoder, params, discard, state, post_select=False):
     """Reset-channel fidelity by simulation: encode, split into Kraus
     branches, decode every branch with the inverse circuit, sum |<psi|.>|^2
     (only branch 0, normalized by its weight, when post-selecting)."""
-    encoded = sim.run_circuit(encoder, params, state)
-    branches = kraus_reset_branches(encoded.amplitudes, discard)
+    encoded = sim.run_circuit_batch(encoder, params, state[None, :])[0]
+    branches = kraus_reset_branches(encoded, discard)
     if post_select:
         weight = np.vdot(branches[0], branches[0]).real
         if weight == 0.0:
             return 0.0
         branches = branches[:1]
     decoded = sim.run_circuit_batch(inverse_circuit(encoder), params, np.array(branches))
-    total = float(np.sum(np.abs(decoded @ state.amplitudes.conj()) ** 2))
+    total = float(np.sum(np.abs(decoded @ state.conj()) ** 2))
     return total / weight if post_select else total
 
 
@@ -170,11 +219,6 @@ def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
             d_expect += coeff * observe(amp)
         grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
     return grad
-
-
-def random_state(n, rng):
-    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return sim.State(n, amp / np.linalg.norm(amp))
 
 
 def random_unitary4(rng):

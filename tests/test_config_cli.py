@@ -6,15 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqcbench import cli
+from vqcbench import cli, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
-from vqcbench.spinmodels import generate_dataset
+from vqcbench.optimizers import TrainRecord
+from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
 from vqcbench.storage import (
     read_dataset,
     read_model,
     strip_timing_columns,
     write_dataset,
     write_model,
+    write_report,
+    write_results_csv,
+    write_results_json,
+    write_train_record,
 )
 
 
@@ -145,6 +150,35 @@ def test_model_roundtrip_full_precision(tmp_path):
     assert model["readout"] == 0
 
 
+@pytest.mark.parametrize("write", [
+    lambda path, v: write_dataset(
+        Dataset("tfi", 1, [DataRecord(np.array([1.0 - v, v]), 0.5, -1)], {"h_c": 1.0}), path),
+    lambda path, v: write_model(path, "classify", {}, [v], readout=0),
+    lambda path, v: write_train_record(
+        path, TrainRecord(np.zeros(1), cost_history=[v], final_cost=v)),
+    lambda path, v: write_report(path, "classify", {"accuracy": v}),
+    lambda path, v: write_results_csv(path, [{"model": "m", "metric_value": v}]),
+    lambda path, v: write_results_json(path, [{"model": "m", "metric_value": v}]),
+], ids=["dataset", "model", "train_record", "report", "results_csv", "results_json"])
+def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "sub" / "out.file"
+    write(path, 0.0)  # creates the directory
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("injected failure before the replace")
+
+    monkeypatch.setattr(storage.os, "replace", fail)
+    with pytest.raises(OSError, match="injected"):
+        write(path, 1.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == ["out.file"]
+    monkeypatch.undo()
+    write(path, 1.0)
+    assert path.read_bytes() != before
+    assert [p.name for p in path.parent.iterdir()] == ["out.file"]
+
+
 def test_strip_timing_columns():
     text = "model,time_total_s,seed\nqcnn,1.23,7\n"
     assert strip_timing_columns(text) == "model,seed\nqcnn,7\n"
@@ -219,6 +253,9 @@ def test_bad_spsa_gain_exits_2_without_traceback(tmp_path, capsys, gain):
     ("config", "train_sizes", 4),
     ("config", "discard", [0.5]),
     ("config", "models", 5),
+    ("data", "train_path", 5),
+    ("data", "test_path", None),
+    ("config", "out_dir", 5),
 ])
 def test_bad_numeric_key_exits_2_without_traceback(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "c.json"
@@ -251,6 +288,28 @@ def test_diverging_gradient_descent_exits_4_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "diverged" in err
+    assert not (out / "train_record.json").exists()
+
+
+@pytest.mark.parametrize("seed,data,message", [
+    (42, {"kind": "tfi", "num_sites": 4, "h_start": 0.2, "h_stop": 1.8, "h_count": 16,
+          "seed": 7}, "non-finite parameters"),
+    # the bracket's ends stay finite but its width overflows, which used to
+    # end in a ZeroDivisionError inside Brent's step
+    (0, {"kind": "tfi", "num_sites": 4, "h_values": [0.5, 0.7, 1.3, 1.5], "seed": 1},
+     "non-finite width"),
+])
+def test_diverging_powell_line_search_exits_4_without_traceback(tmp_path, capsys, seed, data,
+                                                                 message):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, seed=seed, data=data,
+                 optimizer={"kind": "powell", "line_search_step": 1e308})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
     assert not (out / "train_record.json").exists()
 
 
@@ -354,6 +413,26 @@ def test_eval_identity_encoder_fidelities_are_one(tmp_path):
     assert report["fidelities"] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("task,key,value", [
+    ("classify", "readout", 1.5),
+    ("autoencode", "discard", [1.5, 1]),
+])
+def test_eval_rejects_non_integer_model_fields(tmp_path, capsys, task, key, value):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, task=task, model={"family": "hea_ry", "num_qubits": 2, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 2, "h_values": [0.5, 1.5], "seed": 0,
+                       "train_path": str(tmp_path / "run" / "test.jsonl")})
+    out = _perfect_toy_model(tmp_path)
+    model = json.loads((out / "model.json").read_text())
+    model.update({"task": task, "discard": [1], key: value})
+    (out / "model.json").write_text(json.dumps(model))
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+    assert not (out / "report.json").exists()
+
+
 def test_benchmark_rows_and_determinism(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(
@@ -413,6 +492,9 @@ def test_benchmark_cell_failure_recorded_and_sweep_continues(tmp_path):
     assert by_family["qcnn_ry"]["status"].startswith("ok")
     assert by_family["hea_ry"]["status"].startswith("error")
     assert by_family["hea_ry"]["metric_value"] == ""
+    meta = json.loads((out / "benchmark_meta.json").read_text())
+    assert meta["rows"] == 2
+    assert meta["failed_cells"] == 1
 
 
 def test_benchmark_size_exceeding_records_exits_2(tmp_path):

@@ -141,6 +141,28 @@ def test_gradient_descent_raises_instead_of_converging_on_divergence(f, grad, x0
         gradient_descent_minimize(f, grad, x0, cfg)
 
 
+@pytest.mark.parametrize("minimize", [powell_minimize, nelder_mead_minimize, spsa_minimize])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_every_method_stops_on_a_non_finite_cost(minimize, value):
+    f = lambda x: value if x[0] > 0.35 else quad1(x)
+    with pytest.raises(FloatingPointError, match="non-finite cost"):
+        minimize(f, [0.3], OptimizerConfig(kind="powell", max_iterations=50))
+
+
+# Each case ended in ZeroDivisionError inside Brent's parabolic step before
+# the step test was made safe for a fit that overflows.
+@pytest.mark.parametrize("step,k", [(1e160, 4), (1e200, 1), (1e200, 3), (1e305, 2)])
+def test_powell_huge_line_search_step_never_divides_by_zero(step, k):
+    f = lambda x: float(np.cos(k * x[0]) + 0.5 * np.cos(x[0] / 3))
+    cfg = OptimizerConfig(kind="powell", max_iterations=3, line_search_step=step)
+    with np.errstate(all="ignore"):
+        try:
+            x, rec = powell_minimize(f, [0.3], cfg)
+        except FloatingPointError:
+            return
+    assert np.all(np.isfinite(x)) and np.isfinite(rec.final_cost)
+
+
 def test_running_minimum_monotone():
     for minimize in (powell_minimize, nelder_mead_minimize):
         _, rec = minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=50))

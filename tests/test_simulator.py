@@ -1,5 +1,6 @@
 """Statevector kernels against the dense-matrix oracle, plus the contracts
-of the circuit-inversion and reset-channel oracles in conftest."""
+of the circuit-inversion and reset-channel oracles in conftest.  States are
+rows of a (batch, 2^N) array; a single state runs as a batch of one."""
 
 import numpy as np
 import pytest
@@ -7,30 +8,38 @@ import pytest
 from vqcbench import simulator as sim
 from vqcbench.simulator import (
     Circuit,
-    State,
-    apply_gate,
-    basis_state,
     cnot,
     cry,
     cz,
-    expectation_z,
+    expectation_z_batch,
     h,
-    run_circuit,
+    run_circuit_batch,
     ry,
     rz,
-    state_fidelity,
     x,
-    zero_state,
 )
 
 from conftest import (
+    basis_state,
     circuit_full_matrix,
     gate_full_matrix,
     inverse_circuit,
     kraus_reset_branches,
     random_circuit,
     random_state,
+    zero_state,
 )
+
+
+def apply_gate(gate, states, params=None):
+    """One gate through the kernel on a copy of a (batch, 2^N) array."""
+    amp = np.array(states, dtype=complex)
+    sim._apply_gate_inplace(amp, amp.shape[1].bit_length() - 1, gate, params)
+    return amp
+
+
+def random_states(n, rng, batch=3):
+    return np.array([random_state(n, rng) for _ in range(batch)])
 
 
 # ---------------------------------------------------------------------------
@@ -38,40 +47,43 @@ from conftest import (
 
 
 def test_ry_pi_flips_zero_to_one():
-    out = apply_gate(zero_state(1), ry(0, angle=np.pi))
-    assert np.allclose(out.amplitudes, [0.0, 1.0], atol=1e-12)
+    out = apply_gate(ry(0, angle=np.pi), [zero_state(1)])
+    assert np.allclose(out, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_ry_half_pi_makes_plus():
-    out = apply_gate(zero_state(1), ry(0, angle=np.pi / 2))
-    assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
+    out = apply_gate(ry(0, angle=np.pi / 2), [zero_state(1)])
+    assert np.allclose(out, [[1 / np.sqrt(2), 1 / np.sqrt(2)]], atol=1e-12)
 
 
 def test_cz_phases_11():
-    out = apply_gate(basis_state(2, 0b11), cz(0, 1))
+    out = apply_gate(cz(0, 1), [basis_state(2, 0b11)])
     expected = np.zeros(4)
     expected[3] = -1.0
-    assert np.allclose(out.amplitudes, expected, atol=1e-15)
+    assert np.allclose(out, [expected], atol=1e-15)
 
 
 def test_cnot_on_bit_ordering():
-    # q0 is the most significant bit: CNOT(0, 1) on |10> flips q1 -> |11>
-    out = apply_gate(basis_state(2, 0b10), cnot(0, 1))
-    assert np.argmax(np.abs(out.amplitudes)) == 0b11
+    # q0 is the most significant bit: CNOT(0, 1) on |10> flips q1 -> |11>;
+    # CNOT(1, 0) on |01> flips q0 -> |11>, on |10> it does nothing
+    out = apply_gate(cnot(0, 1), [basis_state(2, 0b10)])
+    assert np.argmax(np.abs(out[0])) == 0b11
+    out = apply_gate(cnot(1, 0), [basis_state(2, 0b01), basis_state(2, 0b10)])
+    assert [int(np.argmax(np.abs(row))) for row in out] == [0b11, 0b10]
 
 
 def test_gate_targets_validated():
     with pytest.raises(ValueError):
-        apply_gate(zero_state(2), ry(2, angle=0.3))
+        apply_gate(ry(2, angle=0.3), [zero_state(2)])
     with pytest.raises(ValueError):
         sim.Gate("cnot", (1, 1))
 
 
 def test_unresolvable_slot_rejected():
     with pytest.raises(ValueError):
-        apply_gate(zero_state(1), ry(0, slot=0), params=[])
+        apply_gate(ry(0, slot=0), [zero_state(1)], params=[])
     with pytest.raises(ValueError):
-        apply_gate(zero_state(1), ry(0, slot=0))
+        apply_gate(ry(0, slot=0), [zero_state(1)])
 
 
 def test_u2_must_be_unitary():
@@ -84,10 +96,10 @@ def test_kernel_matches_dense_oracle(n, rng):
     for _ in range(40):
         circ = random_circuit(n, rng, n_gates=1)
         gate = circ.gates[0]
-        psi = random_state(n, rng)
-        out = apply_gate(psi, gate)
-        expected = gate_full_matrix(gate, n) @ psi.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        psi = random_states(n, rng)
+        out = apply_gate(gate, psi)
+        expected = psi @ gate_full_matrix(gate, n).T
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_norm_preserved_by_every_kind(rng):
@@ -95,9 +107,10 @@ def test_norm_preserved_by_every_kind(rng):
         for _ in range(10):
             n = 3
             circ = random_circuit(n, rng, n_gates=1, kinds=[kind])
-            psi = random_state(n, rng)
-            out = apply_gate(psi, circ.gates[0])
-            assert abs(out.norm() - psi.norm()) < 1e-12
+            psi = random_states(n, rng)
+            out = apply_gate(circ.gates[0], psi)
+            norms = np.linalg.norm(out, axis=1) - np.linalg.norm(psi, axis=1)
+            assert np.max(np.abs(norms)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +118,27 @@ def test_norm_preserved_by_every_kind(rng):
 
 
 def test_empty_circuit_is_identity(rng):
-    psi = random_state(3, rng)
-    out = run_circuit(Circuit(3), [], psi)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    psi = random_states(3, rng)
+    out = run_circuit_batch(Circuit(3), [], psi)
+    assert np.array_equal(out, psi)
+    assert out is not psi
 
 
 def test_slot_circuit_on_q0():
     circ = Circuit(2, [ry(0, slot=0)], param_count=1)
-    out = run_circuit(circ, [np.pi], zero_state(2))
-    assert np.argmax(np.abs(out.amplitudes)) == 0b10
-    assert abs(out.amplitudes[0b10] - 1.0) < 1e-12
+    out = run_circuit_batch(circ, [np.pi], [zero_state(2)])[0]
+    assert np.argmax(np.abs(out)) == 0b10
+    assert abs(out[0b10] - 1.0) < 1e-12
 
 
 def test_run_circuit_validates_dimensions():
     circ = Circuit(2, [ry(0, slot=0)], param_count=1)
     with pytest.raises(ValueError):
-        run_circuit(circ, [0.1], zero_state(3))
+        run_circuit_batch(circ, [0.1], [zero_state(3)])
     with pytest.raises(ValueError):
-        run_circuit(circ, [0.1, 0.2], zero_state(2))
+        run_circuit_batch(circ, [0.1, 0.2], [zero_state(2)])
+    with pytest.raises(ValueError):
+        run_circuit_batch(circ, [0.1], zero_state(2))  # a vector, not a batch
 
 
 def test_circuit_slot_table_validated():
@@ -136,10 +152,10 @@ def test_circuit_matches_dense_product(rng):
     for n in (2, 3, 4):
         circ = random_circuit(n, rng, n_gates=8, param_count=3)
         params = rng.uniform(-np.pi, np.pi, size=3)
-        psi = random_state(n, rng)
-        out = run_circuit(circ, params, psi)
-        expected = circuit_full_matrix(circ, params) @ psi.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        psi = random_states(n, rng)
+        out = run_circuit_batch(circ, params, psi)
+        expected = psi @ circuit_full_matrix(circ, params).T
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +164,21 @@ def test_circuit_matches_dense_product(rng):
 
 def test_expectation_z_all_zero():
     for q in range(3):
-        assert expectation_z(zero_state(3), q) == pytest.approx(1.0)
+        assert expectation_z_batch(np.array([zero_state(3)]), 3, q) == pytest.approx([1.0])
 
 
 def test_expectation_z_one():
-    assert expectation_z(basis_state(1, 1), 0) == pytest.approx(-1.0)
+    assert expectation_z_batch(np.array([basis_state(1, 1)]), 1, 0) == pytest.approx([-1.0])
 
 
 def test_expectation_z_plus():
-    plus = apply_gate(zero_state(1), h(0))
-    assert abs(expectation_z(plus, 0)) < 1e-12
+    plus = apply_gate(h(0), [zero_state(1)])
+    assert abs(expectation_z_batch(plus, 1, 0)[0]) < 1e-12
 
 
 def test_expectation_z_range_check():
     with pytest.raises(ValueError):
-        expectation_z(zero_state(2), 2)
+        expectation_z_batch(np.array([zero_state(2)]), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +205,10 @@ def test_unitarity_roundtrip_randomized(rng):
         n = int(rng.integers(2, 7))
         circ = random_circuit(n, rng, n_gates=10, param_count=4)
         params = rng.uniform(-np.pi, np.pi, size=4)
-        psi = random_state(n, rng)
-        there = run_circuit(circ, params, psi)
-        back = run_circuit(inverse_circuit(circ), params, there)
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
+        psi = random_states(n, rng)
+        there = run_circuit_batch(circ, params, psi)
+        back = run_circuit_batch(inverse_circuit(circ), params, there)
+        assert np.max(np.abs(back - psi)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +221,7 @@ def test_kraus_completeness(rng):
         psi = random_state(n, rng)
         n_d = int(rng.integers(1, n))
         discard = rng.choice(n, size=n_d, replace=False)
-        branches = kraus_reset_branches(psi.amplitudes, discard)
+        branches = kraus_reset_branches(psi, discard)
         assert len(branches) == 1 << n_d
         total = sum(np.linalg.norm(b) ** 2 for b in branches)
         assert abs(total - 1.0) < 1e-12
@@ -213,8 +229,8 @@ def test_kraus_completeness(rng):
 
 def test_kraus_on_all_zero_state():
     psi = zero_state(4)
-    branches = kraus_reset_branches(psi.amplitudes, {1, 3})
-    assert np.array_equal(branches[0], psi.amplitudes)
+    branches = kraus_reset_branches(psi, {1, 3})
+    assert np.array_equal(branches[0], psi)
     for b in branches[1:]:
         assert np.linalg.norm(b) == 0.0
 
@@ -231,9 +247,9 @@ def test_kraus_plus_tensor_zero():
 
 def test_kraus_rejects_bad_discard():
     with pytest.raises(ValueError):
-        kraus_reset_branches(zero_state(2).amplitudes, set())
+        kraus_reset_branches(zero_state(2), set())
     with pytest.raises(ValueError):
-        kraus_reset_branches(zero_state(2).amplitudes, {2})
+        kraus_reset_branches(zero_state(2), {2})
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +261,7 @@ def test_real_gates_preserve_real_amplitudes(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
         circ = random_circuit(n, rng, n_gates=12, kinds=kinds)
-        amp = rng.normal(size=1 << n)
-        psi = State(n, amp / np.linalg.norm(amp))
-        out = run_circuit(circ, [], psi)
-        assert np.max(np.abs(out.amplitudes.imag)) < 1e-12
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        State(2, np.zeros(3))
-    with pytest.raises(ValueError):
-        sim.from_amplitudes(np.array([1.0, 1.0]))
-    s = sim.from_amplitudes(np.array([1.0, 0.0]))
-    assert s.num_qubits == 1
-
-
-def test_state_fidelity_helpers(rng):
-    psi = random_state(3, rng)
-    assert state_fidelity(psi, psi) == pytest.approx(1.0)
-    assert state_fidelity(zero_state(2), basis_state(2, 3)) == 0.0
+        amp = rng.normal(size=(3, 1 << n))
+        psi = amp / np.linalg.norm(amp, axis=1, keepdims=True)
+        out = run_circuit_batch(circ, [], psi)
+        assert np.max(np.abs(out.imag)) < 1e-12

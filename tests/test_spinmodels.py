@@ -4,7 +4,7 @@ and dataset generation contracts."""
 import numpy as np
 import pytest
 
-from vqcbench.simulator import expectation_z
+from vqcbench.simulator import expectation_z_batch
 from vqcbench.spinmodels import (
     Dataset,
     LanczosConvergenceError,
@@ -78,7 +78,7 @@ def test_ground_state_large_field_polarizes():
     # corrections of about 3/(4h)^2 keep it just below 0.999)
     energy, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, 10.0)))
     plus = np.full(16, 0.25)
-    fidelity = abs(np.vdot(plus, state.amplitudes)) ** 2
+    fidelity = abs(np.vdot(plus, state)) ** 2
     assert fidelity == pytest.approx(0.9981242234645813, abs=1e-9)
 
 
@@ -92,7 +92,7 @@ def test_tfi_large_field_per_site_x():
     # h=10: every site nearly aligned with X
     _, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 6, 10.0)))
     # <X_j> via Hadamard-rotated Z would need circuits; compute directly
-    amp = state.amplitudes.real
+    amp = state
     n = 6
     for j in range(n):
         mask = 1 << (n - 1 - j)
@@ -107,9 +107,9 @@ def test_tfi_large_field_per_site_x():
 def test_sign_convention_largest_amplitude_positive():
     for h in (0.3, 0.8, 1.5):
         _, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, h)))
-        vec = state.amplitudes.real
+        vec = state
         assert vec[np.argmax(np.abs(vec))] > 0
-        assert np.max(np.abs(state.amplitudes.imag)) == 0.0
+        assert vec.dtype == np.float64
 
 
 def test_dense_ceiling():
@@ -139,7 +139,8 @@ def test_lanczos_agrees_with_dense(rng):
             e_dense, v_dense = ground_state_dense(ham)
             e_lan, v_lan = ground_state_lanczos(ham, tol=1e-13, seed=7)
             assert abs(e_dense - e_lan) <= 1e-8
-            fid = abs(np.vdot(v_dense.amplitudes, v_lan.amplitudes)) ** 2
+            assert v_lan.dtype == np.float64
+            fid = abs(np.vdot(v_dense, v_lan)) ** 2
             assert fid >= 1 - 1e-8
 
 
@@ -152,8 +153,7 @@ def test_lanczos_tfi16_h0():
 
 def test_lanczos_rayleigh_quotient_consistency():
     ham = build_hamiltonian(SpinModel("tfi", 8, 0.9))
-    energy, state = ground_state_lanczos(ham, seed=1)
-    vec = state.amplitudes.real
+    energy, vec = ground_state_lanczos(ham, seed=1)
     rq = vec @ ham.to_csr() @ vec
     assert abs(rq - energy) <= 1e-10
 
@@ -169,7 +169,7 @@ def test_xxz_fixed_sector_above_h1():
     ham = build_hamiltonian(SpinModel("xxz", 6, 2.0))
     _, state = ground_state_dense(ham)
     n = 6
-    amp = state.amplitudes.real
+    amp = state
     idx = np.arange(1 << n)
     sz = np.zeros(1 << n)
     for j in range(n):
@@ -235,7 +235,10 @@ def test_dataset_record_order_follows_grid():
 
 def test_dataset_state_helpers():
     train, _ = generate_dataset("tfi", 3, [0.5, 1.5], train_fraction=1.0, seed=1)
-    states = train.states()
-    assert states[0].num_qubits == 3
-    assert expectation_z(states[0], 0) <= 1.0
+    amps = train.amplitudes()
+    assert amps.shape == (2, 8) and amps.dtype == complex
+    assert np.array_equal(amps.real, [r.state for r in train.records])
+    assert np.all(expectation_z_batch(amps, 3, 0) <= 1.0)
     assert list(train.labels()) == [-1, 1]
+    with pytest.raises(ValueError, match="non-empty"):
+        Dataset("tfi", 3).amplitudes()

@@ -11,7 +11,8 @@ from conftest import param_shift_oracle, random_circuit
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import OptimizerConfig
-from vqcbench.simulator import Circuit, Gate, basis_state, ry, zero_state
+from vqcbench.metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
+from vqcbench.simulator import Circuit, Gate, ry
 from vqcbench.spinmodels import DataRecord, Dataset
 from vqcbench.training import (
     TASKS,
@@ -105,6 +106,28 @@ def test_autoencoder_cost_bounds(rng):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
         c = autoencoder_cost(circ, discard, ds, params)
         assert 0.0 <= c <= len(discard)
+
+
+def test_register_size_mismatch_rejected_everywhere():
+    # a 3-site dataset offered to a 2-qubit circuit
+    circ = Circuit(2, [ry(0, slot=0)], param_count=1)
+    ds = make_dataset([np.eye(8)[0], np.eye(8)[5]], [1, -1], 3)
+    params = np.array([0.3])
+    with pytest.raises(ValueError):
+        classification_cost(circ, 0, ds, params)
+    with pytest.raises(ValueError):
+        autoencoder_cost(circ, {1}, ds, params)
+    for task, target in (("classify", {"readout": 0}), ("autoencode", {"discard": [1]})):
+        with pytest.raises(ValueError):
+            param_shift_gradient(circ, ds, params, task=task, **target)
+    with pytest.raises(ValueError):
+        evaluate_classifier(circ, 0, params, ds)
+    with pytest.raises(ValueError):
+        evaluate_autoencoder(circ, params, CompressionSpec((1,)), ds)
+    # a record whose length disagrees with the dataset's own register size
+    bad = make_dataset([np.eye(4)[0], np.eye(8)[0]], [1, -1], 2)
+    with pytest.raises(ValueError, match="record 1"):
+        classification_cost(circ, 0, bad, params)
 
 
 def test_autoencoder_cost_requires_discard():
