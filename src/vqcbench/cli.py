@@ -20,8 +20,6 @@ from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
 from .config import (
     BenchConfig,
     ConfigError,
-    _integer,
-    _items,
     cell_seed,
     load_config,
     model_spec_from_dict,
@@ -169,11 +167,10 @@ def cmd_eval(config: BenchConfig, args) -> int:
     circuit, _ = build_ansatz(spec)
     dataset = _eval_dataset(config, out_dir)
     if config.task == "classify":
-        readout = _integer(model.get("readout"), "readout", "model file")
-        report = evaluate_classifier(circuit, readout, model["params"], dataset)
+        report = evaluate_classifier(circuit, model["readout"], model["params"], dataset)
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:
-        cspec = CompressionSpec(tuple(_items(model, "discard", "model file", _integer)))
+        cspec = CompressionSpec(tuple(model["discard"]))
         report = evaluate_autoencoder(circuit, model["params"], cspec, dataset)
         headline = f"mean fidelity {report.mean_fidelity:.4f} over {len(report.fidelities)} states"
     write_report(out_dir / "report.json", config.task, report.to_dict())

@@ -1,7 +1,7 @@
 """Exact statevector simulation of small parameterized circuits.
 
-A state of N qubits is a row of 2^N complex amplitudes; every circuit pass
-acts on a (batch, 2^N) array of them, and a single state is a batch of 1.
+A state of N qubits is a row of 2^N amplitudes; every circuit pass acts on
+a (batch, 2^N) array of them, and a single state is a batch of 1.
 
 Conventions, fixed once and relied on everywhere (including persisted data):
 
@@ -14,9 +14,12 @@ Conventions, fixed once and relied on everywhere (including persisted data):
 * A two-qubit gate's 4x4 matrix (``u2``) is indexed with its first target
   as the high bit of the pair, whatever the wire order.
 
-Gates act through strided in-place kernels on the amplitude array; full
-2^N x 2^N matrices are never built here (the dense route exists only as a
-test oracle).
+A circuit runs as blocks of at most two wires (``CompiledCircuit``): a
+one-qubit gate joins the last block on its wire, or waits for the next one;
+a two-qubit gate joins the last block if it was the last on both wires, else
+it opens one.  A block matrix is 4x4 with its lower wire as the high bit (a
+one-wire block uses the high bit only).  Amplitudes are float64 if all gate
+matrices and the input are real.
 """
 
 from __future__ import annotations
@@ -27,13 +30,24 @@ from functools import lru_cache
 import numpy as np
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz", "cry"})
-FIXED_KINDS = frozenset({"x", "h", "cnot", "cz"})
-GATE_KINDS = ROTATION_KINDS | FIXED_KINDS | {"u2"}
-
+GATE_KINDS = ROTATION_KINDS | {"x", "h", "cnot", "cz", "u2"}
 _TWO_QUBIT_KINDS = frozenset({"cnot", "cz", "cry", "u2"})
 
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-_H_MAT = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
+# (A, B, C) of every kind but u2, in its own target order.
+_I2, _Z2, _Z4, _P1 = np.eye(2), np.zeros((2, 2)), np.zeros((4, 4)), np.diag([0.0, 1.0])
+_X, _RY_SIN = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0], [1.0, 0.0]])
+_AFFINE = {
+    "ry": (_Z2, _I2, _RY_SIN),
+    "rx": (_Z2, _I2, -1j * _X),
+    "rz": (_Z2, _I2, np.diag([-1j, 1j])),
+    "x": (_X, _Z2, _Z2),
+    "h": (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), _Z2, _Z2),
+    "cz": (np.diag([1.0, 1.0, 1.0, -1.0]), _Z4, _Z4),
+    "cnot": (np.diag([1.0, 1.0, 0.0, 0.0]) + np.kron(_P1, _X), _Z4, _Z4),
+    "cry": (np.diag([1.0, 1.0, 0.0, 0.0]), np.kron(_P1, _I2), np.kron(_P1, _RY_SIN)),
+}
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_MAX_WINDOW = 5  # wires in the widest matmul window (a 32 x 32 matrix)
 
 
 @dataclass(eq=False)
@@ -79,9 +93,6 @@ class Gate:
             self.matrix = m
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} takes no matrix")
-
-    def is_parameterized(self) -> bool:
-        return self.slot is not None
 
 
 # Shorthand constructors; ``angle`` and ``slot`` are mutually exclusive.
@@ -151,136 +162,157 @@ class Circuit:
         if missing:
             raise ValueError(f"parameter slots never referenced: {sorted(missing)}")
 
-    def parameterized_gates(self) -> list[tuple[int, Gate]]:
-        return [(i, g) for i, g in enumerate(self.gates) if g.slot is not None]
+
+def _pairs(amp: np.ndarray, n: int, wires) -> np.ndarray:
+    """View of amp with axes (first wire, second wire or a unit axis, rest...)."""
+    qa, qb = wires[0], wires[-1]
+    shape = (-1, 2, 1 << max(qb - qa - 1, 0), 1 + (qb > qa), 1 << (n - 1 - qb))
+    return amp.reshape(shape).transpose(1, 3, 0, 2, 4)
 
 
-def resolved_angle(gate: Gate, params=None) -> float:
-    """Angle actually applied: scale * (bound angle or params[slot])."""
-    if gate.angle is not None:
-        return gate.scale * gate.angle
-    if params is None or not 0 <= gate.slot < len(params):
-        raise ValueError(f"unresolvable parameter slot {gate.slot}")
-    return gate.scale * float(params[gate.slot])
+@lru_cache(maxsize=None)
+def _window(n: int, wires: tuple[int, ...]):
+    """(index, D, R) for a block in the window of k <= 5 wires from wires[0]
+    (to the last wire if it fits): amplitudes reshape to (-1, D = 2^k, R), and
+    the window matrix is the flattened block matrix + [0] at ``index``."""
+    lo = wires[0]
+    hi = n - 1 if n - lo <= _MAX_WINDOW else wires[-1]
+    if hi - lo >= _MAX_WINDOW:
+        return None
+    r, c = np.indices((2 << (hi - lo), 2 << (hi - lo)))
+    shifts = [hi - q for q in wires]
+    rest = len(r) - 1 - sum(1 << s for s in shifts)
+    row, col = (sum(((x >> s) & 1) << (1 - p) for p, s in enumerate(shifts)) for x in (r, c))
+    index = np.where((r ^ c) & rest, 16, 4 * row + col).astype(np.uint8)
+    return index, len(r), 1 << (n - 1 - hi)
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind == "rz":
-        return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]], dtype=complex)
-    raise ValueError(kind)
+def _kernel(amp: np.ndarray, n: int, wires, window, m: np.ndarray) -> np.ndarray:
+    """A new array: block matrix m on ``wires`` by one matmul in its window,
+    or, for a wider pair, on a copy with the pair's axes first."""
+    if window is not None:
+        index, d, r = window
+        e = np.append(m.ravel(), 0.0)[index]
+        out = amp.reshape(-1, d) @ e.T if r == 1 else np.matmul(e, amp.reshape(-1, d, r))
+        return out.reshape(amp.shape)
+    product = m @ _pairs(amp, n, wires).reshape(4, -1)
+    out = np.empty(amp.shape, product.dtype)
+    view = _pairs(out, n, wires)
+    view[...] = product.reshape(view.shape)
+    return out
 
 
-def gate_matrix(gate: Gate, params=None) -> np.ndarray:
-    """2x2 unitary of a single-qubit rotation or h, or a u2 gate's 4x4.
-
-    The kernels apply x, cnot, cz and cry directly, without a matrix.
-    """
-    if gate.kind in ("ry", "rx", "rz"):
-        return _rotation_matrix(gate.kind, resolved_angle(gate, params))
-    if gate.kind == "h":
-        return _H_MAT
-    if gate.kind == "u2":
-        return gate.matrix
-    raise ValueError(f"{gate.kind} has no matrix here")
-
-
-def _apply_1q(amp: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
-    # View as (left, qubit q, right); MSB convention puts q at bit n-1-q.
-    right = 1 << (n - 1 - q)
-    a3 = amp.reshape(-1, 2, right)
-    lo = a3[:, 0, :].copy()
-    hi = a3[:, 1, :]
-    a3[:, 0, :] = u[0, 0] * lo + u[0, 1] * hi
-    a3[:, 1, :] = u[1, 0] * lo + u[1, 1] * hi
+def _factor(g: Gate, places: tuple[int, ...], param_count: int):
+    """(A, B, C, slot, scale) of gate g in the 4x4 space of its block, where
+    its targets sit at ``places``; a bound angle is folded into A."""
+    abc = (g.matrix, _Z4, _Z4) if g.kind == "u2" else _AFFINE[g.kind]
+    if g.angle is not None:
+        half = 0.5 * g.scale * g.angle
+        abc = (abc[0] + np.cos(half) * abc[1] + np.sin(half) * abc[2], 0 * abc[1], 0 * abc[2])
+    if len(places) == 1:  # kron(m, I) or kron(I, m), without np.kron's overhead
+        pairs = [(m, _I2) if places == (0,) else (_I2, m) for m in abc]
+        abc = [np.multiply.outer(*p).transpose(0, 2, 1, 3).reshape(4, 4) for p in pairs]
+    elif places == (1, 0):
+        abc = [_SWAP @ m @ _SWAP for m in abc]
+    return (*abc, param_count if g.slot is None else g.slot, g.scale)
 
 
-def _pair_view(amp: np.ndarray, n: int, targets) -> np.ndarray:
-    """amp as (left, first target, mid, second target, right).
+class CompiledCircuit:
+    """A circuit folded once into blocks (module docstring): ``blocks`` holds
+    (wires, u, window) in order, and block matrix u is the product of the
+    factors ``chains[u]``, first applied first, padded with the identity.
+    Each gate matrix is A + cos(t/2) B + sin(t/2) C in its angle t, so factor
+    f is a[f] + cos(h) b[f] + sin(h) c[f], h = scale[f] theta[slot[f]] / 2."""
 
-    For targets against wire order this is a transposed view of the
-    wire-ordered reshape, so it indexes the same elements.
-    """
-    qa, qb = sorted(targets)
-    a5 = amp.reshape(-1, 2, 1 << (qb - qa - 1), 2, 1 << (n - 1 - qb))
-    return a5 if targets[0] == qa else a5.transpose(0, 3, 2, 1, 4)
+    def __init__(self, circuit: Circuit):
+        n = self.num_qubits = circuit.num_qubits
+        self.param_count = circuit.param_count
+        gate_lists, last, held = [], {}, {q: [] for q in range(n)}
+        for g in circuit.gates:
+            a, b = g.targets[0], g.targets[-1]
+            if a in last and last[a] == last.get(b):
+                gate_lists[last[a]][1].append(g)
+            elif a == b:
+                held[a].append(g)
+            else:
+                last[a] = last[b] = len(gate_lists)
+                opening = held.pop(a, []) + held.pop(b, []) + [g]
+                gate_lists.append((tuple(sorted(g.targets)), opening))
+        gate_lists += [((q,), gates) for q, gates in held.items() if gates]
+        rows = [(np.eye(4), _Z4, _Z4, self.param_count, 0.0)]  # slot param_count reads 0
+        index, chains, self.blocks = {}, {}, []
+        for wires, gates in gate_lists:
+            chain = []
+            for g in gates:
+                places = tuple(wires.index(t) for t in g.targets)
+                key = (g.kind, places, g.slot, g.scale, g.angle,
+                       None if g.matrix is None else g.matrix.tobytes())
+                if key not in index:
+                    index[key] = len(rows)
+                    rows.append(_factor(g, places, self.param_count))
+                chain.append(index[key])
+            u = chains.setdefault(tuple(chain), len(chains))
+            self.blocks.append((wires, u, _window(n, wires)))
+        a, b, c, self.slot, self.scale = (np.array(column) for column in zip(*rows))
+        self.real = not any(np.any(np.imag(m)) for m in (a, b, c))
+        self.a, self.b, self.c = (np.real(m) if self.real else m.astype(complex) for m in (a, b, c))
+        length = 1 << max((len(ch) - 1).bit_length() for ch in chains) if chains else 1
+        self.chains = np.zeros((len(chains), length), dtype=int)
+        for chain, u in chains.items():
+            self.chains[u, : len(chain)] = chain
 
+    def factors(self, params):
+        """Every factor matrix and its derivative in its slot's parameter."""
+        half = 0.5 * self.scale * np.append(params, 0.0)[self.slot]
+        cos, sin = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
+        return (self.a + cos * self.b + sin * self.c,
+                (0.5 * self.scale)[:, None, None] * (cos * self.c - sin * self.b))
 
-def _apply_2q(a5: np.ndarray, u: np.ndarray) -> None:
-    # u indexed with the pair view's axis 1 as the high bit.
-    b = [a5[:, i, :, j, :].copy() for i in (0, 1) for j in (0, 1)]
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        a5[:, i, :, j, :] = u[k, 0] * b[0] + u[k, 1] * b[1] + u[k, 2] * b[2] + u[k, 3] * b[3]
+    def block_matrices(self, factors: np.ndarray) -> np.ndarray:
+        """Product of every chain, by a pairwise batched-matmul reduction."""
+        f = factors[self.chains]
+        while f.shape[1] > 1:
+            f = f[:, 1::2] @ f[:, ::2]
+        return f[:, 0]
 
+    def state(self, amplitudes) -> np.ndarray:
+        """The (batch, 2^N) input, float64 if it and the circuit are real."""
+        amp = np.asarray(amplitudes)
+        if amp.ndim != 2 or amp.shape[1] != (1 << self.num_qubits):
+            raise ValueError(f"amplitudes must be (batch, {1 << self.num_qubits}), got {amp.shape}")
+        if self.real and not (np.iscomplexobj(amp) and np.any(amp.imag)):
+            return np.ascontiguousarray(amp.real, dtype=float)
+        return np.ascontiguousarray(amp, dtype=complex)
 
-def _apply_gate_inplace(amp: np.ndarray, n: int, gate: Gate, params=None) -> None:
-    for t in gate.targets:
-        if not 0 <= t < n:
-            raise ValueError(f"gate target {t} out of range for {n} qubits")
-    kind = gate.kind
-    if kind == "x":
-        right = 1 << (n - 1 - gate.targets[0])
-        a3 = amp.reshape(-1, 2, right)
-        a3[:, [0, 1], :] = a3[:, [1, 0], :]
-        return
-    if len(gate.targets) == 1:
-        _apply_1q(amp, n, gate.targets[0], gate_matrix(gate, params))
-        return
-    # two-qubit kinds: the control (or first target) on axis 1
-    a5 = _pair_view(amp, n, gate.targets)
-    if kind == "cz":  # diagonal: phase the |11> block only
-        a5[:, 1, :, 1, :] *= -1.0
-    elif kind == "cnot":  # swap target values within the control=1 block
-        a5[:, 1, :, [0, 1], :] = a5[:, 1, :, [1, 0], :]
-    elif kind == "cry":  # 2x2 rotation on the target within the control=1 block
-        half = 0.5 * resolved_angle(gate, params)
-        c, s = np.cos(half), np.sin(half)
-        lo = a5[:, 1, :, 0, :].copy()
-        hi = a5[:, 1, :, 1, :]
-        a5[:, 1, :, 0, :] = c * lo - s * hi
-        a5[:, 1, :, 1, :] = s * lo + c * hi
-    else:
-        _apply_2q(a5, gate_matrix(gate, params))
+    def run(self, params, amplitudes) -> np.ndarray:
+        """Every block on a (batch, 2^N) input, which is left unchanged."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
+        amp = self.state(amplitudes)
+        mats = self.block_matrices(self.factors(params)[0])
+        for wires, u, window in self.blocks:
+            amp = _kernel(amp, self.num_qubits, wires, window, mats[u])
+        return amp if self.blocks else amp.copy()
 
 
 @lru_cache(maxsize=None)
 def _z_signs(num_qubits: int, qubit: int) -> np.ndarray:
-    shift = num_qubits - 1 - qubit
-    signs = 1.0 - 2.0 * ((np.arange(1 << num_qubits) >> shift) & 1)
+    signs = 1.0 - 2.0 * ((np.arange(1 << num_qubits) >> (num_qubits - 1 - qubit)) & 1)
     signs.setflags(write=False)
     return signs
 
 
 def run_circuit_batch(circuit: Circuit, params, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a whole (batch, 2^N) amplitude matrix at once.
-
-    Row i of the result is the circuit output for input row i.  Batching is
-    the deterministic, dataset-order equivalent of fanning sample
-    evaluations out to workers; the kernels fold the batch axis into their
-    stride bookkeeping, so per-call overhead is paid once per gate instead
-    of once per sample.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.param_count,):
-        raise ValueError(f"expected {circuit.param_count} parameters, got {params.shape}")
-    amp = np.array(amplitudes, dtype=complex)
-    if amp.ndim != 2 or amp.shape[1] != (1 << circuit.num_qubits):
-        raise ValueError(
-            f"amplitude matrix must be (batch, {1 << circuit.num_qubits}), got {amp.shape}"
-        )
-    for gate in circuit.gates:
-        _apply_gate_inplace(amp, circuit.num_qubits, gate, params)
-    return amp
+    """Apply the circuit to a whole (batch, 2^N) amplitude matrix at once:
+    row i of the result is the output for input row i.  It compiles the
+    circuit on every call; a caller that runs it often keeps a
+    ``CompiledCircuit``."""
+    return CompiledCircuit(circuit).run(params, amplitudes)
 
 
 def expectation_z_batch(amplitudes: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     """<Z_qubit> for every row of a (batch, 2^N) amplitude matrix."""
     if not 0 <= qubit < num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    probs = amplitudes.real**2 + amplitudes.imag**2
-    return probs @ _z_signs(num_qubits, qubit)
+    return (amplitudes * amplitudes.conj()).real @ _z_signs(num_qubits, qubit)

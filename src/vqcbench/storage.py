@@ -24,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, _integer, _items, _number
 from .optimizers import TrainRecord
 from .spinmodels import DataRecord, Dataset
+from .training import TASKS
 
 FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
@@ -158,10 +160,22 @@ def write_model(path, task, model_spec_dict, params, readout=None, discard=None,
 
 
 def read_model(path) -> dict:
+    """A model file with its task, model section, finite parameters and the
+    task's readout qubit or discard list checked; any of them missing or of
+    the wrong type raises ConfigError."""
     obj = json.loads(Path(path).read_text())
-    if obj.get("format_version") != FORMAT_VERSION:
+    if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version")
-    obj["params"] = np.asarray(obj["params"], dtype=float)
+    where = "model file"
+    if obj.get("task") not in TASKS:
+        raise ConfigError(f"{where}.task must be one of {list(TASKS)}, got {obj.get('task')!r}")
+    if not isinstance(obj.get("model"), dict):
+        raise ConfigError(f"{where}.model must be an object, got {obj.get('model')!r}")
+    obj["params"] = np.asarray(_items(obj, "params", where, _number), dtype=float)
+    if obj["task"] == "classify":
+        obj["readout"] = _integer(obj.get("readout"), "readout", where)
+    else:
+        obj["discard"] = _items(obj, "discard", where, _integer)
     return obj
 
 

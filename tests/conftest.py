@@ -208,29 +208,35 @@ def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
         observe = lambda amp: sum(sim.expectation_z_batch(amp, n, q) for q in discard)
         prefactors = np.full(len(dataset), -0.5 / len(dataset))
     grad = np.zeros(circuit.param_count)
-    for index, gate in circuit.parameterized_gates():
+    for index, gate in enumerate(circuit.gates):
+        if gate.slot is None:
+            continue
         d_expect = np.zeros(len(dataset))
         for shift, coeff in SHIFT_RULES[gate.kind]:
-            bound = replace(gate, angle=sim.resolved_angle(gate, params) + shift,
-                            slot=None, scale=1.0)
-            amp = mat.copy()
-            for i, g in enumerate(circuit.gates):
-                sim._apply_gate_inplace(amp, n, bound if i == index else g, params)
-            d_expect += coeff * observe(amp)
+            # R(t + shift) = R(shift) R(t) for every rotation kind
+            extra = sim.Gate(gate.kind, gate.targets, angle=shift)
+            gates = circuit.gates[: index + 1] + [extra] + circuit.gates[index + 1:]
+            shifted = sim.Circuit(n, gates, circuit.param_count)
+            d_expect += coeff * observe(sim.run_circuit_batch(shifted, params, mat))
         grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
     return grad
 
 
-def random_unitary4(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+ALL_KINDS = ["ry", "rx", "rz", "x", "h", "cnot", "cz", "cry", "u2"]
+REAL_KINDS = ["ry", "x", "h", "cnot", "cz", "cry", "u2"]
+
+
+def random_unitary4(rng, real=False):
+    m = rng.normal(size=(4, 4)) + (0 if real else 1j * rng.normal(size=(4, 4)))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_circuit(n, rng, n_gates=12, kinds=None, param_count=0):
+def random_circuit(n, rng, n_gates=12, kinds=None, param_count=0, real=False):
     """Random circuit; parameterized gates draw slots uniformly if
-    param_count > 0, otherwise angles are bound."""
-    kinds = kinds or ["ry", "rx", "rz", "x", "h", "cnot", "cz", "cry", "u2"]
+    param_count > 0, otherwise angles are bound.  ``real`` restricts it to
+    gates with real matrices (u2 then draws a real orthogonal matrix)."""
+    kinds = kinds or (REAL_KINDS if real else ALL_KINDS)
     gates = []
     used_slots = set()
     for _ in range(n_gates):
@@ -248,7 +254,7 @@ def random_circuit(n, rng, n_gates=12, kinds=None, param_count=0):
                 used_slots.add(slot)
             else:
                 angle = float(rng.uniform(-np.pi, np.pi))
-        matrix = random_unitary4(rng) if kind == "u2" else None
+        matrix = random_unitary4(rng, real) if kind == "u2" else None
         gates.append(sim.Gate(kind, targets, angle=angle, slot=slot, matrix=matrix))
     if param_count > 0:
         # make sure every slot is referenced, as the Circuit invariant demands

@@ -433,6 +433,33 @@ def test_eval_rejects_non_integer_model_fields(tmp_path, capsys, task, key, valu
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("task,key,value", [
+    ("classify", "task", None), ("classify", "task", 5),
+    ("classify", "model", None), ("classify", "model", "hea_ry"),
+    ("classify", "params", None), ("classify", "params", [0.0, "x", 0.0, 0.0]),
+    ("classify", "readout", None), ("classify", "readout", "0"),
+    ("autoencode", "discard", None), ("autoencode", "discard", 1),
+], ids=lambda v: "missing" if v is None else None)
+def test_eval_rejects_model_file_missing_or_mistyped_key(tmp_path, capsys, task, key, value):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, task=task, model={"family": "hea_ry", "num_qubits": 2, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 2, "h_values": [0.5, 1.5], "seed": 0,
+                       "train_path": str(tmp_path / "run" / "test.jsonl")})
+    out = _perfect_toy_model(tmp_path)
+    model = json.loads((out / "model.json").read_text())
+    model.update({"task": task, "discard": [1]})
+    if value is None:
+        del model[key]
+    else:
+        model[key] = value
+    (out / "model.json").write_text(json.dumps(model))
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+    assert not (out / "report.json").exists()
+
+
 def test_benchmark_rows_and_determinism(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(

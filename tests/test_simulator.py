@@ -2,10 +2,15 @@
 of the circuit-inversion and reset-channel oracles in conftest.  States are
 rows of a (batch, 2^N) array; a single state runs as a batch of one."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqcbench import simulator as sim
+from vqcbench.ansatz import AnsatzSpec, build_ansatz
 from vqcbench.simulator import (
     Circuit,
     cnot,
@@ -20,6 +25,8 @@ from vqcbench.simulator import (
 )
 
 from conftest import (
+    ALL_KINDS,
+    REAL_KINDS,
     basis_state,
     circuit_full_matrix,
     gate_full_matrix,
@@ -32,10 +39,11 @@ from conftest import (
 
 
 def apply_gate(gate, states, params=None):
-    """One gate through the kernel on a copy of a (batch, 2^N) array."""
+    """One gate as a one-gate circuit on a (batch, 2^N) array."""
     amp = np.array(states, dtype=complex)
-    sim._apply_gate_inplace(amp, amp.shape[1].bit_length() - 1, gate, params)
-    return amp
+    params = [] if params is None else params
+    circuit = Circuit(amp.shape[1].bit_length() - 1, [gate], len(params))
+    return run_circuit_batch(circuit, params, amp)
 
 
 def random_states(n, rng, batch=3):
@@ -188,7 +196,7 @@ def test_expectation_z_range_check():
 def test_inverse_of_single_ry():
     circ = Circuit(1, [ry(0, angle=0.7)])
     inv = inverse_circuit(circ)
-    assert sim.resolved_angle(inv.gates[0]) == pytest.approx(-0.7)
+    assert inv.gates[0].scale * inv.gates[0].angle == pytest.approx(-0.7)
 
 
 def test_inverse_reverses_and_adjoints(rng):
@@ -265,3 +273,89 @@ def test_real_gates_preserve_real_amplitudes(rng):
         psi = amp / np.linalg.norm(amp, axis=1, keepdims=True)
         out = run_circuit_batch(circ, [], psi)
         assert np.max(np.abs(out.imag)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# compiled blocks
+
+
+@st.composite
+def circuit_cases(draw):
+    """1-5 qubits, gates of every kind in both wire orders (rotations bound
+    or on shared slots with scale +-1), a batch of 1-6 real or complex
+    states; ``real`` circuits use only gates with real matrices."""
+    n = draw(st.integers(1, 5))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = REAL_KINDS if real else ALL_KINDS
+    if n == 1:
+        kinds = [k for k in kinds if k in ("ry", "rx", "rz", "x", "h")]
+    param_count = draw(st.integers(0, 3))
+    slotted = random_circuit(n, rng, draw(st.integers(0, 14)), kinds, param_count, real)
+    bound = random_circuit(n, rng, draw(st.integers(0, 4)), kinds, real=real)
+    gates = [replace(g, scale=float(rng.choice([-1.0, 1.0]))) if g.slot is not None else g
+             for g in bound.gates + slotted.gates]
+    rng.shuffle(gates)
+    states = rng.normal(size=(draw(st.integers(1, 6)), 1 << n))
+    if draw(st.booleans()):
+        states = states + 1j * rng.normal(size=states.shape)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    params = rng.uniform(-np.pi, np.pi, size=param_count)
+    return Circuit(n, gates, param_count), params, states, real
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_cases())
+def test_compiled_pass_matches_dense_oracle(case):
+    circ, params, states, real = case
+    out = run_circuit_batch(circ, params, states)
+    assert np.max(np.abs(out - states @ circuit_full_matrix(circ, params).T)) < 1e-12
+    if real and not np.iscomplexobj(states):
+        # the float64 path against the complex path, via a global phase
+        assert out.dtype == np.float64
+        assert np.max(np.abs(1j * out - run_circuit_batch(circ, params, 1j * states))) < 1e-12
+
+
+def test_blocks_follow_the_folding_rule():
+    # held RYs open the CZ block, later one-qubit gates join it, a CZ on the
+    # same pair joins it too, a CZ on a new pair opens a block, and a wire no
+    # two-qubit gate touches ends as a one-wire block
+    circ = Circuit(4, [ry(0, angle=0.1), ry(1, angle=0.2), cz(0, 1), rz(1, angle=0.3),
+                       cz(1, 0), h(3), cz(1, 2), x(0), cnot(2, 1)])
+    compiled = sim.CompiledCircuit(circ)
+    assert [wires for wires, _, _ in compiled.blocks] == [(0, 1), (1, 2), (3,)]
+    psi = random_states(4, np.random.default_rng(3))
+    expected = psi @ circuit_full_matrix(circ).T
+    assert np.max(np.abs(run_circuit_batch(circ, [], psi) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])
+def test_qcnn_pass_at_16_qubits_makes_at_most_45_kernel_calls(family, monkeypatch):
+    circ, _ = build_ansatz(AnsatzSpec(family, 16, 4))
+    calls = []
+    kernel = sim._kernel
+    monkeypatch.setattr(sim, "_kernel", lambda *args: calls.append(1) or kernel(*args))
+    params = np.full(circ.param_count, 0.3)
+    run_circuit_batch(circ, params, np.eye(1, 1 << 16))
+    assert len(calls) <= 45
+    assert len(calls) < len(circ.gates) / 3
+
+
+def test_real_circuit_pass_memory_stays_below_two_complex_states(rng):
+    # On float64 amplitudes a pass holds at most the block's input, the copy
+    # a pair far apart needs and the product, each half a complex state.
+    n = 12
+    circ = random_circuit(n, rng, n_gates=40, param_count=4, real=True)
+    circ.gates.append(cnot(0, n - 1))
+    compiled = sim.CompiledCircuit(circ)
+    params = rng.uniform(-np.pi, np.pi, size=4)
+    state = random_states(n, rng, batch=1).real.astype(complex)  # as Dataset.amplitudes()
+    compiled.run(params, state)
+    tracemalloc.start()
+    try:
+        out = compiled.run(params, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float64
+    assert peak <= 2 * state.nbytes

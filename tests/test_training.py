@@ -230,20 +230,24 @@ def test_shared_slot_gradient_equals_sum_of_unshared(rng):
 @st.composite
 def gradient_cases(draw):
     """2-5 qubits, gates of every kind (u2 fixed, rotations bound or on
-    shared slots with scale +-1), a random complex dataset and a task."""
+    shared slots with scale +-1), 1-6 real or complex states and a task;
+    a real circuit has only gates with real matrices."""
     n = draw(st.integers(2, 5))
     task = draw(st.sampled_from(TASKS))
     param_count = draw(st.integers(1, 4))
+    real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    slotted = random_circuit(n, rng, n_gates=draw(st.integers(0, 12)), param_count=param_count)
-    bound = random_circuit(n, rng, n_gates=draw(st.integers(0, 4)))
+    slotted = random_circuit(n, rng, n_gates=draw(st.integers(0, 12)), param_count=param_count,
+                             real=real)
+    bound = random_circuit(n, rng, n_gates=draw(st.integers(0, 4)), real=real)
     gates = [replace(g, scale=float(rng.choice([-1.0, 1.0]))) if g.slot is not None else g
              for g in bound.gates + slotted.gates]
     rng.shuffle(gates)
     circ = Circuit(n, gates, param_count)
     records = []
-    for _ in range(draw(st.integers(1, 3))):
-        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    complex_states = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 6))):
+        amp = rng.normal(size=1 << n) + (1j * rng.normal(size=1 << n) if complex_states else 0)
         records.append(DataRecord(amp / np.linalg.norm(amp), 0.0, int(rng.choice([-1, 1]))))
     ds = Dataset("tfi", n, records, {})
     params = rng.uniform(-np.pi, np.pi, size=param_count)
@@ -267,6 +271,11 @@ def test_adjoint_gradient_matches_shift_rule_and_finite_differences(case):
     else:
         cost = lambda p: autoencoder_cost(circ, target["discard"], ds, p)
     assert np.max(np.abs(grad - finite_difference(cost, params))) < 1e-5
+    # a global phase sends real states down the complex path: same gradient
+    phased = Dataset("tfi", circ.num_qubits,
+                     [replace(r, state=1j * r.state) for r in ds.records], {})
+    assert np.max(np.abs(param_shift_gradient(circ, phased, params, task=task, **target)
+                         - grad)) < 1e-12
 
 
 @pytest.mark.parametrize("spec", [
@@ -287,14 +296,11 @@ def test_gradient_gate_applications_do_not_grow_with_parameters(spec, monkeypatc
         return counted
 
     # the forward pass runs in the simulator, the backward sweep in training
-    monkeypatch.setattr(simulator, "_apply_gate_inplace",
-                        counting(simulator._apply_gate_inplace))
-    monkeypatch.setattr(training, "_apply_gate_inplace",
-                        counting(training._apply_gate_inplace))
+    monkeypatch.setattr(simulator, "_kernel", counting(simulator._kernel))
+    monkeypatch.setattr(training, "_kernel", counting(training._kernel))
     params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
     param_shift_gradient(circ, ds, params, readout=0)
-    parameterized = len(circ.parameterized_gates())
-    assert len(calls) <= 3 * len(circ.gates) + parameterized
+    assert len(calls) <= 3 * len(simulator.CompiledCircuit(circ).blocks)
 
 
 # ---------------------------------------------------------------------------
