@@ -5,19 +5,27 @@ Hamiltonians (Pauli matrices, site index j from 0, open chain):
     H_tfi = - sum_{j<N-1} Z_j Z_{j+1}  -  h sum_j X_j
     H_xxz = - sum_{j<N-1} (X_j X_{j+1} + Y_j Y_{j+1} + h Z_j Z_{j+1})
 
-Both are real symmetric in the computational basis, so the solvers return
-ground states as real float64 vectors; ``Dataset.amplitudes`` stacks them
-into the (samples, 2^N) complex matrix the simulator takes.  Site j maps
-to qubit j (qubit 0 = most significant bit, the simulator convention).
-Ground states come from LAPACK below 2^12 and from a fully
-reorthogonalized Lanczos iteration above; the global sign is fixed
-by making the largest-magnitude amplitude positive, so a non-degenerate
-ground state is persisted the same whichever solver found it.  A
-degenerate (or nearly degenerate) ground space has no such fix: the solver
-returns an arbitrary, solver- and seed-dependent vector in it.  That
-happens for XXZ with h > 1, where |0...0> and |1...1> are both ground
-states, and for TFI at small h on 16 sites, where the splitting of the two
-lowest levels is below the 1e-8 Lanczos tolerance.
+Both are real symmetric in the computational basis, so ground states are
+real float64 vectors; ``Dataset.amplitudes`` stacks them into the
+(samples, 2^N) complex matrix the simulator takes.  Site j maps to qubit j
+(qubit 0 = most significant bit, the simulator convention).
+
+XXZ, and TFI with h >= 0, are stoquastic (off-diagonal entries <= 0): in a
+symmetry sector where the matrix is irreducible the ground state is unique
+and of one sign (Perron-Frobenius).  Each is solved in the sector that
+holds it, folded from the coordinates of ``build_hamiltonian``:
+
+- TFI: the even sector of P = prod X, spanned by (|i> + |~i>)/sqrt(2) for
+  i < 2^(N-1).  For h < 0 the chain is solved at -h and mapped back by
+  prod Z, which gives parity (-1)^N.  At h = 0 this picks
+  (|0...0> + |1...1>)/sqrt(2).
+- XXZ, h < 1: the states with floor(N/2) ones (for odd N this sector ties
+  with its spin flip).  XXZ, h >= 1: the polarized |1...1>, index 2^N - 1,
+  a one-state sector of energy -h(N-1) that ties with |0...0>.
+
+LAPACK and Lanczos (``eigsh``) thus return the same canonical vector, whose
+sign makes the largest-magnitude amplitude positive: TFI with h >= 0 and
+XXZ states have no negative amplitude.
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ class SpinModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.num_sites < 2:
             raise ValueError("num_sites must be >= 2")
+        if self.num_sites > MAX_SITES:
+            raise ValueError(f"{self.num_sites} sites exceeds the ceiling of {MAX_SITES}")
 
 
 @dataclass
@@ -81,10 +91,6 @@ class SparseHamiltonian:
         ):
             raise ValueError("row/col index out of range")
 
-    @property
-    def num_sites(self) -> int:
-        return self.dimension.bit_length() - 1
-
     def to_csr(self) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.dimension, self.dimension)
@@ -96,11 +102,9 @@ class SparseHamiltonian:
         return m
 
 
-def build_hamiltonian(model: SpinModel, max_sites: int = MAX_SITES) -> SparseHamiltonian:
+def build_hamiltonian(model: SpinModel) -> SparseHamiltonian:
     """Assemble the chain Hamiltonian; entries with exact value 0 are dropped."""
     n = model.num_sites
-    if n > max_sites:
-        raise ValueError(f"{n} sites exceeds the configured ceiling of {max_sites}")
     dim = 1 << n
     h = model.field
     shifts = np.array([n - 1 - j for j in range(n)])
@@ -129,10 +133,8 @@ def build_hamiltonian(model: SpinModel, max_sites: int = MAX_SITES) -> SparseHam
             # X_j X_{j+1} + Y_j Y_{j+1} = 2(|01><10| + |10><01|) on the pair
             add(partner, idx[differ], np.full(differ.sum(), -2.0))
 
-    if rows:
-        return SparseHamiltonian(dim, np.concatenate(rows), np.concatenate(cols),
-                                 np.concatenate(vals))
-    return SparseHamiltonian(dim, np.empty(0), np.empty(0), np.empty(0))
+    return SparseHamiltonian(dim, np.concatenate(rows), np.concatenate(cols),
+                             np.concatenate(vals))
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -155,79 +157,67 @@ def ground_state_lanczos(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+    """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``).
 
-    The Krylov basis is reorthogonalized (two Gram-Schmidt passes) at every
-    step, so the classical loss-of-orthogonality failure mode is excluded.
-    Convergence means the explicit residual ||H v - E v|| <= tol; if that is
-    not reached within ``max_krylov`` steps a LanczosConvergenceError is
-    raised rather than returning an unconverged vector.  The reported energy
-    is the Rayleigh quotient of the returned (sign-fixed, normalized)
-    vector.
+    The start vector is all ones, which overlaps the positive ground state
+    of a stoquastic matrix; ``seed`` is accepted for existing callers and
+    does not enter.  ARPACK runs to machine precision on 20 vectors with at
+    most max_krylov // 20 restarts, and the explicit residual ||Hv - Ev||
+    must be <= tol; either failure raises LanczosConvergenceError.  The
+    energy is the Rayleigh quotient of the returned sign-fixed vector.
+    LAPACK solves dimensions below 3, where ``eigsh`` cannot run.
     """
+    import scipy.sparse.linalg  # on first use: 2 MB and 15 ms that LAPACK runs skip
     dim = hamiltonian.dimension
-    if dim > (1 << 16):
-        raise ValueError(f"dimension {dim} exceeds the Lanczos ceiling 2^16")
+    if dim < 3:
+        return ground_state_dense(hamiltonian)
     mat = hamiltonian.to_csr()
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-
-    limit = min(max_krylov, dim)
-    basis = np.empty((limit, dim))
-    basis[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-
-    w = mat @ v
-    alphas.append(float(v @ w))
-    w -= alphas[0] * v
-
-    for k in range(1, limit + 1):
-        # full reorthogonalization, two passes
-        vk = basis[:k]
-        w -= vk.T @ (vk @ w)
-        w -= vk.T @ (vk @ w)
-        beta = float(np.linalg.norm(w))
-
-        # candidate from the current tridiagonal projection
-        tri_w, tri_v = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas), select="i", select_range=(0, 0)
-        )
-        est_residual = beta * abs(tri_v[-1, 0])
-        exhausted = beta < 1e-13 or k == dim
-        if est_residual <= tol or exhausted or k == limit:
-            vec = vk.T @ tri_v[:, 0]
-            vec /= np.linalg.norm(vec)
-            hv = mat @ vec
-            energy = float(vec @ hv)
-            residual = float(np.linalg.norm(hv - energy * vec))
-            if residual <= tol or exhausted:
-                return energy, _fix_sign(vec)
-            if k == limit:
-                raise LanczosConvergenceError(
-                    f"residual {residual:.3e} > tol {tol:.3e} after {k} Krylov steps"
-                )
-        basis[k] = w / beta
-        betas.append(beta)
-        w = mat @ basis[k] - beta * basis[k - 1]
-        alphas.append(float(basis[k] @ w))
-        w -= alphas[k] * basis[k]
-
-    raise LanczosConvergenceError(f"no convergence within {max_krylov} Krylov steps")
+    ncv = min(dim, 20)
+    try:
+        _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", v0=np.ones(dim), ncv=ncv,
+                                            maxiter=max(1, max_krylov // ncv))
+    except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence among them
+        raise LanczosConvergenceError(f"ARPACK: {exc}") from exc
+    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    hv = mat @ vec
+    energy = float(vec @ hv)
+    residual = float(np.linalg.norm(hv - energy * vec))
+    if residual > tol:
+        raise LanczosConvergenceError(f"residual {residual:.3e} > tol {tol:.3e}")
+    return energy, _fix_sign(vec)
 
 
 def ground_state(
-    hamiltonian: SparseHamiltonian, solver: str = "auto", seed: int = 0
+    model: SpinModel, solver: str = "auto", seed: int = 0
 ) -> tuple[float, np.ndarray, str]:
-    """Dispatch dense/Lanczos; returns (energy, real vector, solver_used)."""
+    """(energy, full-space vector, solver used) from the sector of ``model``;
+    ``auto`` picks LAPACK up to 2^12 full-space states, Lanczos above."""
     if solver not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "dense" or (solver == "auto" and hamiltonian.dimension <= DENSE_MAX_DIM):
-        energy, state = ground_state_dense(hamiltonian)
-        return energy, state, "dense"
-    energy, state = ground_state_lanczos(hamiltonian, seed=seed)
-    return energy, state, "lanczos"
+    n, h = model.num_sites, model.field
+    dim = 1 << n
+    if solver == "auto":
+        solver = "dense" if dim <= DENSE_MAX_DIM else "lanczos"
+    # The sector matrix keeps the masked rows of H, coordinates mapped through
+    # index; a sector vector v embeds as weight * v[index] (index -1 reads 0).
+    idx = np.arange(dim, dtype=np.int64)
+    ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    if model.kind == "tfi":
+        # P = prod X pairs i with its complement; rows i < 2^(N-1) hold the
+        # even states (|i> + |~i>)/sqrt(2).  H(h) = U H(-h) U with U = prod Z.
+        rows, index = idx < dim // 2, np.minimum(idx, idx ^ (dim - 1))
+        weight = math.sqrt(0.5) * (1 - 2 * (ones & 1) if h < 0 else np.ones(dim))
+        model = SpinModel("tfi", n, abs(h))
+    else:
+        rows = ones == (n if h >= 1.0 else n // 2)
+        index, weight = np.where(rows, np.cumsum(rows) - 1, -1), np.ones(dim)
+    full = build_hamiltonian(model)
+    keep = rows[full.rows]
+    ham = SparseHamiltonian(int(rows.sum()), index[full.rows[keep]],
+                            index[full.cols[keep]], full.vals[keep])
+    energy, vec = (ground_state_dense(ham) if solver == "dense"
+                   else ground_state_lanczos(ham, seed=seed))
+    return energy, _fix_sign(weight * np.append(vec, 0.0)[index]), solver
 
 
 @dataclass
@@ -300,8 +290,7 @@ def generate_dataset(
     records = []
     solver_used = None
     for h in h_grid:
-        ham = build_hamiltonian(SpinModel(kind, num_sites, h))
-        _, vec, solver_used = ground_state(ham, solver=solver, seed=seed)
+        _, vec, solver_used = ground_state(SpinModel(kind, num_sites, h), solver, seed)
         records.append(DataRecord(state=vec, h=h, label=1 if h > h_c else -1))
 
     rng = np.random.default_rng(seed)

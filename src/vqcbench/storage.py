@@ -89,9 +89,9 @@ def write_dataset(dataset: Dataset, path) -> None:
     for rec in dataset.records:
         state = np.asarray(rec.state)
         obj = {"h": float(rec.h), "label": int(rec.label),
-               "re": [float(v) for v in state.real]}
+               "re": np.asarray(state.real, dtype=float).tolist()}
         if np.iscomplexobj(state) and np.any(state.imag != 0.0):
-            obj["im"] = [float(v) for v in state.imag]
+            obj["im"] = np.asarray(state.imag, dtype=float).tolist()
         lines.append(_dumps(obj))
     atomic_write(path, "\n".join(lines) + "\n")
 

@@ -96,6 +96,43 @@ def autoencoder_cost(encoder: Circuit, discard, dataset, params) -> float:
     return make_autoencoder_cost(encoder, discard, dataset)(params)
 
 
+def _make_gradient(circuit: Circuit, dataset, task: str, readout=None, discard=None):
+    """Gradient closure of ``param_shift_gradient``: the circuit is compiled and
+    the dataset's amplitudes prepared once, not on every call."""
+    n = circuit.num_qubits
+    obs, loss = _objective(task, n, dataset, readout, discard)
+    compiled = CompiledCircuit(circuit)
+    mat = compiled.state(dataset.amplitudes())
+
+    def gradient(params) -> np.ndarray:
+        psi = compiled.run(params, mat)  # checks and converts params
+        weights = loss((psi * psi.conj()).real @ obs)[1]
+        factors, derivatives = compiled.factors(params)
+        mats = compiled.block_matrices(factors)
+        # One array, so each block is undone on psi and lam in a single call.
+        both = np.concatenate([psi, weights[:, None] * obs * psi])
+        w = np.zeros(mats.shape, both.dtype)
+        for wires, u, window in reversed(compiled.blocks):
+            both = _kernel(both, n, wires, window, mats[u].conj().T)
+            local = _pairs(both, n, wires).reshape(2 * len(wires), 2, -1)
+            bits = slice(None, None, 3 - len(wires))  # a one-wire block reads its high bit only
+            w[u, bits, bits] += mats[u, bits, bits].conj() @ (local[:, 1].conj() @ local[:, 0].T)
+        # prefix[:, j] is the product of the factors before position j, suffix after it
+        chain = factors[compiled.chains]
+        prefix, suffix = np.empty_like(chain), np.empty_like(chain)
+        prefix[:, 0] = suffix[:, -1] = np.eye(4)
+        for j in range(1, chain.shape[1]):
+            prefix[:, j] = chain[:, j - 1] @ prefix[:, j - 1]
+            suffix[:, -1 - j] = suffix[:, -j] @ chain[:, -j]
+        inner = np.swapaxes(suffix, -1, -2) @ w[:, None] @ np.swapaxes(prefix, -1, -2)
+        terms = 2.0 * np.sum(derivatives[compiled.chains] * inner, axis=(-1, -2)).real
+        grad = np.bincount(compiled.slot[compiled.chains].ravel(), terms.ravel(),
+                           minlength=circuit.param_count + 1)
+        return grad[: circuit.param_count]
+
+    return gradient
+
+
 def param_shift_gradient(
     circuit: Circuit,
     dataset,
@@ -110,34 +147,7 @@ def param_shift_gradient(
     undone, W = conj(B) sum conj(lam) psi^T over its wires gives slot theta
     2 Re sum(dB/dtheta * W); dB/dtheta sums, over the block's factors in that
     slot, the later factors times the factor's derivative times the earlier."""
-    n = circuit.num_qubits
-    obs, loss = _objective(task, n, dataset, readout, discard)
-    compiled = CompiledCircuit(circuit)
-    params = np.asarray(params, dtype=float)
-    psi = compiled.run(params, dataset.amplitudes())
-    weights = loss((psi * psi.conj()).real @ obs)[1]
-    factors, derivatives = compiled.factors(params)
-    mats = compiled.block_matrices(factors)
-    # One array, so each block is undone on psi and lam in a single call.
-    both = np.concatenate([psi, weights[:, None] * obs * psi])
-    w = np.zeros(mats.shape, both.dtype)
-    for wires, u, window in reversed(compiled.blocks):
-        both = _kernel(both, n, wires, window, mats[u].conj().T)
-        local = _pairs(both, n, wires).reshape(2 * len(wires), 2, -1)
-        bits = slice(None, None, 3 - len(wires))  # a one-wire block reads its high bit only
-        w[u, bits, bits] += mats[u, bits, bits].conj() @ (local[:, 1].conj() @ local[:, 0].T)
-    # prefix[:, j] is the product of the factors before position j, suffix after it
-    chain = factors[compiled.chains]
-    prefix, suffix = np.empty_like(chain), np.empty_like(chain)
-    prefix[:, 0] = suffix[:, -1] = np.eye(4)
-    for j in range(1, chain.shape[1]):
-        prefix[:, j] = chain[:, j - 1] @ prefix[:, j - 1]
-        suffix[:, -1 - j] = suffix[:, -j] @ chain[:, -j]
-    inner = np.swapaxes(suffix, -1, -2) @ w[:, None] @ np.swapaxes(prefix, -1, -2)
-    terms = 2.0 * np.sum(derivatives[compiled.chains] * inner, axis=(-1, -2)).real
-    grad = np.bincount(compiled.slot[compiled.chains].ravel(), terms.ravel(),
-                       minlength=circuit.param_count + 1)
-    return grad[: circuit.param_count]
+    return _make_gradient(circuit, dataset, task, readout, discard)(params)
 
 
 def initial_parameters(param_count: int, seed: int) -> np.ndarray:
@@ -177,7 +187,7 @@ def train(
     if optimizer.kind in minimize:
         x, record = minimize[optimizer.kind](cost, x0, optimizer)
     elif optimizer.kind == "param_shift_gd":
-        grad = lambda p: param_shift_gradient(circuit, dataset, p, task, readout, discard)
+        grad = _make_gradient(circuit, dataset, task, readout, discard)
         x, record = gradient_descent_minimize(cost, grad, x0, optimizer)
     else:
         raise ValueError(f"unknown optimizer kind {optimizer.kind!r}")

@@ -1,7 +1,7 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
 the strided kernels, circuit inversion, the Kraus branches of the reset
-channel and parameter-shift gradients, plus state vectors and random
-circuit/state generators.
+channel, parameter-shift gradients and full-space ground states, plus state
+vectors and random circuit/state generators.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vqcbench import simulator as sim
+from vqcbench.spinmodels import SpinModel, build_hamiltonian
 
 
 def zero_state(n):
@@ -220,6 +222,15 @@ def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
             d_expect += coeff * observe(sim.run_circuit_batch(shifted, params, mat))
         grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
     return grad
+
+
+def full_space_ground(kind, n, h):
+    """Full-space LAPACK oracle, with no symmetry sector: the ground energy,
+    the gap to the next level and the lowest eigenvector of the whole
+    2^n x 2^n Hamiltonian (an arbitrary vector of a degenerate ground space)."""
+    ham = build_hamiltonian(SpinModel(kind, n, h)).to_dense()
+    w, v = scipy.linalg.eigh(ham, subset_by_index=(0, 1))
+    return float(w[0]), float(w[1] - w[0]), v[:, 0]
 
 
 ALL_KINDS = ["ry", "rx", "rz", "x", "h", "cnot", "cz", "cry", "u2"]

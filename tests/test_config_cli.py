@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from vqcbench import cli, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
@@ -289,6 +290,23 @@ def test_diverging_gradient_descent_exits_4_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
     assert "diverged" in err
     assert not (out / "train_record.json").exists()
+
+
+def test_arpack_nonconvergence_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    cfg = tmp_path / "c.json"
+    write_config(cfg, data={"kind": "tfi", "num_sites": 4, "h_values": [0.5, 1.5],
+                            "solver": "lanczos"})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "No convergence" in err
+    assert not (out / "train.jsonl").exists()
 
 
 @pytest.mark.parametrize("seed,data,message", [

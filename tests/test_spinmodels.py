@@ -1,17 +1,22 @@
 """Hamiltonian assembly against hand expansions, eigensolver cross-checks,
 and dataset generation contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import full_space_ground
 from vqcbench.simulator import expectation_z_batch
 from vqcbench.spinmodels import (
+    MODEL_KINDS,
     Dataset,
     LanczosConvergenceError,
     SparseHamiltonian,
     SpinModel,
     build_hamiltonian,
     generate_dataset,
+    ground_state,
     ground_state_dense,
     ground_state_lanczos,
     uniform_grid,
@@ -129,19 +134,19 @@ def test_variational_bound(rng):
 
 
 def test_lanczos_agrees_with_dense(rng):
-    # XXZ is restricted to even N and h < 1: odd chains (any h) and even
-    # chains at h > 1 have exactly degenerate ground doublets, where the
-    # returned vector is basis-dependent and the comparison is ill-posed.
-    for kind, ns, h_hi in (("tfi", (3, 5, 8, 10), 2.0), ("xxz", (4, 6, 8, 10), 0.9)):
+    # Solved in its symmetry sector, every chain has one canonical ground
+    # state: odd chains and XXZ above h = 1 included.
+    for kind, ns in (("tfi", (3, 5, 8, 10)), ("xxz", (3, 4, 5, 6, 8, 9, 10))):
         for n in ns:
-            h = float(rng.uniform(0.2, h_hi))
-            ham = build_hamiltonian(SpinModel(kind, n, h))
-            e_dense, v_dense = ground_state_dense(ham)
-            e_lan, v_lan = ground_state_lanczos(ham, tol=1e-13, seed=7)
-            assert abs(e_dense - e_lan) <= 1e-8
-            assert v_lan.dtype == np.float64
-            fid = abs(np.vdot(v_dense, v_lan)) ** 2
-            assert fid >= 1 - 1e-8
+            for h in (float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.0, 2.0))):
+                model = SpinModel(kind, n, h)
+                e_dense, v_dense, _ = ground_state(model, "dense")
+                e_lan, v_lan, _ = ground_state(model, "lanczos")
+                assert abs(e_dense - e_lan) <= 1e-8
+                assert v_lan.dtype == np.float64
+                fid = abs(np.vdot(v_dense, v_lan)) ** 2
+                assert fid >= 1 - 1e-8
+                assert np.max(np.abs(v_dense - v_lan)) <= 1e-10
 
 
 def test_lanczos_tfi16_h0():
@@ -177,6 +182,90 @@ def test_xxz_fixed_sector_above_h1():
     mean = float(np.dot(amp**2, sz))
     var = float(np.dot(amp**2, sz**2)) - mean**2
     assert abs(var) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# symmetry sectors
+
+SECTOR_FIELDS = (-1.5, -0.3, 0.0, 0.2, 0.99, 1.0, 1.01, 1.8)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sector_ground_state_matches_full_space_oracle(kind, n):
+    for h in SECTOR_FIELDS:
+        energy, gap, oracle = full_space_ground(kind, n, h)
+        full = build_hamiltonian(SpinModel(kind, n, h)).to_csr()
+        for solver in ("dense", "lanczos"):
+            e, state, _ = ground_state(SpinModel(kind, n, h), solver)
+            assert abs(e - energy) <= 1e-10, (h, solver)
+            # a ground state of the whole chain, also where the space is degenerate
+            assert np.linalg.norm(full @ state - energy * state) <= 1e-10, (h, solver)
+            assert state[np.argmax(np.abs(state))] > 0
+            if gap > 1e-6:
+                assert min(np.max(np.abs(state - oracle)),
+                           np.max(np.abs(state + oracle))) <= 1e-8, (h, solver)
+
+
+@pytest.mark.parametrize("n", (3, 4, 8))
+def test_sector_states_are_the_documented_canonical_vectors(n):
+    dim = 1 << n
+    # XXZ at and above h = 1: the polarized |1...1>, energy -h(N-1)
+    for h in (1.0, 1.5):
+        energy, state, _ = ground_state(SpinModel("xxz", n, h), "lanczos")
+        assert energy == -h * (n - 1)
+        assert np.array_equal(state, np.eye(dim)[-1])
+    # TFI at h >= 0 and XXZ below h = 1: non-negative amplitudes; TFI at
+    # h >= 0 is even under P = prod X (index i <-> its complement)
+    for kind, h in (("tfi", 0.0), ("tfi", 0.4), ("tfi", 1.7), ("xxz", -0.5), ("xxz", 0.5)):
+        _, state, _ = ground_state(SpinModel(kind, n, h), "dense")
+        assert state.min() >= -1e-14
+        if kind == "tfi":
+            assert np.allclose(state, state[::-1], rtol=0, atol=1e-14)
+    # TFI at h < 0 has parity (-1)^N: it is prod Z applied to the h > 0 state
+    _, plus, _ = ground_state(SpinModel("tfi", n, 0.7), "dense")
+    _, minus, _ = ground_state(SpinModel("tfi", n, -0.7), "dense")
+    flipped = np.array([(-1) ** bin(i).count("1") for i in range(dim)]) * plus
+    flipped *= np.sign(flipped[np.argmax(plus)])  # largest amplitude positive
+    assert np.allclose(minus, flipped, rtol=0, atol=1e-14)
+    assert np.allclose(minus[::-1], (-1) ** n * minus, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,h", [("tfi", -0.3), ("tfi", 0.2), ("tfi", 1.3),
+                                    ("xxz", 0.6), ("xxz", 1.4)])
+def test_dense_and_lanczos_give_the_same_state_at_n12(kind, h):
+    e_dense, v_dense, _ = ground_state(SpinModel(kind, 12, h), "dense")
+    e_lan, v_lan, _ = ground_state(SpinModel(kind, 12, h), "lanczos")
+    assert abs(e_dense - e_lan) <= 1e-10
+    assert np.max(np.abs(v_dense - v_lan)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind,h", [("tfi", 0.2), ("xxz", 0.6), ("xxz", 1.4)])
+def test_n16_ground_state_does_not_depend_on_the_seed(kind, h):
+    # TFI at h = 0.2 has its two lowest levels closer than the residual
+    # tolerance, XXZ at h = 1.4 an exact doublet: a full-space solve returns
+    # a seed-dependent mix there, the sector solve one vector.
+    _, a, _ = ground_state(SpinModel(kind, 16, h), "lanczos", seed=0)
+    _, b, _ = ground_state(SpinModel(kind, 16, h), "lanczos", seed=1)
+    assert np.max(np.abs(a - b)) <= 1e-12
+    assert a.min() >= -1e-12
+
+
+def test_lanczos_memory_stays_far_below_a_krylov_basis():
+    n = 14
+    tracemalloc.start()
+    try:
+        ground_state(SpinModel("tfi", n, 0.5), "lanczos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 160 full-space float64 vectors; a 300-vector Krylov basis alone exceeds it
+    assert peak < 160 * 8 * (1 << n)
+
+
+def test_ground_state_rejects_unknown_solver():
+    with pytest.raises(ValueError, match="solver"):
+        ground_state(SpinModel("tfi", 4, 0.5), "arpack")
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,46 @@ def test_gradient_gate_applications_do_not_grow_with_parameters(spec, monkeypatc
     assert len(calls) <= 3 * len(simulator.CompiledCircuit(circ).blocks)
 
 
+@pytest.mark.parametrize("spec,task", [
+    (AnsatzSpec("qcnn_ry", 8, 2), "classify"), (AnsatzSpec("qcnn_su4", 4, 2), "classify"),
+    (AnsatzSpec("hea_rxrzrx", 4, 2), "autoencode"),
+])
+def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
+    circ, _ = build_ansatz(spec)
+    n = spec.num_qubits
+    states = rng.normal(size=(4, 1 << n))
+    ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
+    target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
+    gradient = training._make_gradient(circ, ds, task, **target)
+    for _ in range(2):
+        params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
+        assert np.array_equal(gradient(params),
+                              param_shift_gradient(circ, ds, params, task=task, **target))
+
+
+def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
+    compiles = []
+
+    class Counting(simulator.CompiledCircuit):
+        def __init__(self, circuit):
+            compiles.append(1)
+            super().__init__(circuit)
+
+    monkeypatch.setattr(training, "CompiledCircuit", Counting)
+    circ, _ = build_ansatz(AnsatzSpec("qcnn_ry", 4, 2))
+    ds = make_dataset([np.eye(16)[0], np.eye(16)[5], np.eye(16)[15]], [1, -1, -1], 4)
+    counts = []
+    for steps in (3, 6):
+        compiles.clear()
+        record = train("classify", circ, ds,
+                       OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
+                                       learning_rate=0.05),
+                       readout=0, init_seed=1)
+        assert len(record.cost_history) == steps + 1  # no early stop
+        counts.append(len(compiles))
+    assert counts[0] == counts[1] <= 2
+
+
 # ---------------------------------------------------------------------------
 # train()
 
