@@ -213,18 +213,6 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def optimizer_to_dict(cfg: OptimizerConfig) -> dict:
-    return {
-        "kind": cfg.kind, "max_iterations": cfg.max_iterations,
-        "cost_tolerance": cfg.cost_tolerance, "param_tolerance": cfg.param_tolerance,
-        "learning_rate": cfg.learning_rate,
-        "spsa": {"a": cfg.spsa_a, "c": cfg.spsa_c,
-                 "alpha": cfg.spsa_alpha, "gamma": cfg.spsa_gamma},
-        "seed": cfg.seed,
-        "line_search_step": cfg.line_search_step, "line_search_tol": cfg.line_search_tol,
-    }
-
-
 @dataclass
 class BenchConfig:
     task: str

@@ -42,10 +42,6 @@ class CompressionSpec:
     def n_d(self) -> int:
         return len(self.discard)
 
-    @classmethod
-    def from_layout(cls, layout, layers: int) -> "CompressionSpec":
-        return cls(tuple(layout.discard_after(layers)))
-
 
 @dataclass
 class ClassificationReport:

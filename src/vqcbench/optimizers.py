@@ -46,8 +46,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        for name in ("cost_tolerance", "param_tolerance", "learning_rate",
-                     "line_search_step", "line_search_tol"):
+        for name in ("cost_tolerance", "param_tolerance", "learning_rate", "line_search_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         # written so that NaN fails every comparison and is rejected too
@@ -57,6 +56,10 @@ class OptimizerConfig:
         for name in ("spsa_alpha", "spsa_gamma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        # every cost is 2 pi-periodic in every parameter, so a longer bracket
+        # step means nothing
+        if not 0.0 < self.line_search_step <= 2 * math.pi:
+            raise ValueError("line_search_step must be in (0, 2 pi]")
 
 
 @dataclass

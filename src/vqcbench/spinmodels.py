@@ -10,26 +10,43 @@ real float64 vectors; ``Dataset.amplitudes`` stacks them into the
 (samples, 2^N) complex matrix the simulator takes.  Site j maps to qubit j
 (qubit 0 = most significant bit, the simulator convention).
 
+Both have the form H = A + h B:
+
+- TFI: A = -sum ZZ, B = -sum X;
+- XXZ: A = -sum (XX + YY), B = -sum ZZ.
+
 XXZ, and TFI with h >= 0, are stoquastic (off-diagonal entries <= 0): in a
-symmetry sector where the matrix is irreducible the ground state is unique
-and of one sign (Perron-Frobenius).  Each is solved in the sector that
-holds it, folded from the coordinates of ``build_hamiltonian``:
+symmetry sector where the matrix is irreducible the ground state is the
+unique positive vector (Perron-Frobenius), so every symmetry that commutes
+with H leaves it fixed.  Each chain is solved in the sector of the states
+invariant under the largest such group G of basis permutations:
 
-- TFI: the even sector of P = prod X, spanned by (|i> + |~i>)/sqrt(2) for
-  i < 2^(N-1).  For h < 0 the chain is solved at -h and mapped back by
-  prod Z, which gives parity (-1)^N.  At h = 0 this picks
-  (|0...0> + |1...1>)/sqrt(2).
+- TFI: G = {1, P, R, PR}, with P = prod X (bit complement) and R the site
+  reflection (bit reversal).  For h < 0 the chain is solved at -h and
+  mapped back by prod Z, which gives parity (-1)^N.  At h = 0 this picks
+  (|0...0> + |1...1>)/sqrt(2).  At N = 16 the sector has 16512 states.
 - XXZ, h < 1: the states with floor(N/2) ones (for odd N this sector ties
-  with its spin flip).  XXZ, h >= 1: the polarized |1...1>, index 2^N - 1,
-  a one-state sector of energy -h(N-1) that ties with |0...0>.
+  with its spin flip) and G = {1, R}; at even N the spin flip maps the
+  sector onto itself and joins, G = {1, R, F, RF}.  At N = 16: 3299 states.
+- XXZ, h >= 1: the polarized |1...1>, index 2^N - 1, a one-state sector of
+  energy -h(N-1) that ties with |0...0>.
 
-LAPACK and Lanczos (``eigsh``) thus return the same canonical vector, whose
-sign makes the largest-magnitude amplitude positive: TFI with h >= 0 and
-XXZ states have no negative amplitude.
+The sector basis is orbit-normalized: row a is |O_a>, the sum of the orbit
+of the representative a (its smallest member) over sqrt(|O_a|).  A column y
+of H in orbit b adds H[a, y] sqrt(|O_a| / |O_b|) to the sector entry (a, b),
+and a sector vector v embeds as v[index[x]] / sqrt(|O_x|).  A and B are
+built once per (kind, N, sector) directly from the representative columns,
+by the same term generator as ``build_hamiltonian``, and cached; a grid
+point costs one sum A + h B and one LAPACK or Lanczos (``eigsh``) solve.
+
+Both solvers thus return the same canonical vector, whose sign makes the
+largest-magnitude amplitude positive: TFI with h >= 0 and XXZ states have
+no negative amplitude.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,39 +119,97 @@ class SparseHamiltonian:
         return m
 
 
+def _popcount(idx: np.ndarray, bits: int) -> np.ndarray:
+    count = np.zeros_like(idx)
+    for p in range(bits):
+        count += (idx >> p) & 1
+    return count
+
+
+def _terms(kind: str, n: int, idx: np.ndarray) -> list[tuple]:
+    """The columns ``idx`` of H = A + h B as coordinate terms (rows, cols,
+    vals, on_field); a term with ``on_field`` set belongs to B."""
+    # bit p of d is set where sites n-2-p and n-1-p differ
+    d = (idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1)
+    zz = ((n - 1) - 2 * _popcount(d, n - 1)).astype(np.float64)  # sum_j Z_j Z_{j+1}
+    if kind == "tfi":
+        return [(idx, idx, -zz, False)] + [
+            (idx ^ (1 << p), idx, np.full(len(idx), -1.0), True) for p in reversed(range(n))
+        ]
+    terms = [(idx, idx, -zz, True)]
+    for p in reversed(range(n - 1)):
+        hop = idx[(d >> p) & 1 == 1]
+        # X_j X_{j+1} + Y_j Y_{j+1} = 2(|01><10| + |10><01|) on the pair
+        terms.append((hop ^ (3 << p), hop, np.full(len(hop), -2.0), False))
+    return terms
+
+
 def build_hamiltonian(model: SpinModel) -> SparseHamiltonian:
     """Assemble the chain Hamiltonian; entries with exact value 0 are dropped."""
-    n = model.num_sites
-    dim = 1 << n
-    h = model.field
-    shifts = np.array([n - 1 - j for j in range(n)])
-    idx = np.arange(dim, dtype=np.int64)
-    zbits = 1 - 2 * ((idx[:, None] >> shifts[None, :]) & 1)  # +1 for |0>, -1 for |1>
-    zz = (zbits[:, :-1] * zbits[:, 1:]).sum(axis=1).astype(np.float64)
-
+    dim = 1 << model.num_sites
     rows, cols, vals = [], [], []
-
-    def add(r, c, v):
+    for r, c, v, on_field in _terms(model.kind, model.num_sites, np.arange(dim, dtype=np.int64)):
+        if on_field:
+            v = model.field * v
         keep = v != 0.0
         rows.append(r[keep])
         cols.append(c[keep])
         vals.append(v[keep])
-
-    if model.kind == "tfi":
-        add(idx, idx, -zz)
-        if h != 0.0:
-            for j in range(n):
-                add(idx ^ (1 << shifts[j]), idx, np.full(dim, -h))
-    else:  # xxz
-        add(idx, idx, -h * zz)
-        for j in range(n - 1):
-            differ = zbits[:, j] != zbits[:, j + 1]
-            partner = idx[differ] ^ ((1 << shifts[j]) | (1 << shifts[j + 1]))
-            # X_j X_{j+1} + Y_j Y_{j+1} = 2(|01><10| + |10><01|) on the pair
-            add(partner, idx[differ], np.full(differ.sum(), -2.0))
-
     return SparseHamiltonian(dim, np.concatenate(rows), np.concatenate(cols),
                              np.concatenate(vals))
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """H = A + h B restricted to the symmetric states of one sector: A and
+    B hold their values on one coordinate list, in CSR order.
+
+    Row i is the orbit-normalized state of the i-th representative; a
+    sector vector v embeds as scale * v[index] (index -1 reads 0).
+    """
+
+    dimension: int
+    rows: np.ndarray
+    cols: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    index: np.ndarray
+    scale: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _sector(kind: str, n: int, ones: int | None) -> _Sector:
+    """The sector invariant under site reflection R, and under the bit
+    complement as well for TFI (P = prod X) and for XXZ at half filling
+    (the spin flip); ``ones`` fixes the magnetization of XXZ."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    rev = np.zeros_like(idx)
+    for p in range(n):
+        rev |= ((idx >> p) & 1) << (n - 1 - p)
+    images = [idx, rev]
+    if ones is None or 2 * ones == n:
+        images += [idx ^ (dim - 1), rev ^ (dim - 1)]
+    images = np.array(images)
+    rep = images.min(axis=0)
+    size = len(images) // (images == idx).sum(axis=0)  # orbit size |G| / |stabilizer|
+    is_rep = rep == idx
+    if ones is not None:
+        is_rep &= _popcount(idx, n) == ones
+    reps = idx[is_rep]
+    m = len(reps)
+    row = np.full(dim, -1)
+    row[reps] = np.arange(m)
+    index = row[rep]
+    # <O_b|H|O_a> = sqrt(|O_a| / |O_b|) * sum of H[y, a] over y in orbit b
+    terms = _terms(kind, n, reps)
+    key = np.concatenate([index[r] * m + index[c] for r, c, _, _ in terms])
+    weight = np.concatenate([v * np.sqrt(size[c] / size[r]) for r, c, v, _ in terms])
+    on_field = np.concatenate([np.full(len(v), f) for _, _, v, f in terms])
+    entry, at = np.unique(key, return_inverse=True)  # CSR order, duplicates summed below
+    a = np.bincount(at, np.where(on_field, 0.0, weight), len(entry))
+    b = np.bincount(at, np.where(on_field, weight, 0.0), len(entry))
+    return _Sector(m, entry // m, entry % m, a, b, index, np.sqrt(1.0 / size))
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -195,29 +270,20 @@ def ground_state(
     if solver not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
     n, h = model.num_sites, model.field
-    dim = 1 << n
     if solver == "auto":
-        solver = "dense" if dim <= DENSE_MAX_DIM else "lanczos"
-    # The sector matrix keeps the masked rows of H, coordinates mapped through
-    # index; a sector vector v embeds as weight * v[index] (index -1 reads 0).
-    idx = np.arange(dim, dtype=np.int64)
-    ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        solver = "dense" if (1 << n) <= DENSE_MAX_DIM else "lanczos"
     if model.kind == "tfi":
-        # P = prod X pairs i with its complement; rows i < 2^(N-1) hold the
-        # even states (|i> + |~i>)/sqrt(2).  H(h) = U H(-h) U with U = prod Z.
-        rows, index = idx < dim // 2, np.minimum(idx, idx ^ (dim - 1))
-        weight = math.sqrt(0.5) * (1 - 2 * (ones & 1) if h < 0 else np.ones(dim))
-        model = SpinModel("tfi", n, abs(h))
+        sector, coupling = _sector("tfi", n, None), abs(h)  # H(h) = U H(-h) U, U = prod Z
     else:
-        rows = ones == (n if h >= 1.0 else n // 2)
-        index, weight = np.where(rows, np.cumsum(rows) - 1, -1), np.ones(dim)
-    full = build_hamiltonian(model)
-    keep = rows[full.rows]
-    ham = SparseHamiltonian(int(rows.sum()), index[full.rows[keep]],
-                            index[full.cols[keep]], full.vals[keep])
+        sector, coupling = _sector("xxz", n, n if h >= 1.0 else n // 2), h
+    ham = SparseHamiltonian(sector.dimension, sector.rows, sector.cols,
+                            sector.a + coupling * sector.b)
     energy, vec = (ground_state_dense(ham) if solver == "dense"
                    else ground_state_lanczos(ham, seed=seed))
-    return energy, _fix_sign(weight * np.append(vec, 0.0)[index]), solver
+    state = sector.scale * np.append(vec, 0.0)[sector.index]
+    if model.kind == "tfi" and h < 0:
+        state *= 1 - 2 * (_popcount(np.arange(1 << n), n) & 1)
+    return energy, _fix_sign(state), solver
 
 
 @dataclass

@@ -113,10 +113,15 @@ def read_dataset(path) -> Dataset:
     records = []
     for line in lines[1:]:
         obj = json.loads(line)
-        re = np.asarray(obj["re"], dtype=float)
-        if re.shape != (dim,):
-            raise ValueError(f"{path}: record has {re.shape[0]} amplitudes, expected {dim}")
-        state = re if "im" not in obj else re + 1j * np.asarray(obj["im"], dtype=float)
+        parts = {key: np.asarray(obj[key], dtype=float) for key in ("re", "im") if key in obj}
+        for key, part in parts.items():
+            if part.shape != (dim,):
+                raise ValueError(
+                    f"{path}: record has {part.size} {key!r} amplitudes, expected {dim}")
+        state = parts["re"]
+        if "im" in parts:  # assigned, not re + 1j * im, which turns -0.0 into 0.0
+            state = state.astype(complex)
+            state.imag = parts["im"]
         if abs(np.linalg.norm(state) - 1.0) > 1e-9:
             raise ValueError(f"{path}: record at h={obj['h']} is not normalized")
         label = int(obj["label"])

@@ -1,11 +1,13 @@
 """Config validation, file formats, and the four CLI commands end to end."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from vqcbench import cli, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
@@ -139,6 +141,19 @@ def test_dataset_reader_validates(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("amplitudes", [{"re": [1.0]}, {"re": [1.0, 0.0], "im": [0.0]},
+                                        {"re": [0.6, 0.0], "im": [0.0, 0.8, 0.0]}])
+def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes):
+    # a one-element "im" used to be broadcast over every amplitude
+    path = tmp_path / "bad.jsonl"
+    header = {"format_version": 1, "model": "tfi", "N": 1, "h_c": 1.0,
+              "bit_order": "q0-most-significant"}
+    path.write_text(json.dumps(header) + "\n" +
+                    json.dumps({"h": 0.5, "label": -1, **amplitudes}) + "\n")
+    with pytest.raises(ValueError, match="amplitudes, expected 2"):
+        read_dataset(path)
+
+
 def test_model_roundtrip_full_precision(tmp_path):
     params = np.array([np.pi, 1 / 3, -7.123456789012345e-11])
     path = tmp_path / "model.json"
@@ -178,6 +193,101 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypat
     write(path, 1.0)
     assert path.read_bytes() != before
     assert [p.name for p in path.parent.iterdir()] == ["out.file"]
+
+
+# Floats whose text is easy to get wrong: a signed zero, the smallest
+# subnormal and a value near the top of the range.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1e308, -1e308)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _write_read_write(write, read, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        write(obj, first)
+        back = read(first)
+        write(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    return back
+
+
+@st.composite
+def amplitude_parts(draw, dim, count):
+    """``count`` real vectors of length ``dim`` whose joint norm is 1; drawn
+    positions hold a signed zero or a subnormal, which leave the norm be."""
+    body = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+                     for _ in range(count)])
+    edges = draw(st.lists(st.sampled_from(EDGE_FLOATS[:3]), min_size=count * dim,
+                          max_size=count * dim))
+    at = np.array(draw(st.lists(st.booleans(), min_size=count * dim,
+                                max_size=count * dim))).reshape(count, dim)
+    body[at] = 0.0
+    norm = np.linalg.norm(body)
+    assume(norm > 1e-3)
+    body /= norm
+    body[at] = np.reshape(edges, (count, dim))[at]
+    return body
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 3))
+    h_c = draw(st.floats(-2.0, 2.0))
+    h_values = st.one_of(finite, st.sampled_from(EDGE_FLOATS)).filter(
+        lambda h: abs(h - h_c) >= 1e-9)
+    records = []
+    for h in draw(st.lists(h_values, max_size=3)):
+        if draw(st.booleans()):
+            re, im = draw(amplitude_parts(1 << n, 2))
+            state = re + 1j * im
+        else:
+            state = draw(amplitude_parts(1 << n, 1))[0]
+        records.append(DataRecord(state=state, h=h, label=1 if h > h_c else -1))
+    meta = {"h_c": h_c, "h_grid": draw(st.lists(h_values, max_size=4)),
+            "solver": draw(st.sampled_from([None, "dense", "lanczos"])),
+            "seed": draw(st.integers(0, 2**32)), "train_fraction": draw(st.floats(0.0, 1.0)),
+            "split": draw(st.sampled_from(["train", "test"])),
+            "phase_convention": "largest-amplitude-positive"}
+    return Dataset(draw(st.sampled_from(["tfi", "xxz"])), n, records, meta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_dataset_write_read_write_is_byte_identical(dataset):
+    back = _write_read_write(write_dataset, read_dataset, dataset)
+    for rec, got in zip(dataset.records, back.records, strict=True):
+        assert got.h == rec.h and np.signbit(got.h) == np.signbit(rec.h)
+        state = np.asarray(rec.state)
+        parts = [(state.real, got.state.real)]
+        if np.any(state.imag != 0.0):
+            parts.append((state.imag, got.state.imag))
+        for want, have in parts:
+            assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["classify", "autoencode"]),
+       st.lists(st.one_of(finite, st.sampled_from(EDGE_FLOATS)), max_size=6),
+       st.integers(0, 7), st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+       st.one_of(st.none(), st.integers(0, 2**32)),
+       st.dictionaries(st.text(max_size=5), st.one_of(finite, st.sampled_from(EDGE_FLOATS)),
+                       max_size=3))
+def test_model_write_read_write_is_byte_identical(task, params, readout, discard, init_seed,
+                                                   metadata):
+    spec = {"family": "qcnn_ry", "num_qubits": 8, "layers": 1}
+    classify = task == "classify"
+
+    def write(obj, path):
+        write_model(path, obj["task"], obj["model"], obj["params"],
+                    readout=obj["readout"], discard=obj["discard"],
+                    init_seed=obj["init_seed"], metadata=obj["metadata"])
+
+    back = _write_read_write(write, read_model, {
+        "task": task, "model": spec, "params": params,
+        "readout": readout if classify else None, "discard": None if classify else discard,
+        "init_seed": init_seed, "metadata": metadata})
+    assert np.array_equal(np.asarray(params, dtype=float).view(np.uint64),
+                          back["params"].view(np.uint64))
 
 
 def test_strip_timing_columns():
@@ -309,11 +419,12 @@ def test_arpack_nonconvergence_exits_4_without_traceback(tmp_path, capsys, monke
     assert not (out / "train.jsonl").exists()
 
 
+# A line_search_step of 1e308 used to expand Powell's bracket until the run
+# ended in exit 4 with ``message``; every cost is 2 pi-periodic, so the
+# config now rejects any step above 2 pi before anything runs.
 @pytest.mark.parametrize("seed,data,message", [
     (42, {"kind": "tfi", "num_sites": 4, "h_start": 0.2, "h_stop": 1.8, "h_count": 16,
           "seed": 7}, "non-finite parameters"),
-    # the bracket's ends stay finite but its width overflows, which used to
-    # end in a ZeroDivisionError inside Brent's step
     (0, {"kind": "tfi", "num_sites": 4, "h_values": [0.5, 0.7, 1.3, 1.5], "seed": 1},
      "non-finite width"),
 ])
@@ -323,12 +434,23 @@ def test_diverging_powell_line_search_exits_4_without_traceback(tmp_path, capsys
     write_config(cfg, seed=seed, data=data,
                  optimizer={"kind": "powell", "line_search_step": 1e308})
     out = tmp_path / "run"
-    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
-    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+    for command in ("gen-data", "train"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert message in err
-    assert not (out / "train_record.json").exists()
+    assert "line_search_step must be in (0, 2 pi]" in err
+    assert message not in err
+    assert not out.exists()
+
+
+def test_powell_line_search_step_of_two_pi_trains(tmp_path):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, optimizer={"kind": "powell", "max_iterations": 2,
+                                 "line_search_step": 2 * np.pi})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "train_record.json").exists()
 
 
 def test_train_missing_dataset_exits_3(tmp_path):

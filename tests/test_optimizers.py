@@ -149,18 +149,22 @@ def test_every_method_stops_on_a_non_finite_cost(minimize, value):
         minimize(f, [0.3], OptimizerConfig(kind="powell", max_iterations=50))
 
 
-# Each case ended in ZeroDivisionError inside Brent's parabolic step before
-# the step test was made safe for a fit that overflows.
+# Each case once ended in ZeroDivisionError inside Brent's parabolic step
+# (cos(k x) + 0.5 cos(x / 3) at the step below); every cost is 2 pi-periodic,
+# so the config now rejects any step above 2 pi and no bracket gets there.
 @pytest.mark.parametrize("step,k", [(1e160, 4), (1e200, 1), (1e200, 3), (1e305, 2)])
 def test_powell_huge_line_search_step_never_divides_by_zero(step, k):
-    f = lambda x: float(np.cos(k * x[0]) + 0.5 * np.cos(x[0] / 3))
-    cfg = OptimizerConfig(kind="powell", max_iterations=3, line_search_step=step)
-    with np.errstate(all="ignore"):
-        try:
-            x, rec = powell_minimize(f, [0.3], cfg)
-        except FloatingPointError:
-            return
-    assert np.all(np.isfinite(x)) and np.isfinite(rec.final_cost)
+    for bad in (step, 2 * np.pi * (1 + 1e-15), np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"line_search_step must be in \(0, 2 pi\]"):
+            OptimizerConfig(kind="powell", max_iterations=3, line_search_step=bad)
+
+
+def test_powell_line_search_step_of_exactly_two_pi_runs():
+    f = lambda x: float(np.cos(4 * x[0]) + 0.5 * np.cos(x[0] / 3))
+    cfg = OptimizerConfig(kind="powell", max_iterations=3, line_search_step=2 * np.pi)
+    x, rec = powell_minimize(f, [0.3], cfg)
+    assert np.all(np.isfinite(x)) and abs(x[0]) < 100
+    assert rec.final_cost == f(x) < f([0.3])
 
 
 def test_running_minimum_monotone():

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import full_space_ground
+from vqcbench import spinmodels
 from vqcbench.simulator import expectation_z_batch
 from vqcbench.spinmodels import (
     MODEL_KINDS,
@@ -261,6 +263,62 @@ def test_lanczos_memory_stays_far_below_a_krylov_basis():
         tracemalloc.stop()
     # 160 full-space float64 vectors; a 300-vector Krylov basis alone exceeds it
     assert peak < 160 * 8 * (1 << n)
+
+
+def _reversed_sites(n):
+    idx = np.arange(1 << n)
+    return sum(((idx >> p) & 1) << (n - 1 - p) for p in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODEL_KINDS), st.integers(2, 10),
+       st.floats(-2.0, 2.0).filter(lambda h: abs(h - 1.0) > 1e-3))
+def test_sector_states_match_the_oracle_and_keep_every_symmetry(kind, n, h):
+    energy, gap, oracle = full_space_ground(kind, n, h)
+    for solver in ("dense", "lanczos"):
+        e, state, _ = ground_state(SpinModel(kind, n, h), solver)
+        assert abs(e - energy) <= 1e-10, solver
+        if gap > 1e-6:
+            assert min(np.max(np.abs(state - oracle)),
+                       np.max(np.abs(state + oracle))) <= 1e-8, solver
+        # a state is built from its orbits, so its symmetries hold bit for bit
+        assert np.array_equal(state[_reversed_sites(n)], state)
+        if kind == "tfi" and h >= 0 or kind == "xxz" and n % 2 == 0 and h < 1:
+            assert np.array_equal(state[::-1], state)  # P = prod X, or the spin flip
+
+
+@pytest.mark.parametrize("kind,sectors", [("tfi", 1), ("xxz", 2)])
+def test_generate_dataset_builds_each_sector_once_from_its_representatives(
+        monkeypatch, kind, sectors):
+    built = []
+    terms = spinmodels._terms
+
+    def counting(*args):
+        built.append(len(args[2]))  # the columns it generates
+        return terms(*args)
+
+    monkeypatch.setattr(spinmodels, "_terms", counting)
+    spinmodels._sector.cache_clear()
+    grid = uniform_grid(-0.8, 1.8, 16)  # 16 points on both sides of h = 1 and of 0
+    for solver in ("dense", "lanczos"):
+        generate_dataset(kind, 10, grid, seed=3, solver=solver)
+    # one build of A and B per sector, never of the 2^10 full-space columns
+    assert len(built) == sectors
+    assert max(built) < (1 << 10) // 3
+
+
+def test_fresh_sector_solve_stays_far_below_a_full_space_fold():
+    n = 14
+    spinmodels._sector.cache_clear()
+    tracemalloc.start()
+    try:
+        ground_state(SpinModel("tfi", n, 0.5), "lanczos")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sector build and solve peak near 6.6 MB; folding the whole 2^14
+    # coordinate list onto the parity sector peaked at 13.5-15 MB
+    assert peak < 10e6
 
 
 def test_ground_state_rejects_unknown_solver():
