@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .simulator import Circuit, Gate, cnot, cry, cz, rx, ry, rz
+from .simulator import Circuit, Gate, cnot, cry, cz, rx, ry, rz, x
 
 QCNN_FAMILIES = ("qcnn_ry", "qcnn_so4", "qcnn_su4")
 HEA_FAMILIES = ("hea_ry", "hea_rxrzrx")
@@ -127,14 +127,7 @@ def _pool_unit(source: int, kept: int, slots: list[int]) -> list[Gate]:
     # Controlled rotation of the kept qubit for each source basis value;
     # the X pair restores the source, which is simply ignored afterwards.
     s0, s1 = slots
-    from .simulator import x as x_gate
-
-    return [
-        cry(source, kept, slot=s0),
-        x_gate(source),
-        cry(source, kept, slot=s1),
-        x_gate(source),
-    ]
+    return [cry(source, kept, slot=s0), x(source), cry(source, kept, slot=s1), x(source)]
 
 
 def _layer_pairs(active: list[int]) -> list[tuple[int, int]]:

@@ -10,21 +10,14 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
-from .config import (
-    BenchConfig,
-    ConfigError,
-    cell_seed,
-    load_config,
-    model_spec_from_dict,
-    model_spec_to_dict,
-)
+from .config import BenchConfig, ConfigError, cell_seed, load_config, model_spec_from_dict
 from .metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
 from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
 from .storage import (
@@ -83,7 +76,7 @@ def _run_metadata(config: BenchConfig) -> dict:
         "hea_template": config.model.hea_template,
         "param_count_formula": "qcnn shared: l*(conv+2)+[l==log2 N]; "
                                "hea: sites*columns (see vqcbench.ansatz.param_count)",
-        "data": config.data.to_dict(),
+        "data": asdict(config.data),
         "version": __version__,
     }
 
@@ -101,19 +94,38 @@ def cmd_gen_data(config: BenchConfig, args) -> int:
 
 def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
                 optimizer=None):
-    """Build the circuit for spec and train it on dataset; returns
-    (record, params_context) where params_context carries readout/discard."""
+    """Build the circuit for spec and train it on dataset; returns (record,
+    circuit, target), where target is the readout qubit or the discard list
+    as a keyword argument of ``train``, ``_save_training`` and ``_evaluate``."""
     circuit, layout = build_ansatz(spec)
-    optimizer = optimizer or config.optimizer
     if config.task == "classify":
-        readout = readout_qubit(spec)
-        record = train("classify", circuit, dataset, optimizer,
-                       readout=readout, init_seed=seed)
-        return record, {"circuit": circuit, "readout": readout, "discard": None}
-    discard = _resolve_discard(config, spec, layout)
-    record = train("autoencode", circuit, dataset, optimizer,
-                   discard=discard, init_seed=seed)
-    return record, {"circuit": circuit, "readout": None, "discard": discard}
+        target = {"readout": readout_qubit(spec)}
+    else:
+        target = {"discard": _resolve_discard(config, spec, layout)}
+    record = train(config.task, circuit, dataset, optimizer or config.optimizer,
+                   init_seed=seed, **target)
+    return record, circuit, target
+
+
+def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out_dir: Path,
+                   readout=None, discard=None) -> None:
+    """Write out_dir/model.json and out_dir/train_record.json."""
+    write_model(out_dir / "model.json", config.task, asdict(spec), record.final_params,
+                readout=readout, discard=discard, init_seed=seed,
+                metadata=_run_metadata(config))
+    write_train_record(out_dir / "train_record.json", record)
+
+
+def _evaluate(config: BenchConfig, circuit, params, dataset: Dataset, out_dir: Path,
+              readout=None, discard=None, final_cost=None):
+    """Run the task's evaluator and write its report to out_dir/report.json."""
+    if config.task == "classify":
+        report = evaluate_classifier(circuit, readout, params, dataset)
+    else:
+        report = evaluate_autoencoder(circuit, params, CompressionSpec(tuple(discard)),
+                                      dataset, final_cost=final_cost)
+    write_report(out_dir / "report.json", config.task, asdict(report))
+    return report
 
 
 def cmd_train(config: BenchConfig, args) -> int:
@@ -123,18 +135,8 @@ def cmd_train(config: BenchConfig, args) -> int:
         raise FileNotFoundError(f"training dataset not found: {train_path}")
     dataset = read_dataset(train_path)
     seed = args.seed if args.seed is not None else config.seed
-    record, ctx = _train_once(config, config.model, dataset, seed)
-    write_model(
-        out_dir / "model.json",
-        task=config.task,
-        model_spec_dict=model_spec_to_dict(config.model),
-        params=record.final_params,
-        readout=ctx["readout"],
-        discard=ctx["discard"],
-        init_seed=seed,
-        metadata=_run_metadata(config),
-    )
-    write_train_record(out_dir / "train_record.json", record)
+    record, _, target = _train_once(config, config.model, dataset, seed)
+    _save_training(config, config.model, record, seed, out_dir, **target)
     status = "converged" if record.converged else "not converged"
     print(
         f"trained {model_name(config.model)} on {len(dataset)} samples: "
@@ -166,14 +168,12 @@ def cmd_eval(config: BenchConfig, args) -> int:
     spec = model_spec_from_dict(model["model"], "model file")
     circuit, _ = build_ansatz(spec)
     dataset = _eval_dataset(config, out_dir)
+    report = _evaluate(config, circuit, model["params"], dataset, out_dir,
+                       model.get("readout"), model.get("discard"))
     if config.task == "classify":
-        report = evaluate_classifier(circuit, model["readout"], model["params"], dataset)
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:
-        cspec = CompressionSpec(tuple(model["discard"]))
-        report = evaluate_autoencoder(circuit, model["params"], cspec, dataset)
         headline = f"mean fidelity {report.mean_fidelity:.4f} over {len(report.fidelities)} states"
-    write_report(out_dir / "report.json", config.task, report.to_dict())
     print(f"evaluated {model_name(spec)} on {len(dataset)} samples: {headline}")
     print(f"wrote {out_dir / 'report.json'}")
     return 0
@@ -209,31 +209,18 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
     try:
         subset = _subsample(train_ds, size, seed)
         optimizer = replace(config.optimizer, seed=seed)
-        record, ctx = _train_once(config, spec, subset, seed, optimizer)
+        record, circuit, target = _train_once(config, spec, subset, seed, optimizer)
+        report = _evaluate(config, circuit, record.final_params, eval_ds, cell_dir,
+                           final_cost=record.final_cost, **target)
         if config.task == "classify":
-            report = evaluate_classifier(
-                ctx["circuit"], ctx["readout"], record.final_params, eval_ds
-            )
-            row["metric_value"] = report.accuracy
-            row["auc"] = report.auc
+            row["metric_value"], row["auc"] = report.accuracy, report.auc
         else:
-            cspec = CompressionSpec(tuple(ctx["discard"]))
-            report = evaluate_autoencoder(
-                ctx["circuit"], record.final_params, cspec, eval_ds,
-                final_cost=record.final_cost,
-            )
             row["metric_value"] = report.mean_fidelity
         row["time_total_s"] = record.wall_time_total
         row["time_per_sample_s"] = record.wall_time_per_sample
         if not record.converged:
             row["status"] = "ok (optimizer hit iteration cap)"
-        write_model(
-            cell_dir / "model.json", config.task, model_spec_to_dict(spec),
-            record.final_params, readout=ctx["readout"], discard=ctx["discard"],
-            init_seed=seed, metadata=_run_metadata(config),
-        )
-        write_train_record(cell_dir / "train_record.json", record)
-        write_report(cell_dir / "report.json", config.task, report.to_dict())
+        _save_training(config, spec, record, seed, cell_dir, **target)
     except Exception as exc:  # cell failures land in the row, the sweep goes on
         row["status"] = f"error: {exc}"
     return row

@@ -117,16 +117,6 @@ def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def model_spec_to_dict(spec: AnsatzSpec) -> dict:
-    return {
-        "family": spec.family,
-        "num_qubits": spec.num_qubits,
-        "layers": spec.layers,
-        "weight_sharing": spec.weight_sharing,
-        "hea_template": spec.hea_template,
-    }
-
-
 @dataclass
 class DataSpec:
     kind: str
@@ -175,15 +165,6 @@ class DataSpec:
             solver=solver,
             train_path=_path(d, "train_path", where), test_path=_path(d, "test_path", where),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "num_sites": self.num_sites,
-            "h_values": self.h_values, "h_c": self.h_c,
-            "train_fraction": self.train_fraction, "seed": self.seed,
-            "solver": self.solver,
-            "train_path": self.train_path, "test_path": self.test_path,
-        }
 
 
 def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
@@ -278,10 +259,7 @@ class BenchConfig:
 
 def load_config(path) -> BenchConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise exc
+    text = path.read_text()
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

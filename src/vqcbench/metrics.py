@@ -17,7 +17,7 @@ returns F for every row from one batched encoder pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,17 +53,6 @@ class ClassificationReport:
     roc_points: list[tuple[float, float]]
     auc: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "scores": self.scores,
-            "predictions": self.predictions,
-            "labels": self.labels,
-            "confusion": self.confusion,
-            "roc_points": [list(p) for p in self.roc_points],
-            "auc": self.auc,
-        }
-
 
 @dataclass
 class CompressionReport:
@@ -71,14 +60,6 @@ class CompressionReport:
     mean_fidelity: float
     n_d: int
     final_cost: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "fidelities": self.fidelities,
-            "mean_fidelity": self.mean_fidelity,
-            "n_d": self.n_d,
-            "final_cost": self.final_cost,
-        }
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:

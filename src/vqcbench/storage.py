@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError, _integer, _items, _number
 from .optimizers import TrainRecord
-from .spinmodels import DataRecord, Dataset
+from .spinmodels import MODEL_KINDS, DataRecord, Dataset
 from .training import TASKS
 
 FORMAT_VERSION = 1
@@ -103,36 +103,49 @@ def read_dataset(path) -> Dataset:
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {header.get('format_version')}")
     if header.get("bit_order") != BIT_ORDER:
         raise ValueError(f"{path}: unexpected bit_order {header.get('bit_order')!r}")
-    n = int(header["N"])
+    if header.get("model") not in MODEL_KINDS:
+        raise ValueError(f"{path}: unknown model {header.get('model')!r}")
+    n = _integer(header.get("N"), "N", f"{path}: header")
     dim = 1 << n
     h_c = header.get("h_c")
+    critical = h_c is not None and not (isinstance(h_c, float) and np.isnan(h_c))
+    if critical:
+        _number(h_c, "h_c", f"{path}: header")
     records = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        parts = {key: np.asarray(obj[key], dtype=float) for key in ("re", "im") if key in obj}
+    for i, line in enumerate(lines[1:], 1):
+        obj, where = json.loads(line), f"{path}: record {i}"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} is not a JSON object")
+        h = _number(obj.get("h"), "h", where)
+        label = _integer(obj.get("label"), "label", where)
+        # no dtype here, so strings, booleans, nulls and nesting show in the check
+        parts = {"re": np.asarray(obj.get("re"))}
+        if "im" in obj:
+            parts["im"] = np.asarray(obj["im"])
         for key, part in parts.items():
-            if part.shape != (dim,):
-                raise ValueError(
-                    f"{path}: record has {part.size} {key!r} amplitudes, expected {dim}")
-        state = parts["re"]
+            if part.shape != (dim,) or part.dtype.kind not in "iuf":
+                raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
+                                 f"got shape {part.shape} of {part.dtype}")
+        state = parts["re"].astype(float, copy=False)
         if "im" in parts:  # assigned, not re + 1j * im, which turns -0.0 into 0.0
             state = state.astype(complex)
             state.imag = parts["im"]
-        if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-            raise ValueError(f"{path}: record at h={obj['h']} is not normalized")
-        label = int(obj["label"])
+        if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:  # NaN fails too
+            raise ValueError(f"{where} at h={h} is not normalized")
         if label not in (-1, 1):
-            raise ValueError(f"{path}: label must be +-1, got {label}")
-        if h_c is not None and not np.isnan(h_c):
-            if abs(obj["h"] - h_c) < 1e-9:
-                raise ValueError(f"{path}: record at the critical point h={obj['h']}")
-            if label != (1 if obj["h"] > h_c else -1):
-                raise ValueError(f"{path}: label {label} inconsistent with h={obj['h']}")
-        records.append(DataRecord(state=state, h=float(obj["h"]), label=label))
+            raise ValueError(f"{where}: label must be +-1, got {label}")
+        if critical:
+            if abs(h - h_c) < 1e-9:
+                raise ValueError(f"{where} is at the critical point h={h}")
+            if label != (1 if h > h_c else -1):
+                raise ValueError(f"{where}: label {label} inconsistent with h={h}")
+        records.append(DataRecord(state=state, h=h, label=label))
     metadata = {
         "kind": header["model"],
         "num_sites": n,

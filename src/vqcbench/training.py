@@ -9,11 +9,11 @@ The autoencoder cost penalizes discarded qubits that are not in |0>:
 which vanishes exactly when every discarded qubit of every encoded state is
 |0>, and equals n_d when they are all |1>.
 
-Both costs are smooth in expectations of diagonal observables, so
-``param_shift_gradient`` returns the exact gradient the parameter-shift rule
-(Schuld et al., arXiv:1811.11184) defines, by adjoint differentiation (Jones
-and Gacon, arXiv:2009.02823) over the blocks of ``CompiledCircuit``: one
-forward pass and one backward sweep, whatever the parameter count.
+Both costs are smooth in expectations m_i = <O>_i of a diagonal observable
+O, so ``param_shift_gradient`` returns the exact gradient the
+parameter-shift rule (Schuld et al., arXiv:1811.11184) defines from one
+forward pass and the adjoint sweep ``CompiledCircuit.gradient``, fed with
+lam_i = (dC/dm_i) O psi_i.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .optimizers import (
     powell_minimize,
     spsa_minimize,
 )
-from .simulator import Circuit, CompiledCircuit, _kernel, _pairs, _z_signs
+from .simulator import Circuit, CompiledCircuit, z_signs
 
 TASKS = ("classify", "autoencode")
 
@@ -55,13 +55,13 @@ def _objective(task: str, n: int, dataset, readout=None, discard=None):
             raise ValueError(f"readout qubit {readout} out of range")
         labels = dataset.labels().astype(float)
         # C = (1/M) sum (l_i - m_i)^2
-        return _z_signs(n, readout), lambda m: (np.mean((labels - m) ** 2),
-                                                2.0 * (m - labels) / size)
+        return z_signs(n, readout), lambda m: (np.mean((labels - m) ** 2),
+                                               2.0 * (m - labels) / size)
     if task != "autoencode":
         raise ValueError(f"unknown task {task!r}")
     discard = _check_discard(discard or (), n)
     # C = (1/M) sum (n_d - s_i)/2
-    return (sum(_z_signs(n, q) for q in discard),
+    return (sum(z_signs(n, q) for q in discard),
             lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size)))
 
 
@@ -99,36 +99,14 @@ def autoencoder_cost(encoder: Circuit, discard, dataset, params) -> float:
 def _make_gradient(circuit: Circuit, dataset, task: str, readout=None, discard=None):
     """Gradient closure of ``param_shift_gradient``: the circuit is compiled and
     the dataset's amplitudes prepared once, not on every call."""
-    n = circuit.num_qubits
-    obs, loss = _objective(task, n, dataset, readout, discard)
+    obs, loss = _objective(task, circuit.num_qubits, dataset, readout, discard)
     compiled = CompiledCircuit(circuit)
     mat = compiled.state(dataset.amplitudes())
 
     def gradient(params) -> np.ndarray:
         psi = compiled.run(params, mat)  # checks and converts params
         weights = loss((psi * psi.conj()).real @ obs)[1]
-        factors, derivatives = compiled.factors(params)
-        mats = compiled.block_matrices(factors)
-        # One array, so each block is undone on psi and lam in a single call.
-        both = np.concatenate([psi, weights[:, None] * obs * psi])
-        w = np.zeros(mats.shape, both.dtype)
-        for wires, u, window in reversed(compiled.blocks):
-            both = _kernel(both, n, wires, window, mats[u].conj().T)
-            local = _pairs(both, n, wires).reshape(2 * len(wires), 2, -1)
-            bits = slice(None, None, 3 - len(wires))  # a one-wire block reads its high bit only
-            w[u, bits, bits] += mats[u, bits, bits].conj() @ (local[:, 1].conj() @ local[:, 0].T)
-        # prefix[:, j] is the product of the factors before position j, suffix after it
-        chain = factors[compiled.chains]
-        prefix, suffix = np.empty_like(chain), np.empty_like(chain)
-        prefix[:, 0] = suffix[:, -1] = np.eye(4)
-        for j in range(1, chain.shape[1]):
-            prefix[:, j] = chain[:, j - 1] @ prefix[:, j - 1]
-            suffix[:, -1 - j] = suffix[:, -j] @ chain[:, -j]
-        inner = np.swapaxes(suffix, -1, -2) @ w[:, None] @ np.swapaxes(prefix, -1, -2)
-        terms = 2.0 * np.sum(derivatives[compiled.chains] * inner, axis=(-1, -2)).real
-        grad = np.bincount(compiled.slot[compiled.chains].ravel(), terms.ravel(),
-                           minlength=circuit.param_count + 1)
-        return grad[: circuit.param_count]
+        return compiled.gradient(params, psi, weights[:, None] * obs * psi)
 
     return gradient
 
@@ -142,11 +120,8 @@ def param_shift_gradient(
     discard=None,
 ) -> np.ndarray:
     """Exact gradient of a task cost (the parameter-shift gradient, whose name
-    ``param_shift_gd`` keeps) by an adjoint sweep of two kernel calls per block:
-    psi_i and lam_i = (dC/dm_i) O psi_i are walked back together.  With block B
-    undone, W = conj(B) sum conj(lam) psi^T over its wires gives slot theta
-    2 Re sum(dB/dtheta * W); dB/dtheta sums, over the block's factors in that
-    slot, the later factors times the factor's derivative times the earlier."""
+    ``param_shift_gd`` keeps) by one forward pass and one adjoint sweep
+    (``CompiledCircuit.gradient``): two kernel calls per block."""
     return _make_gradient(circuit, dataset, task, readout, discard)(params)
 
 
@@ -193,7 +168,6 @@ def train(
         raise ValueError(f"unknown optimizer kind {optimizer.kind!r}")
     elapsed = time.perf_counter() - t0
 
-    record.final_params = x
     record.wall_time_total = elapsed
     record.wall_time_per_sample = elapsed / len(dataset)
     return record

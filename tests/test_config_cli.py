@@ -150,8 +150,43 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
               "bit_order": "q0-most-significant"}
     path.write_text(json.dumps(header) + "\n" +
                     json.dumps({"h": 0.5, "label": -1, **amplitudes}) + "\n")
-    with pytest.raises(ValueError, match="amplitudes, expected 2"):
+    with pytest.raises(ValueError, match=r"must be a list of 2 numbers, got shape \(\d,\)"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("line,field,edit", [
+    (1, "h", lambda rec: {**rec, "h": str(rec["h"])}),
+    (1, "h", lambda rec: {**rec, "h": None}),
+    (1, "h", lambda rec: {**rec, "h": True}),
+    (1, "label", lambda rec: {**rec, "label": rec["label"] == 1}),
+    (1, "'re'", lambda rec: {**rec, "re": [str(a) for a in rec["re"]]}),
+    (1, "'re'", lambda rec: {**rec, "re": np.reshape(rec["re"], (4, 4)).tolist()}),
+    (1, "'re'", lambda rec: {k: v for k, v in rec.items() if k != "re"}),
+    (1, "'im'", lambda rec: {**rec, "im": ["0"] * len(rec["re"])}),
+    (1, "not normalized", lambda rec: {**rec, "re": [float("nan")] + rec["re"][1:]}),
+    (1, "not a JSON object", lambda rec: [rec]),
+    (0, "N", lambda header: {**header, "N": None}),
+    (0, "h_c", lambda header: {**header, "h_c": "1.0"}),
+    (0, "header is not a JSON object", lambda header: [header]),
+    (0, "model", lambda header: {k: v for k, v in header.items() if k != "model"}),
+], ids=["h-string", "h-null", "h-bool", "label-bool", "re-strings", "re-nested",
+        "re-missing", "im-strings", "re-nan", "record-list", "header-N-null",
+        "header-h_c-string", "header-list", "header-model-missing"])
+def test_bad_dataset_line_exits_2_without_traceback(tmp_path, capsys, line, field, edit):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "train.jsonl"
+    lines = path.read_text().splitlines()
+    lines[line] = json.dumps(edit(json.loads(lines[line])))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert field in err and (line == 0 or "record 1" in err)
+    assert not (out / "model.json").exists()
 
 
 def test_model_roundtrip_full_precision(tmp_path):
@@ -717,3 +752,43 @@ def test_benchmark_threads_flag(tmp_path):
     a = strip_timing_columns((out_seq / "results.csv").read_text())
     b = strip_timing_columns((out_par / "results.csv").read_text())
     assert a == b
+
+
+_DATA_KEYS = ["kind", "num_sites", "h_values", "h_c", "train_fraction", "seed", "solver",
+              "train_path", "test_path"]
+_METADATA_KEYS = ["surrogate_cost", "h_c", "hea_template", "param_count_formula", "data",
+                  "version"]
+
+
+def test_output_files_keep_their_key_order(tmp_path):
+    # the files are written from the dataclasses' fields, so field order is key order
+    cfg = tmp_path / "c.json"
+    write_config(cfg, data={"kind": "tfi", "num_sites": 4, "h_count": 8, "seed": 7},
+                 optimizer={"kind": "spsa", "max_iterations": 2})
+    out = tmp_path / "run"
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    model = json.loads((out / "model.json").read_text())
+    assert list(model) == ["format_version", "task", "model", "params", "n_params", "readout",
+                           "discard", "n_d", "init_seed", "metadata"]
+    assert list(model["model"]) == ["family", "num_qubits", "layers", "weight_sharing",
+                                    "hea_template"]
+    assert list(model["metadata"]) == _METADATA_KEYS
+    assert list(model["metadata"]["data"]) == _DATA_KEYS
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == ["format_version", "task", "accuracy", "scores", "predictions",
+                            "labels", "confusion", "roc_points", "auc"]
+    assert all(isinstance(p, list) and len(p) == 2 for p in report["roc_points"])
+
+    write_config(cfg, task="autoencode", model={"family": "qcnn_ry", "num_qubits": 4, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 4, "seed": 3},
+                 optimizer={"kind": "spsa", "max_iterations": 2}, train_sizes=[3])
+    bench = tmp_path / "bench"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(bench)]) == 0
+    (cell,) = (bench / "cells").iterdir()
+    report = json.loads((cell / "report.json").read_text())
+    assert list(report) == ["format_version", "task", "fidelities", "mean_fidelity", "n_d",
+                            "final_cost"]
+    meta = json.loads((bench / "benchmark_meta.json").read_text())
+    assert list(meta["metadata"]) == _METADATA_KEYS
+    assert list(meta["metadata"]["data"]) == _DATA_KEYS

@@ -144,7 +144,7 @@ def test_evaluate_classifier_end_to_end():
     assert report.confusion == {"tp": 1, "tn": 1, "fp": 0, "fn": 0}
     # deterministic
     report2 = evaluate_classifier(Circuit(1), 0, [], ds)
-    assert report.to_dict() == report2.to_dict()
+    assert report == report2
 
 
 def test_accuracy_zero_when_labels_flipped():

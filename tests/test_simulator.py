@@ -2,8 +2,10 @@
 of the circuit-inversion and reset-channel oracles in conftest.  States are
 rows of a (batch, 2^N) array; a single state runs as a batch of one."""
 
+import ast
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +361,15 @@ def test_real_circuit_pass_memory_stays_below_two_complex_states(rng):
         tracemalloc.stop()
     assert out.dtype == np.float64
     assert peak <= 2 * state.nbytes
+
+
+def test_no_module_imports_a_private_name_of_the_simulator():
+    # the compiled-block format and its kernels have one owner
+    source = Path(sim.__file__).parent
+    offenders = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simulator"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names
+                              if a.name.startswith("_")]
+    assert offenders == []
