@@ -5,7 +5,13 @@ per record.  Floats are serialized with Python's shortest-roundtrip repr,
 so write -> read -> write is byte-identical and parameter vectors survive
 at full binary precision.  Records omit the "im" array when every
 imaginary part is exactly zero (always true for the spin-chain ground
-states persisted here).
+states persisted here).  A record's text is exactly what ``json.dumps``
+writes, but an amplitude array is formatted one distinct value at a time:
+a symmetry-sector ground state repeats each value over its orbit (a TFI
+N = 16 state holds 16512 distinct values among 65536 amplitudes).  The
+reader rejects, with the file and record in the message, a line that is
+not JSON and any field of the wrong type, a boolean among amplitudes
+included.
 
 Every file is written atomically by ``atomic_write``: a temporary file in
 the target's directory, then ``os.replace``, so a failed write leaves the
@@ -44,6 +50,26 @@ TIMING_COLUMNS = ("time_total_s", "time_per_sample_s")
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _loads(line: str, where: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _floats_text(values) -> str:
+    """``_dumps(values.tolist())`` for a 1-D array read as float64, with each
+    distinct bit pattern (so -0.0 apart from 0.0) formatted once by
+    ``float.__repr__``, the text json writes for a finite float."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        _dumps(float(values[~finite][0]))  # raises json's ValueError
+    unique, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, unique.view(np.float64).tolist())), dtype=object)
+    return "[" + ",".join(texts[inverse].tolist()) + "]"
 
 
 def atomic_write(path, text: str) -> None:
@@ -88,11 +114,11 @@ def write_dataset(dataset: Dataset, path) -> None:
     lines = [_dumps(header)]
     for rec in dataset.records:
         state = np.asarray(rec.state)
-        obj = {"h": float(rec.h), "label": int(rec.label),
-               "re": np.asarray(state.real, dtype=float).tolist()}
+        line = _dumps({"h": float(rec.h), "label": int(rec.label)})[:-1]  # open for "re"
+        line += ',"re":' + _floats_text(state.real)
         if np.iscomplexobj(state) and np.any(state.imag != 0.0):
-            obj["im"] = np.asarray(state.imag, dtype=float).tolist()
-        lines.append(_dumps(obj))
+            line += ',"im":' + _floats_text(state.imag)
+        lines.append(line + "}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -102,7 +128,7 @@ def read_dataset(path) -> Dataset:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    header = _loads(lines[0], f"{path}: header")
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -119,19 +145,24 @@ def read_dataset(path) -> Dataset:
         _number(h_c, "h_c", f"{path}: header")
     records = []
     for i, line in enumerate(lines[1:], 1):
-        obj, where = json.loads(line), f"{path}: record {i}"
+        where = f"{path}: record {i}"
+        obj = _loads(line, where)
         if not isinstance(obj, dict):
             raise ValueError(f"{where} is not a JSON object")
         h = _number(obj.get("h"), "h", where)
         label = _integer(obj.get("label"), "label", where)
-        # no dtype here, so strings, booleans, nulls and nesting show in the check
-        parts = {"re": np.asarray(obj.get("re"))}
+        parts = {"re": obj.get("re")}
         if "im" in obj:
-            parts["im"] = np.asarray(obj["im"])
-        for key, part in parts.items():
+            parts["im"] = obj["im"]
+        for key, values in parts.items():
+            # no dtype here, so strings, nulls and nesting show in the dtype
+            part = parts[key] = np.asarray(values)
             if part.shape != (dim,) or part.dtype.kind not in "iuf":
                 raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
                                  f"got shape {part.shape} of {part.dtype}")
+            if bool in set(map(type, values)):  # np.asarray reads them as 0 and 1
+                raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
+                                 "got a boolean among them")
         state = parts["re"].astype(float, copy=False)
         if "im" in parts:  # assigned, not re + 1j * im, which turns -0.0 into 0.0
             state = state.astype(complex)
@@ -181,7 +212,7 @@ def read_model(path) -> dict:
     """A model file with its task, model section, finite parameters and the
     task's readout qubit or discard list checked; any of them missing or of
     the wrong type raises ConfigError."""
-    obj = json.loads(Path(path).read_text())
+    obj = _loads(Path(path).read_text(), str(path))
     if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version")
     where = "model file"

@@ -1,12 +1,13 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
 the strided kernels, circuit inversion, the Kraus branches of the reset
-channel, parameter-shift gradients and full-space ground states, plus state
-vectors and random circuit/state generators.
+channel, parameter-shift gradients, full-space ground states and the text
+of a dataset file, plus state vectors and random circuit/state generators.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
 one state as ``state[None, :]``."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ import scipy.linalg
 
 from vqcbench import simulator as sim
 from vqcbench.spinmodels import SpinModel, build_hamiltonian
+from vqcbench.storage import BIT_ORDER, FORMAT_VERSION
 
 
 def zero_state(n):
@@ -235,6 +237,37 @@ def full_space_ground(kind, n, h):
 
 ALL_KINDS = ["ry", "rx", "rz", "x", "h", "cnot", "cz", "cry", "u2"]
 REAL_KINDS = ["ry", "x", "h", "cnot", "cz", "cry", "u2"]
+
+
+def reference_dataset_text(dataset):
+    """The text of a dataset file as ``json.dumps`` writes it, every amplitude
+    through ``tolist()``; raises ValueError on a NaN or infinite value."""
+    def dumps(obj):
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+    meta = dataset.metadata
+    header = {
+        "format_version": FORMAT_VERSION,
+        "model": dataset.kind,
+        "N": dataset.num_sites,
+        "h_c": float(meta.get("h_c", float("nan"))),
+        "bit_order": BIT_ORDER,
+        "solver": meta.get("solver"),
+        "seed": meta.get("seed"),
+        "h_grid": [float(h) for h in meta.get("h_grid", [])],
+        "train_fraction": meta.get("train_fraction"),
+        "split": meta.get("split"),
+        "phase_convention": meta.get("phase_convention"),
+    }
+    lines = [dumps(header)]
+    for rec in dataset.records:
+        state = np.asarray(rec.state)
+        obj = {"h": float(rec.h), "label": int(rec.label),
+               "re": np.asarray(state.real, dtype=float).tolist()}
+        if np.iscomplexobj(state) and np.any(state.imag != 0.0):
+            obj["im"] = np.asarray(state.imag, dtype=float).tolist()
+        lines.append(dumps(obj))
+    return "\n".join(lines) + "\n"
 
 
 def random_unitary4(rng, real=False):

@@ -25,6 +25,8 @@ from vqcbench.storage import (
     write_train_record,
 )
 
+from conftest import reference_dataset_text
+
 
 def write_config(path, **overrides):
     base = {
@@ -163,6 +165,8 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
     (1, "'re'", lambda rec: {**rec, "re": np.reshape(rec["re"], (4, 4)).tolist()}),
     (1, "'re'", lambda rec: {k: v for k, v in rec.items() if k != "re"}),
     (1, "'im'", lambda rec: {**rec, "im": ["0"] * len(rec["re"])}),
+    (1, "'re'", lambda rec: {**rec, "re": [1, False] + [0] * (len(rec["re"]) - 2)}),
+    (1, "'re'", lambda rec: {**rec, "re": [True] + [0.0] * (len(rec["re"]) - 1)}),
     (1, "not normalized", lambda rec: {**rec, "re": [float("nan")] + rec["re"][1:]}),
     (1, "not a JSON object", lambda rec: [rec]),
     (0, "N", lambda header: {**header, "N": None}),
@@ -170,8 +174,9 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
     (0, "header is not a JSON object", lambda header: [header]),
     (0, "model", lambda header: {k: v for k, v in header.items() if k != "model"}),
 ], ids=["h-string", "h-null", "h-bool", "label-bool", "re-strings", "re-nested",
-        "re-missing", "im-strings", "re-nan", "record-list", "header-N-null",
-        "header-h_c-string", "header-list", "header-model-missing"])
+        "re-missing", "im-strings", "re-bool-mixed", "re-bool-float-mixed", "re-nan",
+        "record-list", "header-N-null", "header-h_c-string", "header-list",
+        "header-model-missing"])
 def test_bad_dataset_line_exits_2_without_traceback(tmp_path, capsys, line, field, edit):
     cfg = tmp_path / "c.json"
     write_config(cfg)
@@ -187,6 +192,24 @@ def test_bad_dataset_line_exits_2_without_traceback(tmp_path, capsys, line, fiel
     assert "Traceback" not in err
     assert field in err and (line == 0 or "record 1" in err)
     assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("line,where", [(0, "header"), (1, "record 1")])
+def test_dataset_line_that_is_not_json_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                                     line, where):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "train.jsonl"
+    lines = path.read_text().splitlines()
+    lines[line] = "{"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"train.jsonl: {where}: Expecting property name" in err
 
 
 def test_model_roundtrip_full_precision(tmp_path):
@@ -298,6 +321,36 @@ def test_dataset_write_read_write_is_byte_identical(dataset):
             parts.append((state.imag, got.state.imag))
         for want, have in parts:
             assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_dataset_file_is_the_text_json_dumps_writes(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        write_dataset(dataset, path)
+        assert path.read_bytes() == reference_dataset_text(dataset).encode()
+
+
+@pytest.mark.parametrize("kind,h_values", [("tfi", [0.3, 0.9, 1.2, 1.7]),
+                                           ("xxz", [0.4, 0.8, 1.3, 1.6])])
+def test_generated_dataset_file_is_the_text_json_dumps_writes(tmp_path, kind, h_values):
+    train, _ = generate_dataset(kind, 10, h_values, seed=3, train_fraction=1.0)
+    write_dataset(train, tmp_path / "d.jsonl")
+    assert (tmp_path / "d.jsonl").read_bytes() == reference_dataset_text(train).encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_dataset_with_a_non_finite_amplitude_raises_and_writes_nothing(tmp_path, bad, part):
+    state = np.array([0.6, 0.0, 0.8j, 0.0])
+    state[1] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
+    dataset = Dataset("tfi", 2, [DataRecord(state, 0.5, -1)], {"h_c": 1.0})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        reference_dataset_text(dataset)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_dataset(dataset, tmp_path / "d.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -632,6 +685,20 @@ def test_eval_rejects_model_file_missing_or_mistyped_key(tmp_path, capsys, task,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert key in err
+    assert not (out / "report.json").exists()
+
+
+def test_eval_names_a_model_file_that_is_not_json(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, model={"family": "hea_ry", "num_qubits": 2, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 2, "h_values": [0.5, 1.5], "seed": 0,
+                       "train_path": str(tmp_path / "run" / "test.jsonl")})
+    out = _perfect_toy_model(tmp_path)
+    (out / "model.json").write_text("{\n")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "model.json: Expecting property name" in err
     assert not (out / "report.json").exists()
 
 
