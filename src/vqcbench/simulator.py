@@ -48,6 +48,7 @@ _AFFINE = {
 }
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 _MAX_WINDOW = 5  # wires in the widest matmul window (a 32 x 32 matrix)
+_SWEEP_BYTES = 1 << 20  # (psi, lam) rows the adjoint sweep walks at once: one state pair at N = 16
 
 
 @dataclass(eq=False)
@@ -183,37 +184,96 @@ def _window(n: int, wires: tuple[int, ...]):
     shifts = [hi - q for q in wires]
     rest = len(r) - 1 - sum(1 << s for s in shifts)
     row, col = (sum(((x >> s) & 1) << (1 - p) for p, s in enumerate(shifts)) for x in (r, c))
-    index = np.where((r ^ c) & rest, 16, 4 * row + col).astype(np.uint8)
+    index = np.where((r ^ c) & rest, 16, 4 * row + col)
     return index, len(r), 1 << (n - 1 - hi)
 
 
-def _kernel(amp: np.ndarray, n: int, wires, window, m: np.ndarray) -> np.ndarray:
-    """A new array: block matrix m on ``wires`` by one matmul in its window,
-    or, for a wider pair, on a copy with the pair's axes first."""
+def _padded(mats: np.ndarray) -> np.ndarray:
+    """Each 4x4 matrix as its 16 entries, row by row, and a 0: the vector a
+    window's ``index`` gathers from."""
+    return np.concatenate([mats.reshape(len(mats), 16), np.zeros((len(mats), 1))], axis=1)
+
+
+def _kernel(amp: np.ndarray, n: int, wires, window, flat: np.ndarray):
+    """(a new array, product): the block matrix whose ``_padded`` entries are
+    ``flat`` on ``wires``, by one matmul in its window (product None), or,
+    for a wider pair, on a copy with the pair's axes first, whose (4, -1)
+    product it also returns."""
     if window is not None:
         index, d, r = window
-        e = np.append(m.ravel(), 0.0)[index]
+        e = flat[index]
         out = amp.reshape(-1, d) @ e.T if r == 1 else np.matmul(e, amp.reshape(-1, d, r))
-        return out.reshape(amp.shape)
-    product = m @ _pairs(amp, n, wires).reshape(4, -1)
+        return out.reshape(amp.shape), None
+    product = flat[:16].reshape(4, 4) @ _pairs(amp, n, wires).reshape(4, -1)
     out = np.empty(amp.shape, product.dtype)
     view = _pairs(out, n, wires)
     view[...] = product.reshape(view.shape)
-    return out
+    return out, product
 
 
-def _factor(g: Gate, places: tuple[int, ...], param_count: int):
-    """(A, B, C, slot, scale) of gate g in the 4x4 space of its block, where
-    its targets sit at ``places``; a bound angle is folded into A."""
-    abc = (g.matrix, _Z4, _Z4) if g.kind == "u2" else _AFFINE[g.kind]
-    if g.angle is not None:
-        half = 0.5 * g.scale * g.angle
-        abc = (abc[0] + np.cos(half) * abc[1] + np.sin(half) * abc[2], 0 * abc[1], 0 * abc[2])
+def _adjoint_outer(both: np.ndarray, window, product) -> np.ndarray:
+    """The 4x4 sum of conj(lam) psi^T over a block's wires (a one-wire block
+    uses the high bit only), where ``both`` stacks psi over lam and window
+    and product are what ``_kernel`` took and gave for the block.
+
+    In a window the halves read as (-1, D, R) in place: one matmul gives the
+    D x D sum (a single gemm when R = 1; taken in slices that keep the
+    (slice, D, D) products within a half when R < D), and ``np.bincount``
+    folds it to 4x4 through the window's index map.  A far pair reads the
+    halves of the kernel's pair-first product."""
+    if window is None:
+        half = product.shape[1] // 2
+        return product[:, half:].conj() @ product[:, :half].T
+    index, d, r = window
+    psi, lam = both.reshape(2, -1, d) if r == 1 else both.reshape(2, -1, d, r)
+    complex_ = both.dtype.kind == "c"
+    if complex_:
+        lam = lam.conj()
+    if r == 1:
+        outer = lam.T @ psi
+    else:
+        step = max(len(lam) * r // d, 1)
+        outer = np.matmul(lam[:step], psi[:step].transpose(0, 2, 1)).sum(0)
+        for i in range(step, len(lam), step):
+            outer += np.matmul(lam[i:i + step], psi[i:i + step].transpose(0, 2, 1)).sum(0)
+    index = index.ravel()
+    folded = np.bincount(index, outer.real.ravel(), minlength=17)[:16]
+    if complex_:
+        folded = folded + 1j * np.bincount(index, outer.imag.ravel(), minlength=17)[:16]
+    return folded.reshape(4, 4)
+
+
+def _place(abc, places: tuple[int, ...]) -> tuple:
+    """A gate's (A, B, C), given in its own target order, in the 4x4 space of
+    its block, where its targets sit at ``places``."""
     if len(places) == 1:  # kron(m, I) or kron(I, m), without np.kron's overhead
         pairs = [(m, _I2) if places == (0,) else (_I2, m) for m in abc]
         abc = [np.multiply.outer(*p).transpose(0, 2, 1, 3).reshape(4, 4) for p in pairs]
     elif places == (1, 0):
         abc = [_SWAP @ m @ _SWAP for m in abc]
+    return tuple(abc)
+
+
+@lru_cache(maxsize=None)
+def _placed_affine(kind: str, places: tuple[int, ...]) -> tuple:
+    """``_place`` of a kind's own (A, B, C), once per kind and places; read-only."""
+    abc = _place(_AFFINE[kind], places)
+    for m in abc:
+        m.setflags(write=False)
+    return abc
+
+
+def _factor(g: Gate, places: tuple[int, ...], param_count: int):
+    """(A, B, C, slot, scale) of gate g in the 4x4 space of its block, where
+    its targets sit at ``places``; a bound angle is folded into A."""
+    if g.angle is None and g.matrix is None:
+        abc = _placed_affine(g.kind, places)
+    else:
+        abc = (g.matrix, _Z4, _Z4) if g.kind == "u2" else _AFFINE[g.kind]
+        if g.angle is not None:
+            half = 0.5 * g.scale * g.angle
+            abc = (abc[0] + np.cos(half) * abc[1] + np.sin(half) * abc[2], 0 * abc[1], 0 * abc[2])
+        abc = _place(abc, places)
     return (*abc, param_count if g.slot is None else g.slot, g.scale)
 
 
@@ -256,7 +316,8 @@ class CompiledCircuit:
         a, b, c, self.slot, self.scale = (np.array(column) for column in zip(*rows))
         self.real = not any(np.any(np.imag(m)) for m in (a, b, c))
         self.a, self.b, self.c = (np.real(m) if self.real else m.astype(complex) for m in (a, b, c))
-        length = 1 << max((len(ch) - 1).bit_length() for ch in chains) if chains else 1
+        self.depth = max(map(len, chains), default=1)
+        length = 1 << (self.depth - 1).bit_length()
         self.chains = np.zeros((len(chains), length), dtype=int)
         for chain, u in chains.items():
             self.chains[u, : len(chain)] = chain
@@ -290,9 +351,9 @@ class CompiledCircuit:
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
         amp = self.state(amplitudes)
-        mats = self.block_matrices(self.factors(params)[0])
+        flats = _padded(self.block_matrices(self.factors(params)[0]))
         for wires, u, window in self.blocks:
-            amp = _kernel(amp, self.num_qubits, wires, window, mats[u])
+            amp = _kernel(amp, self.num_qubits, wires, window, flats[u])[0]
         return amp if self.blocks else amp.copy()
 
     def gradient(self, params, psi, lam) -> np.ndarray:
@@ -303,31 +364,41 @@ class CompiledCircuit:
 
         Adjoint differentiation (Jones and Gacon, arXiv:2009.02823) by one
         backward sweep of one kernel call per block: psi and lam are walked
-        back together.  With block B undone, W = conj(B) sum conj(lam) psi^T
-        over its wires gives slot theta 2 Re sum(dB/dtheta * W); dB/dtheta
-        sums, over the block's factors in that slot, the later factors times
-        the factor's derivative times the earlier."""
+        back together, stacked in one array, a chunk of about _SWEEP_BYTES of
+        rows at a time so that the chunk stays in cache through the sweep.
+        With block B undone, W = conj(B) sum conj(lam) psi^T over its wires
+        gives slot theta 2 Re sum(dB/dtheta * W).  The sum is read from the
+        layout the kernel used, with no pair-first copy (``_adjoint_outer``),
+        and summed over chunks before conj(B) multiplies it.  dB/dtheta sums,
+        over the block's factors in that slot, the later factors times the
+        factor's derivative times the earlier."""
         n = self.num_qubits
         factors, derivatives = self.factors(params)
-        mats = self.block_matrices(factors)
-        # One array, so each block is undone on psi and lam in a single call.
-        both = np.concatenate([psi, lam])
-        w = np.zeros(mats.shape, both.dtype)
-        for wires, u, window in reversed(self.blocks):
-            both = _kernel(both, n, wires, window, mats[u].conj().T)
-            local = _pairs(both, n, wires).reshape(2 * len(wires), 2, -1)
-            bits = slice(None, None, 3 - len(wires))  # a one-wire block reads its high bit only
-            w[u, bits, bits] += mats[u, bits, bits].conj() @ (local[:, 1].conj() @ local[:, 0].T)
-        # prefix[:, j] is the product of the factors before position j, suffix after it
-        chain = factors[self.chains]
+        conj = self.block_matrices(factors).conj()
+        undo = _padded(conj.transpose(0, 2, 1))
+        outers = np.zeros((len(self.blocks), 4, 4), np.result_type(psi, lam))
+        rows = max(1, _SWEEP_BYTES // (2 * psi[0].nbytes))
+        for start in range(0, len(psi), rows):
+            # psi over lam in one array, so each block is undone on both in one call
+            both = np.concatenate([psi[start:start + rows], lam[start:start + rows]])
+            for k, (wires, u, window) in reversed(list(enumerate(self.blocks))):
+                both, product = _kernel(both, n, wires, window, undo[u])
+                outers[k] += _adjoint_outer(both, window, product)
+        us = [u for _, u, _ in self.blocks]
+        w = np.zeros(conj.shape, outers.dtype)
+        np.add.at(w, us, conj[us] @ outers)
+        # prefix[:, j] is the product of the factors before position j, suffix after
+        # it; the padding past the longest chain is the identity with derivative 0
+        chains = self.chains[:, : self.depth]
+        chain = factors[chains]
         prefix, suffix = np.empty_like(chain), np.empty_like(chain)
         prefix[:, 0] = suffix[:, -1] = np.eye(4)
         for j in range(1, chain.shape[1]):
             prefix[:, j] = chain[:, j - 1] @ prefix[:, j - 1]
             suffix[:, -1 - j] = suffix[:, -j] @ chain[:, -j]
         inner = np.swapaxes(suffix, -1, -2) @ w[:, None] @ np.swapaxes(prefix, -1, -2)
-        terms = 2.0 * np.sum(derivatives[self.chains] * inner, axis=(-1, -2)).real
-        grad = np.bincount(self.slot[self.chains].ravel(), terms.ravel(),
+        terms = 2.0 * np.sum(derivatives[chains] * inner, axis=(-1, -2)).real
+        grad = np.bincount(self.slot[chains].ravel(), terms.ravel(),
                            minlength=self.param_count + 1)
         return grad[: self.param_count]
 

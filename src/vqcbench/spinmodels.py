@@ -41,7 +41,8 @@ point costs one sum A + h B and one LAPACK or Lanczos (``eigsh``) solve.
 
 Both solvers thus return the same canonical vector, whose sign makes the
 largest-magnitude amplitude positive: TFI with h >= 0 and XXZ states have
-no negative amplitude.
+no negative amplitude.  scipy is imported inside the solves, so a process
+that never solves (``train``, ``eval``) does not load it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 MODEL_KINDS = ("tfi", "xxz")
 MAX_SITES = 16
@@ -109,6 +108,7 @@ class SparseHamiltonian:
             raise ValueError("row/col index out of range")
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse
         return scipy.sparse.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.dimension, self.dimension)
         )
@@ -222,6 +222,7 @@ def ground_state_dense(hamiltonian: SparseHamiltonian) -> tuple[float, np.ndarra
     dim = hamiltonian.dimension
     if dim > DENSE_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the dense ceiling {DENSE_MAX_DIM}")
+    import scipy.linalg
     w, v = scipy.linalg.eigh(hamiltonian.to_dense(), subset_by_index=(0, 0))
     return float(w[0]), _fix_sign(v[:, 0])
 
@@ -242,7 +243,7 @@ def ground_state_lanczos(
     energy is the Rayleigh quotient of the returned sign-fixed vector.
     LAPACK solves dimensions below 3, where ``eigsh`` cannot run.
     """
-    import scipy.sparse.linalg  # on first use: 2 MB and 15 ms that LAPACK runs skip
+    import scipy.sparse.linalg
     dim = hamiltonian.dimension
     if dim < 3:
         return ground_state_dense(hamiltonian)

@@ -14,6 +14,11 @@ O, so ``param_shift_gradient`` returns the exact gradient the
 parameter-shift rule (Schuld et al., arXiv:1811.11184) defines from one
 forward pass and the adjoint sweep ``CompiledCircuit.gradient``, fed with
 lam_i = (dC/dm_i) O psi_i.
+
+``train`` builds one objective per run (``_Objective``): the circuit is
+compiled and the dataset prepared once.  Under ``param_shift_gd`` the
+gradient at x reuses the forward pass the cost call at x just made, so k
+steps make k + 1 forward passes and k sweeps.
 """
 
 from __future__ import annotations
@@ -46,69 +51,70 @@ def _check_discard(discard, num_qubits: int | None = None) -> list[int]:
     return discard
 
 
-def _objective(task: str, n: int, dataset, readout=None, discard=None):
-    """The task's diagonal observable O (Z on the readout qubit, or the sum of Z
-    on the discarded qubits) and loss(m) = (C, dC/dm) in the m_i = <O>_i."""
-    size = len(dataset)
-    if task == "classify":
-        if readout is None or not 0 <= readout < n:
-            raise ValueError(f"readout qubit {readout} out of range")
-        labels = dataset.labels().astype(float)
-        # C = (1/M) sum (l_i - m_i)^2
-        return z_signs(n, readout), lambda m: (np.mean((labels - m) ** 2),
-                                               2.0 * (m - labels) / size)
-    if task != "autoencode":
-        raise ValueError(f"unknown task {task!r}")
-    discard = _check_discard(discard or (), n)
-    # C = (1/M) sum (n_d - s_i)/2
-    return (sum(z_signs(n, q) for q in discard),
-            lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size)))
+class _Objective:
+    """The task cost of one run over its whole dataset: one compiled circuit,
+    one prepared input, the task's diagonal observable O (Z on the readout
+    qubit, or the sum of Z on the discarded qubits) and loss(m) = (C, dC/dm)
+    in the m_i = <O>_i.
 
+    With ``keep_pass``, a cost call keeps its forward pass (psi and the m_i)
+    until the next one, and ``gradient`` at the same parameters reuses it, so
+    a gradient-descent step makes one forward pass and one adjoint sweep.
+    Without it, as for the derivative-free optimizers, no pass outlives its
+    call."""
 
-def _make_cost(circuit: Circuit, dataset, task: str, **target):
-    """Cost closure evaluating the whole dataset in one batched pass."""
-    obs, loss = _objective(task, circuit.num_qubits, dataset, **target)
-    compiled = CompiledCircuit(circuit)
-    mat = compiled.state(dataset.amplitudes())
+    def __init__(self, circuit: Circuit, dataset, task: str, readout=None, discard=None,
+                 *, keep_pass: bool = False):
+        n, size = circuit.num_qubits, len(dataset)
+        if task == "classify":
+            if readout is None or not 0 <= readout < n:
+                raise ValueError(f"readout qubit {readout} out of range")
+            labels = dataset.labels().astype(float)
+            self.obs = z_signs(n, readout)
+            # C = (1/M) sum (l_i - m_i)^2
+            self.loss = lambda m: (np.mean((labels - m) ** 2), 2.0 * (m - labels) / size)
+        elif task == "autoencode":
+            discard = _check_discard(discard or (), n)
+            self.obs = sum(z_signs(n, q) for q in discard)
+            # C = (1/M) sum (n_d - s_i)/2
+            self.loss = lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size))
+        else:
+            raise ValueError(f"unknown task {task!r}")
+        self.compiled = CompiledCircuit(circuit)
+        self.mat = self.compiled.state(dataset.amplitudes())
+        self.keep_pass = keep_pass
+        self._pass = None  # (params, psi, m) of the last cost call, with keep_pass
 
-    def cost(params) -> float:
-        out = compiled.run(params, mat)
-        return float(loss((out * out.conj()).real @ obs)[0])
+    def _forward(self, params):
+        psi = self.compiled.run(params, self.mat)  # checks and converts params
+        return psi, (psi * psi.conj()).real @ self.obs
 
-    return cost
+    def cost(self, params) -> float:
+        self._pass = None  # free the last pass before this one allocates
+        psi, m = self._forward(params)
+        if self.keep_pass:
+            self._pass = (np.array(params, dtype=float), psi, m)
+        return float(self.loss(m)[0])
 
-
-def make_classification_cost(circuit: Circuit, readout: int, dataset):
-    return _make_cost(circuit, dataset, "classify", readout=readout)
+    def gradient(self, params) -> np.ndarray:
+        params = np.asarray(params, dtype=float)
+        kept = self._pass
+        if kept is not None and np.array_equal(kept[0], params):
+            psi, m = kept[1:]
+        else:
+            psi, m = self._forward(params)
+        weights = self.loss(m)[1]
+        return self.compiled.gradient(params, psi, weights[:, None] * self.obs * psi)
 
 
 def classification_cost(circuit: Circuit, readout: int, dataset, params) -> float:
     """Mean squared error between labels and readout expectations, in [0, 4]."""
-    return make_classification_cost(circuit, readout, dataset)(params)
-
-
-def make_autoencoder_cost(encoder: Circuit, discard, dataset):
-    return _make_cost(encoder, dataset, "autoencode", discard=discard)
+    return _Objective(circuit, dataset, "classify", readout=readout).cost(params)
 
 
 def autoencoder_cost(encoder: Circuit, discard, dataset, params) -> float:
     """Mean reset-penalty cost over the dataset, in [0, n_d]."""
-    return make_autoencoder_cost(encoder, discard, dataset)(params)
-
-
-def _make_gradient(circuit: Circuit, dataset, task: str, readout=None, discard=None):
-    """Gradient closure of ``param_shift_gradient``: the circuit is compiled and
-    the dataset's amplitudes prepared once, not on every call."""
-    obs, loss = _objective(task, circuit.num_qubits, dataset, readout, discard)
-    compiled = CompiledCircuit(circuit)
-    mat = compiled.state(dataset.amplitudes())
-
-    def gradient(params) -> np.ndarray:
-        psi = compiled.run(params, mat)  # checks and converts params
-        weights = loss((psi * psi.conj()).real @ obs)[1]
-        return compiled.gradient(params, psi, weights[:, None] * obs * psi)
-
-    return gradient
+    return _Objective(encoder, dataset, "autoencode", discard=discard).cost(params)
 
 
 def param_shift_gradient(
@@ -121,8 +127,8 @@ def param_shift_gradient(
 ) -> np.ndarray:
     """Exact gradient of a task cost (the parameter-shift gradient, whose name
     ``param_shift_gd`` keeps) by one forward pass and one adjoint sweep
-    (``CompiledCircuit.gradient``): two kernel calls per block."""
-    return _make_gradient(circuit, dataset, task, readout, discard)(params)
+    (``CompiledCircuit.gradient``)."""
+    return _Objective(circuit, dataset, task, readout, discard).gradient(params)
 
 
 def initial_parameters(param_count: int, seed: int) -> np.ndarray:
@@ -151,19 +157,15 @@ def train(
     else:
         x0 = initial_parameters(circuit.param_count, init_seed)
 
-    if task == "classify":
-        cost = make_classification_cost(circuit, readout, dataset)
-    else:
-        cost = make_autoencoder_cost(circuit, discard, dataset)
-
+    objective = _Objective(circuit, dataset, task, readout, discard,
+                           keep_pass=optimizer.kind == "param_shift_gd")
     minimize = {"powell": powell_minimize, "nelder_mead": nelder_mead_minimize,
                 "spsa": spsa_minimize}
     t0 = time.perf_counter()
     if optimizer.kind in minimize:
-        x, record = minimize[optimizer.kind](cost, x0, optimizer)
+        x, record = minimize[optimizer.kind](objective.cost, x0, optimizer)
     elif optimizer.kind == "param_shift_gd":
-        grad = _make_gradient(circuit, dataset, task, readout, discard)
-        x, record = gradient_descent_minimize(cost, grad, x0, optimizer)
+        x, record = gradient_descent_minimize(objective.cost, objective.gradient, x0, optimizer)
     else:
         raise ValueError(f"unknown optimizer kind {optimizer.kind!r}")
     elapsed = time.perf_counter() - t0

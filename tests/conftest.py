@@ -1,7 +1,8 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
 the strided kernels, circuit inversion, the Kraus branches of the reset
-channel, parameter-shift gradients, full-space ground states and the text
-of a dataset file, plus state vectors and random circuit/state generators.
+channel, parameter-shift gradients, the adjoint sweep's per-block
+contraction, full-space ground states and the text of a dataset file, plus
+state vectors and random circuit/state generators.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
@@ -224,6 +225,19 @@ def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
             d_expect += coeff * observe(sim.run_circuit_batch(shifted, params, mat))
         grad[gate.slot] += gate.scale * float(prefactors @ d_expect)
     return grad
+
+
+def pairs_outer_oracle(both, n, wires):
+    """sum conj(lam) psi^T over a block's wires as a 4x4 matrix, where
+    ``both`` stacks the (batch, 2^n) psi over lam: the contraction on a copy
+    with the wires' axes first (a one-wire block fills the high bit only)."""
+    k = len(wires)
+    axes = np.moveaxis(both.reshape((2, -1) + (2,) * n), [w + 2 for w in wires], range(k))
+    local = axes.reshape(1 << k, 2, -1)
+    out = np.zeros((4, 4), both.dtype)
+    bits = slice(None, None, 3 - k)
+    out[bits, bits] = local[:, 1].conj() @ local[:, 0].T
+    return out
 
 
 def full_space_ground(kind, n, h):

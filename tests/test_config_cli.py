@@ -1,6 +1,9 @@
 """Config validation, file formats, and the four CLI commands end to end."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+import vqcbench
 from vqcbench import cli, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
 from vqcbench.optimizers import TrainRecord
@@ -505,6 +509,15 @@ def test_arpack_nonconvergence_exits_4_without_traceback(tmp_path, capsys, monke
     assert "Traceback" not in err
     assert "No convergence" in err
     assert not (out / "train.jsonl").exists()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # train and eval never solve, so their processes do not pay for scipy
+    code = ("import sys, vqcbench.cli; "
+            "sys.exit(next((m for m in sys.modules if m.startswith('scipy')), None))")
+    env = dict(os.environ, PYTHONPATH=str(Path(vqcbench.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # A line_search_step of 1e308 used to expand Powell's bracket until the run

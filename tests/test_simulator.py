@@ -34,8 +34,10 @@ from conftest import (
     gate_full_matrix,
     inverse_circuit,
     kraus_reset_branches,
+    pairs_outer_oracle,
     random_circuit,
     random_state,
+    random_unitary4,
     zero_state,
 )
 
@@ -329,6 +331,87 @@ def test_blocks_follow_the_folding_rule():
     psi = random_states(4, np.random.default_rng(3))
     expected = psi @ circuit_full_matrix(circ).T
     assert np.max(np.abs(run_circuit_batch(circ, [], psi) - expected)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit_cases())
+def test_shared_placements_leave_block_matrices_bit_identical(case):
+    # a compile that places every factor afresh, as one without the cache does
+    circ, params, _, _ = case
+    shared = sim.CompiledCircuit(circ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_placed_affine", sim._placed_affine.__wrapped__)
+        fresh = sim.CompiledCircuit(circ)
+    for name in ("a", "b", "c", "slot", "scale", "chains"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert np.array_equal(shared.block_matrices(shared.factors(params)[0]),
+                          fresh.block_matrices(fresh.factors(params)[0]))
+
+
+def test_compile_places_each_kind_and_place_once():
+    circ, _ = build_ansatz(AnsatzSpec("hea_rxrzrx", 8, 1))
+    sim._placed_affine.cache_clear()
+    compiled = sim.CompiledCircuit(circ)
+    assert len(compiled.a) == 50  # the identity, 48 slot-bound factors and CZ
+    assert sim._placed_affine.cache_info().misses <= 5  # RX, RZ at two places, CZ
+
+
+@st.composite
+def adjoint_blocks(draw):
+    """A block's wires and a stacked (psi, lam) for it, one of each block
+    shape: one wire, a window of R = 1 or R > 1 columns, or a far pair; real
+    or complex, a batch of 1-5."""
+    shape = draw(st.sampled_from(["one wire", "window, R = 1", "window, R > 1", "far pair"]))
+    if shape == "one wire":
+        n = draw(st.integers(1, 8))
+        wires = (draw(st.integers(0, n - 1)),)
+    elif shape == "window, R = 1":
+        n = draw(st.integers(2, 8))
+        lo = draw(st.integers(max(0, n - 5), n - 2))
+        wires = (lo, draw(st.integers(lo + 1, n - 1)))
+    elif shape == "window, R > 1":
+        n = draw(st.integers(7, 8))
+        lo = draw(st.integers(0, n - 6))
+        wires = (lo, draw(st.integers(lo + 1, min(lo + 4, n - 2))))
+    else:
+        n = draw(st.integers(6, 8))
+        lo = draw(st.integers(0, n - 6))
+        wires = (lo, draw(st.integers(lo + 5, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    both = np.array([random_state(n, rng) for _ in range(2 * draw(st.integers(1, 5)))])
+    m = random_unitary4(rng, real)
+    return shape, n, wires, (both.real if real else both), (m.real if real else m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjoint_blocks())
+def test_adjoint_outer_matches_the_pair_first_contraction(block):
+    shape, n, wires, both, m = block
+    window = sim._window(n, wires)
+    columns = None if window is None else window[2]  # R
+    assert {"one wire": columns is not None, "window, R = 1": columns == 1,
+            "window, R > 1": columns is not None and columns > 1,
+            "far pair": columns is None}[shape]
+    out, product = sim._kernel(both, n, wires, window, sim._padded(m[None])[0])
+    assert (product is None) == (window is not None)
+    outer = sim._adjoint_outer(out, window, product)
+    assert outer.dtype == both.dtype
+    assert np.max(np.abs(outer - pairs_outer_oracle(out, n, wires))) < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_gradient_sums_the_same_over_row_chunks(real, monkeypatch, rng):
+    circ = random_circuit(7, rng, n_gates=30, param_count=5, real=real)
+    circ.gates.append(cnot(0, 6))  # a far pair
+    compiled = sim.CompiledCircuit(circ)
+    params = rng.uniform(-np.pi, np.pi, size=5)
+    states = random_states(7, rng, batch=5)
+    psi = compiled.run(params, states.real if real else states)
+    lam = rng.normal(size=psi.shape) * psi
+    whole = compiled.gradient(params, psi, lam)
+    monkeypatch.setattr(sim, "_SWEEP_BYTES", 3 * psi[0].nbytes)  # chunks of 1 row
+    assert np.max(np.abs(compiled.gradient(params, psi, lam) - whole)) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])

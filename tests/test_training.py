@@ -312,11 +312,14 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     states = rng.normal(size=(4, 1 << n))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
-    gradient = training._make_gradient(circ, ds, task, **target)
+    objective = training._Objective(circ, ds, task, **target, keep_pass=True)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
-        assert np.array_equal(gradient(params),
-                              param_shift_gradient(circ, ds, params, task=task, **target))
+        expected = param_shift_gradient(circ, ds, params, task=task, **target)
+        objective.cost(params + 0.5)
+        assert np.array_equal(objective.gradient(params), expected)  # a fresh pass
+        objective.cost(params)
+        assert np.array_equal(objective.gradient(params.copy()), expected)  # the kept pass
 
 
 def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
@@ -339,7 +342,49 @@ def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeyp
                        readout=0, init_seed=1)
         assert len(record.cost_history) == steps + 1  # no early stop
         counts.append(len(compiles))
-    assert counts[0] == counts[1] <= 2
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monkeypatch):
+    calls = {"run": 0, "gradient": 0, "kernel": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(simulator, "_kernel", counting("kernel", simulator._kernel))
+    for name in ("run", "gradient"):
+        method = getattr(simulator.CompiledCircuit, name)
+        monkeypatch.setattr(simulator.CompiledCircuit, name, counting(name, method))
+    circ, _ = build_ansatz(AnsatzSpec("qcnn_su4", 8, 3))
+    states = np.random.default_rng(4).normal(size=(3, 256))
+    ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1], 8)
+    record = train("classify", circ, ds,
+                   OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
+                                   learning_rate=0.05),
+                   readout=0, init_seed=1)
+    assert len(record.cost_history) == steps + 1  # no early stop
+    blocks = len(simulator.CompiledCircuit(circ).blocks)
+    assert calls == {"run": steps + 1, "gradient": steps, "kernel": (2 * steps + 1) * blocks}
+
+
+@pytest.mark.parametrize("kind", ["powell", "nelder_mead", "spsa"])
+def test_derivative_free_runs_keep_no_forward_pass(kind, monkeypatch):
+    objectives = []
+
+    class Recording(training._Objective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            objectives.append(self)
+
+    monkeypatch.setattr(training, "_Objective", Recording)
+    circ, _ = build_ansatz(AnsatzSpec("qcnn_ry", 4, 2))
+    ds = make_dataset([np.eye(16)[0], np.eye(16)[5]], [1, -1], 4)
+    train("classify", circ, ds, OptimizerConfig(kind=kind, max_iterations=2), readout=0)
+    assert len(objectives) == 1 and objectives[0]._pass is None
 
 
 # ---------------------------------------------------------------------------
