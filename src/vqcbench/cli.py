@@ -256,7 +256,7 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
         spec, size, seed, cell_dir = cell
         return _benchmark_cell(config, spec, size, seed, train_ds, eval_ds, cell_dir)
 
-    if args.threads and args.threads > 1:
+    if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(run_cell, cells))
     else:
@@ -283,6 +283,12 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vqcbench",
@@ -299,13 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (benchmark)")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="benchmark results format")
+        if name in ("train", "benchmark"):
+            p.add_argument("--seed", type=int, default=None, help="override the run seed")
         if name == "eval":
             p.add_argument("--model", default=None, help="model file (default: out/model.json)")
+        if name == "benchmark":
+            p.add_argument("--threads", type=_worker_count, default=1, help="worker threads")
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="results format")
     return parser
 
 

@@ -29,6 +29,7 @@ from .spinmodels import (
     DEFAULT_GRID_SIZE,
     DEFAULT_H_RANGE,
     MODEL_KINDS,
+    SOLVERS,
     uniform_grid,
 )
 from .metrics import DEFAULT_COMPRESSION_H
@@ -157,7 +158,7 @@ class DataSpec:
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"{where}: train_fraction must be in [0, 1]")
         solver = d.get("solver", "auto")
-        if solver not in ("auto", "dense", "lanczos"):
+        if solver not in SOLVERS:
             raise ConfigError(f"{where}: unknown solver {solver!r}")
         return cls(
             kind=kind, num_sites=num_sites, h_values=h_values, h_c=h_c,

@@ -14,7 +14,6 @@ that diverged as converged.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +63,8 @@ class OptimizerConfig:
 
 @dataclass
 class TrainRecord:
-    """Outcome of one optimization run.
-
-    Outside of training.train() the per-sample time simply equals the total
-    (sample count unknown to a bare optimizer); train() divides by the
-    training-set size.
-    """
+    """Outcome of one optimization run; ``training.train`` times the run and
+    sets the two wall times."""
 
     final_params: np.ndarray
     cost_history: list[float] = field(default_factory=list)
@@ -111,15 +106,12 @@ def _check_x0(x0) -> np.ndarray:
     return x
 
 
-def _finish(tracker, x, fx, converged, t0) -> TrainRecord:
-    elapsed = time.perf_counter() - t0
+def _finish(tracker, x, fx, converged) -> TrainRecord:
     return TrainRecord(
         final_params=x,
         final_cost=float(fx),
         cost_history=tracker.history,
         evaluations=tracker.count,
-        wall_time_total=elapsed,
-        wall_time_per_sample=elapsed,
         converged=converged,
     )
 
@@ -244,7 +236,6 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRe
     largest-decrease replacement rule.  Terminates when the relative cost
     decrease over a full cycle drops below cost_tolerance.
     """
-    t0 = time.perf_counter()
     x = _check_x0(x0)
     n = x.size
     tracker = _Tracker(f)
@@ -286,7 +277,7 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRe
                     directions[i_big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
 
-    return x, _finish(tracker, x, fx, converged, t0)
+    return x, _finish(tracker, x, fx, converged)
 
 
 def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
@@ -300,7 +291,6 @@ def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, Tr
     cost-spread test alone would also stop on a symmetric straddle of the
     minimum, which is why the diameter is consulted.
     """
-    t0 = time.perf_counter()
     x = _check_x0(x0)
     n = x.size
     tracker = _Tracker(f)
@@ -344,7 +334,7 @@ def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, Tr
 
     order = np.argsort(values, kind="stable")
     best = simplex[order[0]].copy()
-    return best, _finish(tracker, best, values[order[0]], converged, t0)
+    return best, _finish(tracker, best, values[order[0]], converged)
 
 
 def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
@@ -356,7 +346,6 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
     running best improved by no more than cost_tolerance over the final 20%
     of iterations.
     """
-    t0 = time.perf_counter()
     x = _check_x0(x0)
     rng = np.random.default_rng(config.seed)
     tracker = _Tracker(f)
@@ -379,7 +368,7 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
 
     mark = int(np.floor(0.8 * config.max_iterations))
     stable = best_trace[mark] - best_trace[-1] <= config.cost_tolerance * (1.0 + abs(best_f))
-    return best_x, _finish(tracker, best_x, best_f, stable, t0)
+    return best_x, _finish(tracker, best_x, best_f, stable)
 
 
 def gradient_descent_minimize(
@@ -393,7 +382,6 @@ def gradient_descent_minimize(
     has grown far past where angles resolve), so the cost would repeat and
     pass the tolerance test.
     """
-    t0 = time.perf_counter()
     x = _check_x0(x0)
     tracker = _Tracker(f)
     fx = tracker(x)
@@ -416,5 +404,5 @@ def gradient_descent_minimize(
         if small_cost or small_step:
             converged = True
             break
-    return x, _finish(tracker, x, fx, converged, t0)
+    return x, _finish(tracker, x, fx, converged)
 

@@ -35,14 +35,17 @@ The sector basis is orbit-normalized: row a is |O_a>, the sum of the orbit
 of the representative a (its smallest member) over sqrt(|O_a|).  A column y
 of H in orbit b adds H[a, y] sqrt(|O_a| / |O_b|) to the sector entry (a, b),
 and a sector vector v embeds as v[index[x]] / sqrt(|O_x|).  A and B are
-built once per (kind, N, sector) directly from the representative columns,
-by the same term generator as ``build_hamiltonian``, and cached; a grid
-point costs one sum A + h B and one LAPACK or Lanczos (``eigsh``) solve.
+built once per (kind, N, sector) directly from the representative columns
+and cached; a grid point costs one sum A + h B and one LAPACK or Lanczos
+(``eigsh``) solve.
 
-Both solvers thus return the same canonical vector, whose sign makes the
+``ground_state`` is the one way to solve a chain, by either solver of
+``SOLVERS``; both return the same canonical vector, whose sign makes the
 largest-magnitude amplitude positive: TFI with h >= 0 and XXZ states have
-no negative amplitude.  scipy is imported inside the solves, so a process
-that never solves (``train``, ``eval``) does not load it.
+no negative amplitude.  ``build_hamiltonian`` assembles the full-space
+matrix from the same term generator, as an oracle for tests.  scipy is
+imported inside the solve, so a process that never solves (``train``,
+``eval``) does not load it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,10 @@ import numpy as np
 
 MODEL_KINDS = ("tfi", "xxz")
 MAX_SITES = 16
+SOLVERS = ("auto", "dense", "lanczos")
 DENSE_MAX_DIM = 1 << 12
+_MAX_KRYLOV = 300  # Lanczos restarts times vectors; see _solve
+_TOL = 1e-8  # bound on the Lanczos residual
 
 # Default labeling boundaries; h_c = 1 for both models.  For the TFI chain
 # this is the ferro/paramagnetic transition of the transverse field; for
@@ -66,7 +72,8 @@ DEFAULT_GRID_SIZE = 64
 
 
 class LanczosConvergenceError(RuntimeError):
-    """Lanczos failed to reach the requested residual within max_krylov."""
+    """ARPACK's Lanczos failed within its restarts, or its vector missed the
+    residual bound; the CLI exits 4."""
 
 
 @dataclass(frozen=True)
@@ -88,30 +95,13 @@ class SpinModel:
 
 @dataclass
 class SparseHamiltonian:
-    """Real symmetric matrix in coordinate format."""
+    """Real symmetric full-space matrix in coordinate format, as
+    ``build_hamiltonian`` assembles it."""
 
     dimension: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.vals = np.asarray(self.vals, dtype=np.float64)
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
-            raise ValueError("coordinate arrays must have equal length")
-        if len(self.rows) and (
-            self.rows.min() < 0 or self.rows.max() >= self.dimension
-            or self.cols.min() < 0 or self.cols.max() >= self.dimension
-        ):
-            raise ValueError("row/col index out of range")
-
-    def to_csr(self) -> scipy.sparse.csr_matrix:
-        import scipy.sparse
-        return scipy.sparse.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dimension, self.dimension)
-        )
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension))
@@ -217,58 +207,49 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[k] < 0 else vec
 
 
-def ground_state_dense(hamiltonian: SparseHamiltonian) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair via LAPACK; only for dimension <= 2^12."""
-    dim = hamiltonian.dimension
-    if dim > DENSE_MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense ceiling {DENSE_MAX_DIM}")
-    import scipy.linalg
-    w, v = scipy.linalg.eigh(hamiltonian.to_dense(), subset_by_index=(0, 0))
-    return float(w[0]), _fix_sign(v[:, 0])
+def _solve(sector: _Sector, coupling: float, solver: str) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the sector matrix A + coupling B, sign-fixed.
 
-
-def ground_state_lanczos(
-    hamiltonian: SparseHamiltonian,
-    max_krylov: int = 300,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``).
-
-    The start vector is all ones, which overlaps the positive ground state
-    of a stoquastic matrix; ``seed`` is accepted for existing callers and
-    does not enter.  ARPACK runs to machine precision on 20 vectors with at
-    most max_krylov // 20 restarts, and the explicit residual ||Hv - Ev||
-    must be <= tol; either failure raises LanczosConvergenceError.  The
-    energy is the Rayleigh quotient of the returned sign-fixed vector.
-    LAPACK solves dimensions below 3, where ``eigsh`` cannot run.
+    ``dense`` runs LAPACK, only up to dimension 2^12, and so do dimensions
+    below 3, where ``eigsh`` cannot run.  ``lanczos`` runs ARPACK's restarted
+    Lanczos (``eigsh``) from the all-ones vector, which overlaps the positive
+    ground state of a stoquastic matrix, to machine precision on 20 vectors
+    with at most _MAX_KRYLOV // 20 restarts; the explicit residual of the
+    returned vector must be <= _TOL, and either failure raises
+    LanczosConvergenceError.  Its energy is the Rayleigh quotient.
     """
+    dim = sector.dimension
+    vals = sector.a + coupling * sector.b
+    if solver == "dense" or dim < 3:
+        if dim > DENSE_MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds the dense ceiling {DENSE_MAX_DIM}")
+        import scipy.linalg
+        mat = np.zeros((dim, dim))
+        mat[sector.rows, sector.cols] = vals  # the coordinates are distinct
+        w, v = scipy.linalg.eigh(mat, subset_by_index=(0, 0))
+        return float(w[0]), _fix_sign(v[:, 0])
+    import scipy.sparse
     import scipy.sparse.linalg
-    dim = hamiltonian.dimension
-    if dim < 3:
-        return ground_state_dense(hamiltonian)
-    mat = hamiltonian.to_csr()
+    mat = scipy.sparse.csr_matrix((vals, (sector.rows, sector.cols)), shape=(dim, dim))
     ncv = min(dim, 20)
     try:
         _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", v0=np.ones(dim), ncv=ncv,
-                                            maxiter=max(1, max_krylov // ncv))
+                                            maxiter=max(1, _MAX_KRYLOV // ncv))
     except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence among them
         raise LanczosConvergenceError(f"ARPACK: {exc}") from exc
     vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     hv = mat @ vec
     energy = float(vec @ hv)
     residual = float(np.linalg.norm(hv - energy * vec))
-    if residual > tol:
-        raise LanczosConvergenceError(f"residual {residual:.3e} > tol {tol:.3e}")
+    if residual > _TOL:
+        raise LanczosConvergenceError(f"residual {residual:.3e} > tol {_TOL:.3e}")
     return energy, _fix_sign(vec)
 
 
-def ground_state(
-    model: SpinModel, solver: str = "auto", seed: int = 0
-) -> tuple[float, np.ndarray, str]:
+def ground_state(model: SpinModel, solver: str = "auto") -> tuple[float, np.ndarray, str]:
     """(energy, full-space vector, solver used) from the sector of ``model``;
     ``auto`` picks LAPACK up to 2^12 full-space states, Lanczos above."""
-    if solver not in ("auto", "dense", "lanczos"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     n, h = model.num_sites, model.field
     if solver == "auto":
@@ -277,10 +258,7 @@ def ground_state(
         sector, coupling = _sector("tfi", n, None), abs(h)  # H(h) = U H(-h) U, U = prod Z
     else:
         sector, coupling = _sector("xxz", n, n if h >= 1.0 else n // 2), h
-    ham = SparseHamiltonian(sector.dimension, sector.rows, sector.cols,
-                            sector.a + coupling * sector.b)
-    energy, vec = (ground_state_dense(ham) if solver == "dense"
-                   else ground_state_lanczos(ham, seed=seed))
+    energy, vec = _solve(sector, coupling, solver)
     state = sector.scale * np.append(vec, 0.0)[sector.index]
     if model.kind == "tfi" and h < 0:
         state *= 1 - 2 * (_popcount(np.arange(1 << n), n) & 1)
@@ -357,7 +335,7 @@ def generate_dataset(
     records = []
     solver_used = None
     for h in h_grid:
-        _, vec, solver_used = ground_state(SpinModel(kind, num_sites, h), solver, seed)
+        _, vec, solver_used = ground_state(SpinModel(kind, num_sites, h), solver)
         records.append(DataRecord(state=vec, h=h, label=1 if h > h_c else -1))
 
     rng = np.random.default_rng(seed)

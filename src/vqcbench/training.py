@@ -148,8 +148,6 @@ def train(
     init_seed: int = 0,
 ) -> TrainRecord:
     """Minimize the task cost; wall time covers the optimizer call only."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
     if init_params is not None:
         x0 = np.asarray(init_params, dtype=float)
         if x0.shape != (circuit.param_count,):

@@ -834,6 +834,26 @@ def test_benchmark_threads_flag(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen-data", "--threads", "8"], "unrecognized arguments: --threads 8"),
+    (["eval", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["train", "--format", "json"], "unrecognized arguments: --format json"),
+    (["benchmark", "--threads", "0"], "--threads: expected a positive integer, got '0'"),
+    (["benchmark", "--threads", "-2"], "--threads: expected a positive integer, got '-2'"),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, message):
+    # each flag exists only on the commands that read it, so none is ignored
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "o")] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 _DATA_KEYS = ["kind", "num_sites", "h_values", "h_c", "train_fraction", "seed", "solver",
               "train_path", "test_path"]
 _METADATA_KEYS = ["surrogate_cost", "h_c", "hea_template", "param_count_formula", "data",

@@ -18,7 +18,7 @@ from vqcbench.metrics import (
     roc_points,
 )
 from vqcbench.simulator import Circuit
-from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, build_hamiltonian, ground_state_dense
+from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
 from vqcbench.training import autoencoder_cost, train
 from vqcbench.optimizers import OptimizerConfig
 
@@ -248,7 +248,7 @@ def test_trained_cost_zero_implies_fidelity_one():
     spec = AnsatzSpec("qcnn_ry", 4, 1)
     circ, layout = build_qcnn(spec)
     discard = layout.discard_after(1)
-    _, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, 1.8)))
+    _, state, _ = ground_state(SpinModel("tfi", 4, 1.8))
     ds = make_dataset([state], [1], 4)
     record = train(
         "autoencode", circ, ds,
@@ -281,8 +281,8 @@ def test_evaluate_autoencoder_report(rng):
     circ, layout = build_qcnn(spec)
     params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
     cspec = CompressionSpec(tuple(layout.discard_after(1)))
-    _, s1 = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, 0.5)))
-    _, s2 = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, 1.5)))
+    _, s1, _ = ground_state(SpinModel("tfi", 4, 0.5))
+    _, s2, _ = ground_state(SpinModel("tfi", 4, 1.5))
     ds = make_dataset([s1, s2], [-1, 1], 4)
     report = evaluate_autoencoder(circ, params, cspec, ds, final_cost=0.123)
     assert len(report.fidelities) == 2

@@ -1,26 +1,25 @@
 """Hamiltonian assembly against hand expansions, eigensolver cross-checks,
 and dataset generation contracts."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_space_ground
-from vqcbench import spinmodels
+from vqcbench import cli, spinmodels
 from vqcbench.simulator import expectation_z_batch
 from vqcbench.spinmodels import (
     MODEL_KINDS,
     Dataset,
     LanczosConvergenceError,
-    SparseHamiltonian,
     SpinModel,
     build_hamiltonian,
     generate_dataset,
     ground_state,
-    ground_state_dense,
-    ground_state_lanczos,
     uniform_grid,
 )
 
@@ -71,19 +70,19 @@ def test_site_ceiling_enforced():
 
 
 def test_ground_state_tfi_n2_h0():
-    energy, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 2, 0.0)))
+    energy, state, _ = ground_state(SpinModel("tfi", 2, 0.0))
     assert energy == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_ground_state_tfi_n2_h1_is_sqrt5():
-    energy, _ = ground_state_dense(build_hamiltonian(SpinModel("tfi", 2, 1.0)))
+    energy, _, _ = ground_state(SpinModel("tfi", 2, 1.0))
     assert energy == pytest.approx(-np.sqrt(5.0), abs=1e-10)
 
 
 def test_ground_state_large_field_polarizes():
     # oracle value: dense diagonalization gives 0.998124 (second-order
     # corrections of about 3/(4h)^2 keep it just below 0.999)
-    energy, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, 10.0)))
+    energy, state, _ = ground_state(SpinModel("tfi", 4, 10.0))
     plus = np.full(16, 0.25)
     fidelity = abs(np.vdot(plus, state)) ** 2
     assert fidelity == pytest.approx(0.9981242234645813, abs=1e-9)
@@ -91,13 +90,13 @@ def test_ground_state_large_field_polarizes():
 
 def test_tfi_h0_energy_is_minus_n_minus_1():
     for n in range(2, 11):
-        energy, _ = ground_state_dense(build_hamiltonian(SpinModel("tfi", n, 0.0)))
+        energy, _, _ = ground_state(SpinModel("tfi", n, 0.0))
         assert energy == pytest.approx(-(n - 1), abs=1e-12)
 
 
 def test_tfi_large_field_per_site_x():
     # h=10: every site nearly aligned with X
-    _, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 6, 10.0)))
+    _, state, _ = ground_state(SpinModel("tfi", 6, 10.0))
     # <X_j> via Hadamard-rotated Z would need circuits; compute directly
     amp = state
     n = 6
@@ -113,21 +112,30 @@ def test_tfi_large_field_per_site_x():
 
 def test_sign_convention_largest_amplitude_positive():
     for h in (0.3, 0.8, 1.5):
-        _, state = ground_state_dense(build_hamiltonian(SpinModel("tfi", 4, h)))
+        _, state, _ = ground_state(SpinModel("tfi", 4, h))
         vec = state
         assert vec[np.argmax(np.abs(vec))] > 0
         assert vec.dtype == np.float64
 
 
-def test_dense_ceiling():
-    ham = SparseHamiltonian(1 << 13, np.array([0]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        ground_state_dense(ham)
+def test_dense_ceiling(tmp_path, capsys):
+    # the TFI N = 14 sector holds 4160 states, over the 2^12 ceiling of LAPACK
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "task": "classify", "model": {"family": "hea_ry", "num_qubits": 14, "layers": 1},
+        "data": {"kind": "tfi", "num_sites": 14, "h_values": [0.5, 1.5], "solver": "dense"},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension 4160 exceeds the dense ceiling 4096" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_variational_bound(rng):
     ham = build_hamiltonian(SpinModel("xxz", 5, 0.6))
-    e0, _ = ground_state_dense(ham)
+    e0, _, _ = ground_state(SpinModel("xxz", 5, 0.6))
     m = ham.to_dense()
     for _ in range(50):
         v = rng.normal(size=ham.dimension)
@@ -151,30 +159,41 @@ def test_lanczos_agrees_with_dense(rng):
                 assert np.max(np.abs(v_dense - v_lan)) <= 1e-10
 
 
-def test_lanczos_tfi16_h0():
-    energy, _ = ground_state_lanczos(
-        build_hamiltonian(SpinModel("tfi", 16, 0.0)), tol=1e-10, seed=3
-    )
+def test_lanczos_tfi16_h0(monkeypatch):
+    monkeypatch.setattr(spinmodels, "_TOL", 1e-10)
+    energy, _, _ = ground_state(SpinModel("tfi", 16, 0.0), "lanczos")
     assert energy == pytest.approx(-15.0, abs=1e-8)
 
 
 def test_lanczos_rayleigh_quotient_consistency():
-    ham = build_hamiltonian(SpinModel("tfi", 8, 0.9))
-    energy, vec = ground_state_lanczos(ham, seed=1)
-    rq = vec @ ham.to_csr() @ vec
+    # the sector energy is the Rayleigh quotient of the full-space state
+    energy, vec, _ = ground_state(SpinModel("tfi", 8, 0.9), "lanczos")
+    rq = vec @ build_hamiltonian(SpinModel("tfi", 8, 0.9)).to_dense() @ vec
     assert abs(rq - energy) <= 1e-10
 
 
-def test_lanczos_nonconvergence_is_loud():
-    ham = build_hamiltonian(SpinModel("tfi", 8, 0.9))
-    with pytest.raises(LanczosConvergenceError):
-        ground_state_lanczos(ham, max_krylov=3, tol=1e-14, seed=1)
+def test_lanczos_nonconvergence_is_loud(monkeypatch):
+    model = SpinModel("tfi", 8, 0.9)
+    # ARPACK stops after one pass of 20 vectors, short of machine precision
+    with monkeypatch.context() as m:
+        m.setattr(spinmodels, "_MAX_KRYLOV", 3)
+        with pytest.raises(LanczosConvergenceError, match="ARPACK"):
+            ground_state(model, "lanczos")
+    # a vector ARPACK returns is checked against the residual bound
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, v = eigsh(*args, **kwargs)
+        return w, v + 1e-6 * np.arange(len(v))[:, None]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    with pytest.raises(LanczosConvergenceError, match="residual"):
+        ground_state(model, "lanczos")
 
 
 def test_xxz_fixed_sector_above_h1():
     # deep Ising-ferromagnetic regime: Sum Z variance vanishes
-    ham = build_hamiltonian(SpinModel("xxz", 6, 2.0))
-    _, state = ground_state_dense(ham)
+    _, state, _ = ground_state(SpinModel("xxz", 6, 2.0))
     n = 6
     amp = state
     idx = np.arange(1 << n)
@@ -197,7 +216,7 @@ SECTOR_FIELDS = (-1.5, -0.3, 0.0, 0.2, 0.99, 1.0, 1.01, 1.8)
 def test_sector_ground_state_matches_full_space_oracle(kind, n):
     for h in SECTOR_FIELDS:
         energy, gap, oracle = full_space_ground(kind, n, h)
-        full = build_hamiltonian(SpinModel(kind, n, h)).to_csr()
+        full = build_hamiltonian(SpinModel(kind, n, h)).to_dense()
         for solver in ("dense", "lanczos"):
             e, state, _ = ground_state(SpinModel(kind, n, h), solver)
             assert abs(e - energy) <= 1e-10, (h, solver)
@@ -219,9 +238,14 @@ def test_sector_states_are_the_documented_canonical_vectors(n):
         assert np.array_equal(state, np.eye(dim)[-1])
     # TFI at h >= 0 and XXZ below h = 1: non-negative amplitudes; TFI at
     # h >= 0 is even under P = prod X (index i <-> its complement)
-    for kind, h in (("tfi", 0.0), ("tfi", 0.4), ("tfi", 1.7), ("xxz", -0.5), ("xxz", 0.5)):
+    for kind, h in (("tfi", 0.0), ("tfi", 0.4), ("tfi", 1.7), ("xxz", -0.9), ("xxz", -0.5),
+                    ("xxz", 0.5)):
         _, state, _ = ground_state(SpinModel(kind, n, h), "dense")
         assert state.min() >= -1e-14
+        if kind == "xxz":
+            # not even a negative zero outside the magnetization sector, which
+            # a dataset file would write as -0.0
+            assert not np.signbit(state).any()
         if kind == "tfi":
             assert np.allclose(state, state[::-1], rtol=0, atol=1e-14)
     # TFI at h < 0 has parity (-1)^N: it is prod Z applied to the h > 0 state
@@ -247,9 +271,10 @@ def test_n16_ground_state_does_not_depend_on_the_seed(kind, h):
     # TFI at h = 0.2 has its two lowest levels closer than the residual
     # tolerance, XXZ at h = 1.4 an exact doublet: a full-space solve returns
     # a seed-dependent mix there, the sector solve one vector.
-    _, a, _ = ground_state(SpinModel(kind, 16, h), "lanczos", seed=0)
-    _, b, _ = ground_state(SpinModel(kind, 16, h), "lanczos", seed=1)
-    assert np.max(np.abs(a - b)) <= 1e-12
+    [a], [b] = ([r.state for r in generate_dataset(kind, 16, [h], train_fraction=1.0,
+                                                    seed=seed, solver="lanczos")[0].records]
+                for seed in (0, 1))
+    assert np.array_equal(a, b)
     assert a.min() >= -1e-12
 
 
@@ -357,9 +382,8 @@ def test_generated_states_are_ground_states():
     train, test = generate_dataset("tfi", 4, [0.4, 0.8, 1.3], train_fraction=1.0, seed=0)
     assert len(test) == 0
     for rec in train.records:
-        ham = build_hamiltonian(SpinModel("tfi", 4, rec.h))
-        e0, _ = ground_state_dense(ham)
-        energy = rec.state @ ham.to_dense() @ rec.state
+        e0, _, _ = full_space_ground("tfi", 4, rec.h)
+        energy = rec.state @ build_hamiltonian(SpinModel("tfi", 4, rec.h)).to_dense() @ rec.state
         assert energy == pytest.approx(e0, abs=1e-9)
         assert abs(np.linalg.norm(rec.state) - 1.0) < 1e-9
 

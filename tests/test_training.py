@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import param_shift_oracle, random_circuit
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
-from vqcbench.optimizers import OptimizerConfig
+from vqcbench.optimizers import OptimizerConfig, spsa_minimize
 from vqcbench.metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
 from vqcbench.simulator import Circuit, Gate, ry
 from vqcbench.spinmodels import DataRecord, Dataset
@@ -454,6 +454,24 @@ def test_train_validates_inputs():
     with pytest.raises(ValueError):
         train("classify", circ, ds, OptimizerConfig(), readout=0,
               init_params=np.array([0.1, 0.2]))
+
+
+def test_train_rejects_an_unknown_task_by_name():
+    circ = Circuit(1, [ry(0, slot=0)], param_count=1)
+    ds = make_dataset([[1.0, 0.0]], [1], 1)
+    with pytest.raises(ValueError, match="unknown task 'regress'"):
+        train("regress", circ, ds, OptimizerConfig(), readout=0)
+
+
+def test_train_owns_the_run_timing():
+    circ = Circuit(1, [ry(0, slot=0)], param_count=1)
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [1, -1], 1)
+    cfg = OptimizerConfig(kind="spsa", max_iterations=5)
+    _, bare = spsa_minimize(lambda x: float(np.sum(x ** 2)), [0.3], cfg)
+    assert bare.wall_time_total == bare.wall_time_per_sample == 0.0
+    record = train("classify", circ, ds, cfg, readout=0, init_seed=1)
+    assert record.wall_time_total > 0.0
+    assert record.wall_time_per_sample == record.wall_time_total / 2
 
 
 def test_initial_parameters_seeded_and_bounded():
