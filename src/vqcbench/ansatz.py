@@ -4,7 +4,9 @@ ansatze.
 QCNN layers alternate convolution blocks on adjacent active-qubit pairs
 (a ring once four or more qubits are active) with pooling units that fold
 each odd-position active qubit into its even-position partner, halving the
-active set.  After l layers the pooled-out count is N(1 - 1/2^l).  With
+active set.  On a power-of-two register the qubits pooled out after l layers
+are therefore {q : q mod 2^l != 0} (``pooled_qubits``): qubit 0 is never
+pooled, so it is the readout of a full-depth QCNN.  With
 weight sharing every convolution block in a layer reuses one slot set and
 every pooling unit another, which is what keeps the parameter count
 logarithmic (e.g. 17 slots for the RY variant at 16 qubits, full depth).
@@ -16,7 +18,7 @@ ladder; two layer templates are provided because the literature counts
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .simulator import Circuit, Gate, cnot, cry, cz, rx, ry, rz, x
 
@@ -44,7 +46,9 @@ class AnsatzSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown ansatz family {self.family!r}")
+            raise ValueError(
+                f"unknown ansatz family {self.family!r}; expected one of {list(FAMILIES)}"
+            )
         if self.num_qubits < 2:
             raise ValueError("num_qubits must be >= 2")
         if self.layers < 1:
@@ -70,28 +74,10 @@ class AnsatzSpec:
         return self.num_qubits.bit_length() - 1
 
 
-@dataclass
-class QcnnLayout:
-    """Wiring bookkeeping of a built QCNN.
-
-    ``active[k]`` is the active-qubit list after k layers (``active[0]`` is
-    the full register); pooled-out qubits never reappear.
-    """
-
-    active: list[list[int]]
-    conv_pairs: list[list[tuple[int, int]]]
-    pool_map: list[list[tuple[int, int]]]  # (source, kept) per layer
-    readout_qubit: int
-    layer_slices: list[tuple[int, int]] = field(default_factory=list)
-
-    def discard_after(self, layers: int) -> frozenset[int]:
-        """Qubits pooled out during the first ``layers`` layers."""
-        if not 1 <= layers <= len(self.pool_map):
-            raise ValueError(f"layers must be in [1, {len(self.pool_map)}]")
-        gone = set()
-        for lay in self.pool_map[:layers]:
-            gone.update(src for src, _ in lay)
-        return frozenset(gone)
+def pooled_qubits(num_qubits: int, layers: int) -> list[int]:
+    """Qubits a QCNN on ``num_qubits`` (a power of two) pools out during its
+    first ``layers`` layers, ascending: all but the multiples of 2^layers."""
+    return [q for q in range(num_qubits) if q % (1 << layers)]
 
 
 def _conv_block(family: str, q1: int, q2: int, slots: list[int]) -> list[Gate]:
@@ -139,8 +125,8 @@ def _layer_pairs(active: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_qcnn(spec: AnsatzSpec) -> tuple[Circuit, QcnnLayout]:
-    """Construct the QCNN circuit and its layout for ``spec``.
+def build_qcnn(spec: AnsatzSpec) -> Circuit:
+    """Construct the QCNN circuit for ``spec``.
 
     A single readout RY is appended only at full classification depth
     (layers == log2 N), where exactly one active qubit remains.
@@ -151,7 +137,6 @@ def build_qcnn(spec: AnsatzSpec) -> tuple[Circuit, QcnnLayout]:
     cp = _CONV_PARAMS[spec.family]
     gates: list[Gate] = []
     active = list(range(n))
-    layout = QcnnLayout(active=[list(active)], conv_pairs=[], pool_map=[], readout_qubit=0)
     next_slot = 0
 
     def take(k: int) -> list[int]:
@@ -161,25 +146,17 @@ def build_qcnn(spec: AnsatzSpec) -> tuple[Circuit, QcnnLayout]:
         return slots
 
     for _ in range(spec.layers):
-        start = len(gates)
-        pairs = _layer_pairs(active)
         shared_conv = take(cp) if spec.weight_sharing else None
-        for q1, q2 in pairs:
+        for q1, q2 in _layer_pairs(active):
             gates.extend(_conv_block(spec.family, q1, q2, shared_conv or take(cp)))
-        pools = [(active[i + 1], active[i]) for i in range(0, len(active) - 1, 2)]
         shared_pool = take(_POOL_PARAMS) if spec.weight_sharing else None
-        for source, kept in pools:
-            gates.extend(_pool_unit(source, kept, shared_pool or take(_POOL_PARAMS)))
-        active = [q for q in active[::2]]
-        layout.conv_pairs.append(pairs)
-        layout.pool_map.append(pools)
-        layout.active.append(list(active))
-        layout.layer_slices.append((start, len(gates)))
+        for i in range(0, len(active) - 1, 2):
+            gates.extend(_pool_unit(active[i + 1], active[i], shared_pool or take(_POOL_PARAMS)))
+        active = active[::2]
 
     if spec.layers == spec.full_depth:
         gates.append(ry(active[0], slot=take(1)[0]))
-    layout.readout_qubit = active[0] if len(active) == 1 else 0
-    return Circuit(n, gates, next_slot), layout
+    return Circuit(n, gates, next_slot)
 
 
 def build_hea(spec: AnsatzSpec) -> Circuit:
@@ -219,9 +196,11 @@ def build_hea(spec: AnsatzSpec) -> Circuit:
     return Circuit(n, gates, next_slot)
 
 
-def build_ansatz(spec: AnsatzSpec) -> tuple[Circuit, QcnnLayout | None]:
+def build_ansatz(spec: AnsatzSpec) -> tuple[Circuit, list[int] | None]:
+    """The circuit for ``spec`` and, for a QCNN, the qubits its pooling
+    discards (``pooled_qubits``); None for an HEA."""
     if spec.is_qcnn:
-        return build_qcnn(spec)
+        return build_qcnn(spec), pooled_qubits(spec.num_qubits, spec.layers)
     return build_hea(spec), None
 
 
@@ -260,6 +239,7 @@ def param_count(spec: AnsatzSpec) -> int:
 
 
 def readout_qubit(spec: AnsatzSpec) -> int:
-    """Measured wire: the sole survivor of full-depth QCNN pooling, and by
-    convention wire 0 for everything else."""
+    """Measured wire: the sole survivor of full-depth QCNN pooling (qubit 0
+    is never in ``pooled_qubits``), and by convention wire 0 for everything
+    else."""
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
 from .config import BenchConfig, ConfigError, cell_seed, load_config, model_spec_from_dict
-from .metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
+from .metrics import evaluate_autoencoder, evaluate_classifier
 from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
 from .storage import (
     atomic_write,
@@ -44,11 +44,11 @@ def model_name(spec: AnsatzSpec) -> str:
     return name
 
 
-def _resolve_discard(config: BenchConfig, spec: AnsatzSpec, layout) -> list[int]:
+def _resolve_discard(config: BenchConfig, pooled: list[int] | None) -> list[int]:
     if config.discard is not None:
         return list(config.discard)
-    if layout is not None:
-        return sorted(layout.discard_after(spec.layers))
+    if pooled is not None:
+        return pooled
     raise ConfigError(
         "autoencode with an HEA model needs an explicit 'discard' list in the config"
     )
@@ -97,11 +97,11 @@ def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
     """Build the circuit for spec and train it on dataset; returns (record,
     circuit, target), where target is the readout qubit or the discard list
     as a keyword argument of ``train``, ``_save_training`` and ``_evaluate``."""
-    circuit, layout = build_ansatz(spec)
+    circuit, pooled = build_ansatz(spec)
     if config.task == "classify":
         target = {"readout": readout_qubit(spec)}
     else:
-        target = {"discard": _resolve_discard(config, spec, layout)}
+        target = {"discard": _resolve_discard(config, pooled)}
     record = train(config.task, circuit, dataset, optimizer or config.optimizer,
                    init_seed=seed, **target)
     return record, circuit, target
@@ -122,8 +122,7 @@ def _evaluate(config: BenchConfig, circuit, params, dataset: Dataset, out_dir: P
     if config.task == "classify":
         report = evaluate_classifier(circuit, readout, params, dataset)
     else:
-        report = evaluate_autoencoder(circuit, params, CompressionSpec(tuple(discard)),
-                                      dataset, final_cost=final_cost)
+        report = evaluate_autoencoder(circuit, params, discard, dataset, final_cost=final_cost)
     write_report(out_dir / "report.json", config.task, asdict(report))
     return report
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import FAMILIES, HEA_TEMPLATES, AnsatzSpec
-from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
+from .ansatz import AnsatzSpec
+from .optimizers import OptimizerConfig
 from .spinmodels import (
     CRITICAL_POINT,
     DEFAULT_GRID_SIZE,
@@ -94,25 +94,18 @@ def _path(section: dict, key: str, where: str, default=None):
 def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
     _check_keys(d, {"family", "num_qubits", "layers", "weight_sharing", "hea_template"}, where)
     family = _require(d, "family", where)
-    if family not in FAMILIES:
-        raise ConfigError(
-            f"unknown family {family!r} in {where}; expected one of {list(FAMILIES)}"
-        )
     weight_sharing = d.get("weight_sharing", True)
     if not isinstance(weight_sharing, bool):
         raise ConfigError(
             f"weight_sharing in {where} must be true or false, got {weight_sharing!r}"
         )
-    template = d.get("hea_template", "single_column")
-    if template not in HEA_TEMPLATES:
-        raise ConfigError(f"unknown hea_template {template!r} in {where}")
     try:
         return AnsatzSpec(
             family=family,
             num_qubits=_integer(_require(d, "num_qubits", where), "num_qubits", where),
             layers=_integer(_require(d, "layers", where), "layers", where),
             weight_sharing=weight_sharing,
-            hea_template=template,
+            hea_template=d.get("hea_template", "single_column"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -172,10 +165,7 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
     allowed = {"kind", "max_iterations", "cost_tolerance", "param_tolerance",
                "learning_rate", "spsa", "seed", "line_search_step", "line_search_tol"}
     _check_keys(d, allowed, where)
-    kind = d.get("kind", "powell")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer kind {kind!r} in {where}")
-    kwargs = {"kind": kind}
+    kwargs = {"kind": d.get("kind", "powell")}
     for key in ("max_iterations", "seed"):
         if key in d:
             kwargs[key] = _integer(d[key], key, where)

@@ -9,10 +9,9 @@ matrix A (kept x discarded) and let a0 be its column for the all-|0>
 discard pattern; each term is then |(A^dagger a0)_b|^2, so
     F = ||A^dagger a0||^2
 (Romero, Olson and Aspuru-Guzik, arXiv:1612.02806): one encoder pass, no
-decoder.  F is 1 whenever the encoding is exact.  The post-selected
-variant, conditioned on the all-|0> reset outcome, is F_ps = ||a0||^2.
-``reconstruct_fidelity`` takes a (batch, 2^N) amplitude matrix and
-returns F for every row from one batched encoder pass.
+decoder.  F is 1 whenever the encoding is exact.  ``reconstruct_fidelity``
+takes a (batch, 2^N) amplitude matrix and returns F for every row from one
+batched encoder pass.
 """
 
 from __future__ import annotations
@@ -27,20 +26,6 @@ from .training import _check_discard
 # Default compression inputs: TFI ground states straddling the h=1 boundary
 # (the exact critical point is excluded; 0.9 stands in for 1.0).
 DEFAULT_COMPRESSION_H = (0.2, 0.6, 0.9, 1.4, 1.8)
-
-
-@dataclass(frozen=True)
-class CompressionSpec:
-    """Which qubits an autoencoder discards."""
-
-    discard: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "discard", tuple(_check_discard(self.discard)))
-
-    @property
-    def n_d(self) -> int:
-        return len(self.discard)
 
 
 @dataclass
@@ -125,44 +110,32 @@ def evaluate_classifier(circuit: Circuit, readout: int, params, test) -> Classif
     )
 
 
-def reconstruct_fidelity(
-    encoder: Circuit,
-    params,
-    spec: CompressionSpec,
-    amplitudes: np.ndarray,
-    post_select: bool = False,
-) -> np.ndarray:
+def reconstruct_fidelity(encoder: Circuit, params, discard, amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of the decode(reset(encode(state))) round trip for every
-    row of a (batch, 2^N) amplitude matrix.
-
-    ``post_select=True`` instead conditions on the all-|0> reset outcome and
-    normalizes by its probability; an outcome of probability 0 gives 0.
-    """
+    row of a (batch, 2^N) amplitude matrix, resetting the ``discard`` qubits."""
     n = encoder.num_qubits
-    _check_discard(spec.discard, n)
+    discard = _check_discard(discard, n)
     encoded = run_circuit_batch(encoder, params, amplitudes)
     batch = encoded.shape[0]
-    kept = [q for q in range(n) if q not in spec.discard]
+    kept = [q for q in range(n) if q not in discard]
     a = encoded.reshape((batch,) + (2,) * n)
-    a = a.transpose([0] + [1 + q for q in kept + list(spec.discard)])
-    a = a.reshape(batch, 1 << len(kept), 1 << spec.n_d)
+    a = a.transpose([0] + [1 + q for q in kept + discard])
+    a = a.reshape(batch, 1 << len(kept), 1 << len(discard))
     a0_dagger = a[:, :, 0].conj()[:, None, :]
-    if post_select:
-        return np.matmul(a0_dagger, a[:, :, :1])[:, 0, 0].real  # ||a0||^2
     return np.sum(np.abs(np.matmul(a0_dagger, a)[:, 0]) ** 2, axis=1)  # ||A^dagger a0||^2
 
 
 def evaluate_autoencoder(
     encoder: Circuit,
     params,
-    spec: CompressionSpec,
+    discard,
     test,
     final_cost: float | None = None,
 ) -> CompressionReport:
-    fidelities = reconstruct_fidelity(encoder, params, spec, test.amplitudes()).tolist()
+    fidelities = reconstruct_fidelity(encoder, params, discard, test.amplitudes()).tolist()
     return CompressionReport(
         fidelities=fidelities,
         mean_fidelity=float(np.mean(fidelities)),
-        n_d=spec.n_d,
+        n_d=len(set(discard)),
         final_cost=final_cost,
     )

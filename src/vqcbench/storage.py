@@ -10,8 +10,8 @@ writes, but an amplitude array is formatted one distinct value at a time:
 a symmetry-sector ground state repeats each value over its orbit (a TFI
 N = 16 state holds 16512 distinct values among 65536 amplitudes).  The
 reader rejects, with the file and record in the message, a line that is
-not JSON and any field of the wrong type, a boolean among amplitudes
-included.
+not JSON, a header ``N`` outside [1, MAX_SITES] and any field of the wrong
+type, a boolean among amplitudes included.
 
 Every file is written atomically by ``atomic_write``: a temporary file in
 the target's directory, then ``os.replace``, so a failed write leaves the
@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ConfigError, _integer, _items, _number
 from .optimizers import TrainRecord
-from .spinmodels import MODEL_KINDS, DataRecord, Dataset
+from .spinmodels import MAX_SITES, MODEL_KINDS, DataRecord, Dataset
 from .training import TASKS
 
 FORMAT_VERSION = 1
@@ -138,6 +138,8 @@ def read_dataset(path) -> Dataset:
     if header.get("model") not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model {header.get('model')!r}")
     n = _integer(header.get("N"), "N", f"{path}: header")
+    if not 1 <= n <= MAX_SITES:
+        raise ValueError(f"{path}: header.N must be in [1, {MAX_SITES}], got {n}")
     dim = 1 << n
     h_c = header.get("h_c")
     critical = h_c is not None and not (isinstance(h_c, float) and np.isnan(h_c))

@@ -57,14 +57,11 @@ class _Objective:
     qubit, or the sum of Z on the discarded qubits) and loss(m) = (C, dC/dm)
     in the m_i = <O>_i.
 
-    With ``keep_pass``, a cost call keeps its forward pass (psi and the m_i)
-    until the next one, and ``gradient`` at the same parameters reuses it, so
-    a gradient-descent step makes one forward pass and one adjoint sweep.
-    Without it, as for the derivative-free optimizers, no pass outlives its
-    call."""
+    A cost call keeps its forward pass (psi and the m_i) until the next call
+    frees it, and ``gradient`` at the same parameters reuses it, so a
+    gradient-descent step makes one forward pass and one adjoint sweep."""
 
-    def __init__(self, circuit: Circuit, dataset, task: str, readout=None, discard=None,
-                 *, keep_pass: bool = False):
+    def __init__(self, circuit: Circuit, dataset, task: str, readout=None, discard=None):
         n, size = circuit.num_qubits, len(dataset)
         if task == "classify":
             if readout is None or not 0 <= readout < n:
@@ -82,8 +79,7 @@ class _Objective:
             raise ValueError(f"unknown task {task!r}")
         self.compiled = CompiledCircuit(circuit)
         self.mat = self.compiled.state(dataset.amplitudes())
-        self.keep_pass = keep_pass
-        self._pass = None  # (params, psi, m) of the last cost call, with keep_pass
+        self._pass = None  # (params, psi, m) of the last cost call
 
     def _forward(self, params):
         psi = self.compiled.run(params, self.mat)  # checks and converts params
@@ -92,8 +88,7 @@ class _Objective:
     def cost(self, params) -> float:
         self._pass = None  # free the last pass before this one allocates
         psi, m = self._forward(params)
-        if self.keep_pass:
-            self._pass = (np.array(params, dtype=float), psi, m)
+        self._pass = (np.array(params, dtype=float), psi, m)
         return float(self.loss(m)[0])
 
     def gradient(self, params) -> np.ndarray:
@@ -155,8 +150,7 @@ def train(
     else:
         x0 = initial_parameters(circuit.param_count, init_seed)
 
-    objective = _Objective(circuit, dataset, task, readout, discard,
-                           keep_pass=optimizer.kind == "param_shift_gd")
+    objective = _Objective(circuit, dataset, task, readout, discard)
     minimize = {"powell": powell_minimize, "nelder_mead": nelder_mead_minimize,
                 "spsa": spsa_minimize}
     t0 = time.perf_counter()

@@ -165,20 +165,13 @@ def kraus_reset_branches(amplitudes, discard):
     return branches
 
 
-def kraus_fidelity(encoder, params, discard, state, post_select=False):
+def kraus_fidelity(encoder, params, discard, state):
     """Reset-channel fidelity by simulation: encode, split into Kraus
-    branches, decode every branch with the inverse circuit, sum |<psi|.>|^2
-    (only branch 0, normalized by its weight, when post-selecting)."""
+    branches, decode every branch with the inverse circuit, sum |<psi|.>|^2."""
     encoded = sim.run_circuit_batch(encoder, params, state[None, :])[0]
     branches = kraus_reset_branches(encoded, discard)
-    if post_select:
-        weight = np.vdot(branches[0], branches[0]).real
-        if weight == 0.0:
-            return 0.0
-        branches = branches[:1]
     decoded = sim.run_circuit_batch(inverse_circuit(encoder), params, np.array(branches))
-    total = float(np.sum(np.abs(decoded @ state.conj()) ** 2))
-    return total / weight if post_select else total
+    return float(np.sum(np.abs(decoded @ state.conj()) ** 2))
 
 
 # Two-point rule for rotation generators with eigenvalues +-1/2, and the

@@ -1,16 +1,19 @@
-"""Circuit construction: parameter counts, pooling schedule, gate support,
-and realness of the RY/SO4 variants."""
+"""Circuit construction: parameter counts, the closed-form pooling set
+against the built circuit, gate support, and realness of the RY/SO4
+variants."""
 
 import numpy as np
 import pytest
 
 from vqcbench.ansatz import (
     FAMILIES,
+    QCNN_FAMILIES,
     AnsatzSpec,
     build_ansatz,
     build_hea,
     build_qcnn,
     param_count,
+    pooled_qubits,
     readout_qubit,
 )
 from vqcbench.simulator import run_circuit_batch
@@ -29,7 +32,7 @@ def test_spec_validation():
         AnsatzSpec("qcnn_ry", 8, 4)  # too deep
     with pytest.raises(ValueError):
         AnsatzSpec("hea_ry", 4, 1, hea_template="ring")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'qcnn_rz'; expected one of \['qcnn_ry', "):
         AnsatzSpec("qcnn_rz", 4, 1)
     AnsatzSpec("hea_ry", 6, 2)  # HEA takes any N >= 2
 
@@ -37,7 +40,7 @@ def test_spec_validation():
 def test_qcnn_ry_16_full_depth_has_17_params():
     spec = AnsatzSpec("qcnn_ry", 16, 4)
     assert param_count(spec) == 17
-    circ, _ = build_qcnn(spec)
+    circ = build_qcnn(spec)
     assert circ.param_count == 17
 
 
@@ -77,44 +80,59 @@ def test_built_slot_count_matches_formula(family, n):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_pooling_count_identity(n):
     for layers in legal_qcnn_layers(n):
-        spec = AnsatzSpec("qcnn_ry", n, layers)
-        _, layout = build_qcnn(spec)
-        for l in range(1, layers + 1):
-            assert len(layout.discard_after(l)) == n * (1 - 1 / 2**l)
+        assert len(pooled_qubits(n, layers)) == n * (1 - 1 / 2**layers)
+        _, pooled = build_ansatz(AnsatzSpec("qcnn_ry", n, layers))
+        assert pooled == pooled_qubits(n, layers)
+
+
+def layer_gates(spec):
+    """(kind, targets, slot) of each gate layer ``spec.layers`` adds to the
+    circuit one layer shallower."""
+    def build(layers):
+        circ = build_qcnn(AnsatzSpec(spec.family, spec.num_qubits, layers,
+                                     weight_sharing=spec.weight_sharing))
+        return [(g.kind, g.targets, g.slot) for g in circ.gates]
+
+    gates = build(spec.layers)
+    prefix = build(spec.layers - 1) if spec.layers > 1 else []
+    assert gates[:len(prefix)] == prefix
+    return gates[len(prefix):]
 
 
 def test_qcnn_gate_support_respects_active_sets():
-    for n in (4, 8, 16):
-        spec = AnsatzSpec("qcnn_ry", n, n.bit_length() - 1)
-        circ, layout = build_qcnn(spec)
-        for k, (start, stop) in enumerate(layout.layer_slices):
-            allowed = set(layout.active[k])
-            for g in circ.gates[start:stop]:
-                assert set(g.targets) <= allowed
+    # layer l acts on the qubits the first l - 1 layers left, and pools out
+    # exactly the ones pooled_qubits adds at depth l
+    for family in QCNN_FAMILIES:
+        for n in (2, 4, 8, 16):
+            for layers in legal_qcnn_layers(n):
+                for sharing in (True, False):
+                    gates = layer_gates(AnsatzSpec(family, n, layers, weight_sharing=sharing))
+                    before = set(pooled_qubits(n, layers - 1))
+                    touched = {q for _, targets, _ in gates for q in targets}
+                    assert touched == set(range(n)) - before
+                    sources = {targets[0] for kind, targets, _ in gates if kind == "cry"}
+                    assert sources == set(pooled_qubits(n, layers)) - before
 
 
 def test_qcnn_pooling_map_and_readout():
     spec = AnsatzSpec("qcnn_ry", 8, 3)
-    _, layout = build_qcnn(spec)
-    assert layout.active[1] == [0, 2, 4, 6]
-    assert layout.discard_after(1) == frozenset({1, 3, 5, 7})
-    assert layout.active[3] == [0]
-    assert layout.readout_qubit == 0
+    circ, pooled = build_ansatz(spec)
+    assert pooled_qubits(8, 1) == [1, 3, 5, 7]
+    assert pooled == pooled_qubits(8, 3) == [1, 2, 3, 4, 5, 6, 7]
+    assert circ.gates[-1].kind == "ry" and circ.gates[-1].targets == (0,)
     assert readout_qubit(spec) == 0
     assert readout_qubit(AnsatzSpec("hea_ry", 16, 2)) == 0
+    assert build_ansatz(AnsatzSpec("hea_ry", 16, 2))[1] is None
 
 
 def test_qcnn_n4_l1_active_set():
-    spec = AnsatzSpec("qcnn_ry", 4, 1)
-    _, layout = build_qcnn(spec)
-    assert layout.active[1] == [0, 2]
-    assert layout.discard_after(1) == frozenset({1, 3})
+    _, pooled = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
+    assert pooled == [1, 3]
 
 
 def test_conv_pairs_form_ring():
-    spec = AnsatzSpec("qcnn_ry", 8, 1)
-    _, layout = build_qcnn(spec)
-    assert layout.conv_pairs[0] == [
+    circ = build_qcnn(AnsatzSpec("qcnn_ry", 8, 1))
+    assert [g.targets for g in circ.gates if g.kind == "cz"] == [
         (0, 1), (2, 3), (4, 5), (6, 7),
         (1, 2), (3, 4), (5, 6), (7, 0),
     ]
@@ -152,7 +170,7 @@ def test_real_qcnn_variants_preserve_real_states(family, rng):
 def test_su4_block_is_expressive_enough_to_entangle(rng):
     # sanity: the SU4 conv block is a genuine two-qubit unitary family
     spec = AnsatzSpec("qcnn_su4", 2, 1)
-    circ, _ = build_qcnn(spec)
+    circ = build_qcnn(spec)
     params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
     out = run_circuit_batch(circ, params, [zero_state(2)])[0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12

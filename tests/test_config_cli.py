@@ -61,7 +61,9 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_unknown_family(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(cfg, model={"family": "qcnn_rz", "num_qubits": 4, "layers": 1})
-    with pytest.raises(ConfigError, match="qcnn_rz"):
+    with pytest.raises(ConfigError, match=r"unknown ansatz family 'qcnn_rz'; expected one of "
+                                          r"\['qcnn_ry', 'qcnn_so4', 'qcnn_su4', 'hea_ry', "
+                                          r"'hea_rxrzrx'\]"):
         load_config(cfg)
 
 
@@ -177,10 +179,15 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
     (0, "h_c", lambda header: {**header, "h_c": "1.0"}),
     (0, "header is not a JSON object", lambda header: [header]),
     (0, "model", lambda header: {k: v for k, v in header.items() if k != "model"}),
+    (0, "header.N must be in [1, 16], got -1", lambda header: {**header, "N": -1}),
+    (0, "header.N must be in [1, 16], got 0", lambda header: {**header, "N": 0}),
+    (0, "header.N must be in [1, 16], got 17", lambda header: {**header, "N": 17}),
+    (0, "header.N must be in [1, 16], got 100000", lambda header: {**header, "N": 100000}),
 ], ids=["h-string", "h-null", "h-bool", "label-bool", "re-strings", "re-nested",
         "re-missing", "im-strings", "re-bool-mixed", "re-bool-float-mixed", "re-nan",
         "record-list", "header-N-null", "header-h_c-string", "header-list",
-        "header-model-missing"])
+        "header-model-missing", "header-N-negative", "header-N-zero", "header-N-17",
+        "header-N-100000"])
 def test_bad_dataset_line_exits_2_without_traceback(tmp_path, capsys, line, field, edit):
     cfg = tmp_path / "c.json"
     write_config(cfg)
@@ -194,7 +201,7 @@ def test_bad_dataset_line_exits_2_without_traceback(tmp_path, capsys, line, fiel
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert field in err and (line == 0 or "record 1" in err)
+    assert str(path) in err and field in err and (line == 0 or "record 1" in err)
     assert not (out / "model.json").exists()
 
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqcbench.ansatz import AnsatzSpec, build_qcnn
+from vqcbench.ansatz import AnsatzSpec, build_ansatz
 from vqcbench.metrics import (
     ClassificationReport,
-    CompressionSpec,
     auc_score,
     evaluate_autoencoder,
     evaluate_classifier,
@@ -41,11 +40,8 @@ def make_dataset(states, labels, n):
     return Dataset("tfi", n, records, {})
 
 
-def density_matrix_fidelity(encoder, params, discard, state, post_select=False):
-    """Oracle: build the reset channel explicitly on density matrices.
-
-    With ``post_select`` only the all-|0> outcome is kept and renormalized.
-    """
+def density_matrix_fidelity(encoder, params, discard, state):
+    """Oracle: build the reset channel explicitly on density matrices."""
     n = encoder.num_qubits
     dim = 1 << n
     u = circuit_full_matrix(encoder, params)
@@ -55,7 +51,7 @@ def density_matrix_fidelity(encoder, params, discard, state, post_select=False):
     discard = sorted(discard)
     n_d = len(discard)
     rho_reset = np.zeros_like(rho)
-    for b in range(1 if post_select else 1 << n_d):
+    for b in range(1 << n_d):
         k_full = np.eye(1)
         pos = 0
         for q in range(n):
@@ -67,11 +63,6 @@ def density_matrix_fidelity(encoder, params, discard, state, post_select=False):
             else:
                 k_full = np.kron(k_full, np.eye(2))
         rho_reset += k_full @ rho @ k_full.conj().T
-    if post_select:
-        weight = np.trace(rho_reset).real
-        if weight == 0.0:
-            return 0.0
-        rho_reset /= weight
     rho_dec = u_inv @ rho_reset @ u_inv.conj().T
     return float(np.real(state.conj() @ rho_dec @ state))
 
@@ -159,15 +150,13 @@ def test_accuracy_zero_when_labels_flipped():
 
 
 def test_identity_encoder_on_zero_state():
-    spec = CompressionSpec((0, 2))
-    assert reconstruct_fidelity(Circuit(4), [], spec, [zero_state(4)]) == pytest.approx([1.0])
+    assert reconstruct_fidelity(Circuit(4), [], [0, 2], [zero_state(4)]) == pytest.approx([1.0])
 
 
 def test_identity_encoder_plus_tensor_zero():
     amp = np.zeros(4, dtype=complex)
     amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
-    spec = CompressionSpec((0,))
-    assert reconstruct_fidelity(Circuit(2), [], spec, [amp]) == pytest.approx([0.5])
+    assert reconstruct_fidelity(Circuit(2), [], [0], [amp]) == pytest.approx([0.5])
 
 
 def test_fidelity_matches_density_matrix_oracle(rng):
@@ -178,8 +167,7 @@ def test_fidelity_matches_density_matrix_oracle(rng):
         states = np.array([random_state(n, rng) for _ in range(3)])
         n_d = int(rng.integers(1, n))
         discard = tuple(sorted(rng.choice(n, size=n_d, replace=False).tolist()))
-        spec = CompressionSpec(discard)
-        got = reconstruct_fidelity(circ, params, spec, states)
+        got = reconstruct_fidelity(circ, params, discard, states)
         oracle = [density_matrix_fidelity(circ, params, list(discard), s) for s in states]
         assert got == pytest.approx(oracle, abs=1e-10)
         assert np.all((0.0 <= got) & (got <= 1.0 + 1e-9))
@@ -198,14 +186,12 @@ def compression_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(compression_cases(), st.booleans())
-def test_closed_form_fidelity_matches_kraus_and_density_oracles(case, post_select):
+@given(compression_cases())
+def test_closed_form_fidelity_matches_kraus_and_density_oracles(case):
     circ, params, discard, state = case
-    [got] = reconstruct_fidelity(circ, params, CompressionSpec(discard), [state],
-                                 post_select=post_select)
-    kraus = kraus_fidelity(circ, params, discard, state, post_select=post_select)
-    dense = density_matrix_fidelity(circ, params, list(discard), state,
-                                    post_select=post_select)
+    [got] = reconstruct_fidelity(circ, params, discard, [state])
+    kraus = kraus_fidelity(circ, params, discard, state)
+    dense = density_matrix_fidelity(circ, params, list(discard), state)
     assert got == pytest.approx(kraus, abs=1e-10)
     assert got == pytest.approx(dense, abs=1e-10)
     assert -1e-12 <= got <= 1.0 + 1e-9
@@ -218,12 +204,12 @@ def test_fidelity_memory_stays_within_a_few_states(rng):
     n = 12
     circ = random_circuit(n, rng, n_gates=24, param_count=4)
     params = rng.uniform(-np.pi, np.pi, size=4)
-    spec = CompressionSpec(tuple(range(0, n, 2)))
+    discard = list(range(0, n, 2))
     state = random_state(n, rng)[None, :]
-    reconstruct_fidelity(circ, params, spec, state)
+    reconstruct_fidelity(circ, params, discard, state)
     tracemalloc.start()
     try:
-        reconstruct_fidelity(circ, params, spec, state)
+        reconstruct_fidelity(circ, params, discard, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,15 +225,12 @@ def test_fidelity_one_when_encoder_output_factorizes(rng):
     from vqcbench.simulator import ry
 
     circ = Circuit(n, [ry(2, angle=0.7)])
-    spec = CompressionSpec((0, 1))
-    assert reconstruct_fidelity(circ, [], spec, state) == pytest.approx([1.0], abs=1e-12)
+    assert reconstruct_fidelity(circ, [], [0, 1], state) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_trained_cost_zero_implies_fidelity_one():
     # train a tiny autoencoder to exact compression, check the F=1 link
-    spec = AnsatzSpec("qcnn_ry", 4, 1)
-    circ, layout = build_qcnn(spec)
-    discard = layout.discard_after(1)
+    circ, discard = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
     _, state, _ = ground_state(SpinModel("tfi", 4, 1.8))
     ds = make_dataset([state], [1], 4)
     record = train(
@@ -256,52 +239,38 @@ def test_trained_cost_zero_implies_fidelity_one():
         discard=discard, init_seed=1,
     )
     cost = min(record.cost_history)
-    cspec = CompressionSpec(tuple(discard))
-    [fid] = reconstruct_fidelity(circ, record.final_params, cspec, ds.amplitudes())
+    [fid] = reconstruct_fidelity(circ, record.final_params, discard, ds.amplitudes())
     if cost < 1e-9:
         assert fid >= 1 - 1e-6
     assert fid >= 1 - 2 * cost  # general cost-fidelity bound direction
 
 
-def test_post_selected_fidelity_flag():
-    amp = np.zeros(4, dtype=complex)
-    amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
-    spec = CompressionSpec((0,))
-    mixed = reconstruct_fidelity(Circuit(2), [], spec, [amp], post_select=False)
-    conditioned = reconstruct_fidelity(Circuit(2), [], spec, [amp], post_select=True)
-    assert mixed == pytest.approx([0.5])
-    assert conditioned == pytest.approx([0.5])  # branch prob 1/2, overlap 1/4
-    # an all-|0> outcome of probability 0 gives 0
-    assert reconstruct_fidelity(Circuit(2), [], spec, [basis_state(2, 0b10)],
-                                post_select=True) == [0.0]
-
-
 def test_evaluate_autoencoder_report(rng):
-    spec = AnsatzSpec("qcnn_ry", 4, 1)
-    circ, layout = build_qcnn(spec)
+    circ, discard = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
     params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
-    cspec = CompressionSpec(tuple(layout.discard_after(1)))
     _, s1, _ = ground_state(SpinModel("tfi", 4, 0.5))
     _, s2, _ = ground_state(SpinModel("tfi", 4, 1.5))
     ds = make_dataset([s1, s2], [-1, 1], 4)
-    report = evaluate_autoencoder(circ, params, cspec, ds, final_cost=0.123)
+    report = evaluate_autoencoder(circ, params, discard, ds, final_cost=0.123)
     assert len(report.fidelities) == 2
     assert report.mean_fidelity == pytest.approx(np.mean(report.fidelities))
     assert report.n_d == 2
     assert report.final_cost == 0.123
     for f in report.fidelities:
         assert 0.0 <= f <= 1.0 + 1e-9
-    single = evaluate_autoencoder(circ, params, cspec, make_dataset([s1], [1], 4))
+    single = evaluate_autoencoder(circ, params, discard, make_dataset([s1], [1], 4))
     assert single.mean_fidelity == pytest.approx(single.fidelities[0])
 
 
 def test_compression_spec_validation():
-    with pytest.raises(ValueError):
-        CompressionSpec(())
-    with pytest.raises(ValueError):
-        CompressionSpec((-1,))
-    spec = CompressionSpec((3, 1))
-    assert spec.discard == (1, 3)
-    assert spec.n_d == 2
-    with pytest.raises(ValueError):
-        reconstruct_fidelity(Circuit(2), [], CompressionSpec((5,)), [zero_state(2)])
+    # the discard list is checked where the fidelity is computed: non-empty,
+    # in range, and read as a set
+    for bad in ([], [-1], [2], [0, 5]):
+        with pytest.raises(ValueError):
+            reconstruct_fidelity(Circuit(2), [], bad, [zero_state(2)])
+    amp = np.zeros(4)
+    amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
+    for same in ([0], [0, 0], (0,)):
+        assert reconstruct_fidelity(Circuit(2), [], same, [amp]) == pytest.approx([0.5])
+    report = evaluate_autoencoder(Circuit(3), [], [2, 0, 2], make_dataset([zero_state(3)], [1], 3))
+    assert report.n_d == 2

@@ -11,7 +11,7 @@ from conftest import param_shift_oracle, random_circuit
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import OptimizerConfig, spsa_minimize
-from vqcbench.metrics import CompressionSpec, evaluate_autoencoder, evaluate_classifier
+from vqcbench.metrics import evaluate_autoencoder, evaluate_classifier
 from vqcbench.simulator import Circuit, Gate, ry
 from vqcbench.spinmodels import DataRecord, Dataset
 from vqcbench.training import (
@@ -63,7 +63,7 @@ def test_classification_cost_single_sample_midpoint():
 
 def test_classification_cost_bounds(rng):
     spec = AnsatzSpec("qcnn_ry", 4, 2)
-    circ, _ = build_qcnn(spec)
+    circ = build_qcnn(spec)
     states = []
     for _ in range(5):
         amp = rng.normal(size=16)
@@ -97,9 +97,7 @@ def test_autoencoder_cost_extremes():
 
 
 def test_autoencoder_cost_bounds(rng):
-    spec = AnsatzSpec("qcnn_ry", 4, 1)
-    circ, layout = build_qcnn(spec)
-    discard = layout.discard_after(1)
+    circ, discard = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
     amp = rng.normal(size=16)
     ds = make_dataset([amp / np.linalg.norm(amp)], [1], 4)
     for _ in range(100):
@@ -123,7 +121,7 @@ def test_register_size_mismatch_rejected_everywhere():
     with pytest.raises(ValueError):
         evaluate_classifier(circ, 0, params, ds)
     with pytest.raises(ValueError):
-        evaluate_autoencoder(circ, params, CompressionSpec((1,)), ds)
+        evaluate_autoencoder(circ, params, [1], ds)
     # a record whose length disagrees with the dataset's own register size
     bad = make_dataset([np.eye(4)[0], np.eye(8)[0]], [1, -1], 2)
     with pytest.raises(ValueError, match="record 1"):
@@ -177,13 +175,8 @@ def test_gradient_matches_finite_difference_classify(family, n, rng):
 
 @pytest.mark.parametrize("family,n", [("qcnn_ry", 4), ("hea_ry", 4)])
 def test_gradient_matches_finite_difference_autoencode(family, n, rng):
-    if family.startswith("qcnn"):
-        spec = AnsatzSpec(family, n, 1)
-        circ, layout = build_qcnn(spec)
-        discard = layout.discard_after(1)
-    else:
-        spec = AnsatzSpec(family, n, 1)
-        circ = build_hea(spec)
+    circ, discard = build_ansatz(AnsatzSpec(family, n, 1))
+    if discard is None:  # HEA
         discard = {0, 1}
     amp = rng.normal(size=1 << n)
     ds = make_dataset([amp / np.linalg.norm(amp)], [1], n)
@@ -195,7 +188,7 @@ def test_gradient_matches_finite_difference_autoencode(family, n, rng):
 
 def test_shared_slot_gradient_equals_sum_of_unshared(rng):
     spec = AnsatzSpec("qcnn_ry", 4, 2, weight_sharing=True)
-    circ, _ = build_qcnn(spec)
+    circ = build_qcnn(spec)
     params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
     amp = rng.normal(size=16)
     ds = make_dataset([amp / np.linalg.norm(amp)], [1], 4)
@@ -312,7 +305,7 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     states = rng.normal(size=(4, 1 << n))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
-    objective = training._Objective(circ, ds, task, **target, keep_pass=True)
+    objective = training._Objective(circ, ds, task, **target)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
         expected = param_shift_gradient(circ, ds, params, task=task, **target)
@@ -371,22 +364,6 @@ def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monke
     assert calls == {"run": steps + 1, "gradient": steps, "kernel": (2 * steps + 1) * blocks}
 
 
-@pytest.mark.parametrize("kind", ["powell", "nelder_mead", "spsa"])
-def test_derivative_free_runs_keep_no_forward_pass(kind, monkeypatch):
-    objectives = []
-
-    class Recording(training._Objective):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            objectives.append(self)
-
-    monkeypatch.setattr(training, "_Objective", Recording)
-    circ, _ = build_ansatz(AnsatzSpec("qcnn_ry", 4, 2))
-    ds = make_dataset([np.eye(16)[0], np.eye(16)[5]], [1, -1], 4)
-    train("classify", circ, ds, OptimizerConfig(kind=kind, max_iterations=2), readout=0)
-    assert len(objectives) == 1 and objectives[0]._pass is None
-
-
 # ---------------------------------------------------------------------------
 # train()
 
@@ -417,15 +394,14 @@ def test_train_deterministic_given_seed():
 
 
 def test_train_autoencode_path():
-    spec = AnsatzSpec("qcnn_ry", 4, 1)
-    circ, layout = build_qcnn(spec)
+    circ, discard = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
     amp = np.zeros(16)
     amp[0] = 1.0
     ds = make_dataset([amp], [1], 4)
     record = train(
         "autoencode", circ, ds,
         OptimizerConfig(kind="powell", max_iterations=20),
-        discard=layout.discard_after(1), init_seed=2,
+        discard=discard, init_seed=2,
     )
     assert min(record.cost_history) < 1e-6  # |0000> is compressible trivially
 
