@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
-from .config import BenchConfig, ConfigError, cell_seed, load_config, model_spec_from_dict
+from .config import BenchConfig, ConfigError, cell_seed, load_config
 from .metrics import evaluate_autoencoder, evaluate_classifier
 from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
 from .storage import (
@@ -164,7 +164,7 @@ def cmd_eval(config: BenchConfig, args) -> int:
             f"model file was trained for task {model['task']!r} "
             f"but the config says {config.task!r}"
         )
-    spec = model_spec_from_dict(model["model"], "model file")
+    spec = model["spec"]
     circuit, _ = build_ansatz(spec)
     dataset = _eval_dataset(config, out_dir)
     report = _evaluate(config, circuit, model["params"], dataset, out_dir,

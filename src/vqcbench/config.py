@@ -83,6 +83,15 @@ def _items(section: dict, key: str, where: str, parse) -> list:
     return [parse(item, f"{key}[{i}]", where) for i, item in enumerate(value)]
 
 
+def checked_discard(discard: list[int], num_qubits: int, where: str) -> list[int]:
+    """``_check_discard`` of the discard list read from ``where``, whose
+    ValueError becomes a ConfigError naming ``where``.discard."""
+    try:
+        return _check_discard(discard, num_qubits)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.discard: {exc} for {num_qubits} qubits") from exc
+
+
 def _path(section: dict, key: str, where: str, default=None):
     """The string under key, or ``default`` when the key is absent."""
     value = section.get(key, default)
@@ -217,11 +226,8 @@ class BenchConfig:
             raise ConfigError("train_sizes must be positive")
         discard = None
         if d.get("discard") is not None:
-            discard = _items(d, "discard", "config", _integer)
-            try:
-                discard = _check_discard(discard, model.num_qubits)
-            except ValueError as exc:
-                raise ConfigError(f"{exc} for {model.num_qubits} qubits") from exc
+            discard = checked_discard(_items(d, "discard", "config", _integer),
+                                      model.num_qubits, "config")
         eval_on = d.get("eval_on")
         if eval_on not in (None, "train", "test"):
             raise ConfigError(f"eval_on must be 'train' or 'test', got {eval_on!r}")

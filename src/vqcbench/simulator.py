@@ -20,6 +20,13 @@ a two-qubit gate joins the last block if it was the last on both wires, else
 it opens one.  A block matrix is 4x4 with its lower wire as the high bit (a
 one-wire block uses the high bit only).  Amplitudes are float64 if all gate
 matrices and the input are real.
+
+Both walkers over a batch, the forward pass (``CompiledCircuit.run``) and the
+adjoint sweep (``CompiledCircuit.gradient``), take its rows a chunk at a time
+(``_row_chunks``: up to half a megabyte of amplitudes, or one larger row), so
+that a chunk stays in cache through every block instead of the whole batch
+streaming through each one.  A kernel gives each row the same result
+whatever chunk it is in.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ _AFFINE = {
 }
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 _MAX_WINDOW = 5  # wires in the widest matmul window (a 32 x 32 matrix)
-_SWEEP_BYTES = 1 << 20  # (psi, lam) rows the adjoint sweep walks at once: one state pair at N = 16
+_SWEEP_BYTES = 1 << 20  # a chunk's input and output in a pass, or its (psi, lam) in the sweep
 
 
 @dataclass(eq=False)
@@ -211,6 +218,13 @@ def _kernel(amp: np.ndarray, n: int, wires, window, flat: np.ndarray):
     return out, product
 
 
+def _row_chunks(amp: np.ndarray) -> list[slice]:
+    """The slices of amp's rows that both walkers take at once: two chunks
+    fill _SWEEP_BYTES (one row each at N = 16 on float64)."""
+    rows = max(1, _SWEEP_BYTES // (2 * amp.itemsize * amp.shape[1]))
+    return [slice(start, start + rows) for start in range(0, len(amp), rows)]
+
+
 def _adjoint_outer(both: np.ndarray, window, product) -> np.ndarray:
     """The 4x4 sum of conj(lam) psi^T over a block's wires (a one-wire block
     uses the high bit only), where ``both`` stacks psi over lam and window
@@ -346,14 +360,28 @@ class CompiledCircuit:
         return np.ascontiguousarray(amp, dtype=complex)
 
     def run(self, params, amplitudes) -> np.ndarray:
-        """Every block on a (batch, 2^N) input, which is left unchanged."""
+        """Every block on a (batch, 2^N) input, which is left unchanged.  A
+        batch of more than one chunk (``_row_chunks``) goes through every
+        block a chunk at a time, into the rows of the result."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
         amp = self.state(amplitudes)
         flats = _padded(self.block_matrices(self.factors(params)[0]))
+        n = self.num_qubits
+        chunks = _row_chunks(amp)
+        if len(chunks) > 1:
+            out = np.empty_like(amp)
+            for rows in chunks:
+                chunk = amp[rows]
+                for wires, u, window in self.blocks:
+                    chunk = _kernel(chunk, n, wires, window, flats[u])[0]
+                out[rows] = chunk
+            return out
+        # One chunk: the whole batch, with no result allocated ahead; rebinding
+        # amp frees an input ``state`` converted after the first block.
         for wires, u, window in self.blocks:
-            amp = _kernel(amp, self.num_qubits, wires, window, flats[u])[0]
+            amp = _kernel(amp, n, wires, window, flats[u])[0]
         return amp if self.blocks else amp.copy()
 
     def gradient(self, params, psi, lam) -> np.ndarray:
@@ -364,8 +392,8 @@ class CompiledCircuit:
 
         Adjoint differentiation (Jones and Gacon, arXiv:2009.02823) by one
         backward sweep of one kernel call per block: psi and lam are walked
-        back together, stacked in one array, a chunk of about _SWEEP_BYTES of
-        rows at a time so that the chunk stays in cache through the sweep.
+        back together, stacked in one array, a chunk of rows (``_row_chunks``)
+        at a time so that the chunk stays in cache through the sweep.
         With block B undone, W = conj(B) sum conj(lam) psi^T over its wires
         gives slot theta 2 Re sum(dB/dtheta * W).  The sum is read from the
         layout the kernel used, with no pair-first copy (``_adjoint_outer``),
@@ -377,10 +405,9 @@ class CompiledCircuit:
         conj = self.block_matrices(factors).conj()
         undo = _padded(conj.transpose(0, 2, 1))
         outers = np.zeros((len(self.blocks), 4, 4), np.result_type(psi, lam))
-        rows = max(1, _SWEEP_BYTES // (2 * psi[0].nbytes))
-        for start in range(0, len(psi), rows):
+        for rows in _row_chunks(psi):
             # psi over lam in one array, so each block is undone on both in one call
-            both = np.concatenate([psi[start:start + rows], lam[start:start + rows]])
+            both = np.concatenate([psi[rows], lam[rows]])
             for k, (wires, u, window) in reversed(list(enumerate(self.blocks))):
                 both, product = _kernel(both, n, wires, window, undo[u])
                 outers[k] += _adjoint_outer(both, window, product)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _integer, _items, _number
+from .config import ConfigError, _integer, _items, _number, checked_discard, model_spec_from_dict
 from .optimizers import TrainRecord
 from .spinmodels import MAX_SITES, MODEL_KINDS, DataRecord, Dataset
 from .training import TASKS
@@ -211,9 +211,10 @@ def write_model(path, task, model_spec_dict, params, readout=None, discard=None,
 
 
 def read_model(path) -> dict:
-    """A model file with its task, model section, finite parameters and the
-    task's readout qubit or discard list checked; any of them missing or of
-    the wrong type raises ConfigError."""
+    """A model file with its task, model section (parsed into ``spec``), finite
+    parameters and the task's readout qubit or discard list (sorted and
+    de-duplicated) checked, the last two against the model's qubits; any of
+    them missing, of the wrong type or out of range raises ConfigError."""
     obj = _loads(Path(path).read_text(), str(path))
     if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version")
@@ -222,11 +223,15 @@ def read_model(path) -> dict:
         raise ConfigError(f"{where}.task must be one of {list(TASKS)}, got {obj.get('task')!r}")
     if not isinstance(obj.get("model"), dict):
         raise ConfigError(f"{where}.model must be an object, got {obj.get('model')!r}")
+    obj["spec"] = spec = model_spec_from_dict(obj["model"], where)
     obj["params"] = np.asarray(_items(obj, "params", where, _number), dtype=float)
+    n = spec.num_qubits
     if obj["task"] == "classify":
-        obj["readout"] = _integer(obj.get("readout"), "readout", where)
+        obj["readout"] = readout = _integer(obj.get("readout"), "readout", where)
+        if not 0 <= readout < n:
+            raise ConfigError(f"{where}.readout {readout} out of range for {n} qubits")
     else:
-        obj["discard"] = _items(obj, "discard", where, _integer)
+        obj["discard"] = checked_discard(_items(obj, "discard", where, _integer), n, where)
     return obj
 
 

@@ -687,6 +687,8 @@ def test_eval_rejects_non_integer_model_fields(tmp_path, capsys, task, key, valu
     ("classify", "params", None), ("classify", "params", [0.0, "x", 0.0, 0.0]),
     ("classify", "readout", None), ("classify", "readout", "0"),
     ("autoencode", "discard", None), ("autoencode", "discard", 1),
+    # in type but out of range for the model's 2 qubits
+    ("classify", "readout", 9), ("autoencode", "discard", [9]), ("autoencode", "discard", []),
 ], ids=lambda v: "missing" if v is None else None)
 def test_eval_rejects_model_file_missing_or_mistyped_key(tmp_path, capsys, task, key, value):
     cfg = tmp_path / "c.json"
@@ -704,7 +706,7 @@ def test_eval_rejects_model_file_missing_or_mistyped_key(tmp_path, capsys, task,
     assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert key in err
+    assert f"model file.{key}" in err
     assert not (out / "report.json").exists()
 
 

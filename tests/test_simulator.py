@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqcbench import simulator as sim
 from vqcbench.ansatz import AnsatzSpec, build_ansatz
+from vqcbench.spinmodels import SpinModel, ground_state
 from vqcbench.simulator import (
     Circuit,
     cnot,
@@ -412,6 +413,61 @@ def test_gradient_sums_the_same_over_row_chunks(real, monkeypatch, rng):
     whole = compiled.gradient(params, psi, lam)
     monkeypatch.setattr(sim, "_SWEEP_BYTES", 3 * psi[0].nbytes)  # chunks of 1 row
     assert np.max(np.abs(compiled.gradient(params, psi, lam) - whole)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("real", [True, False])
+def test_pass_is_the_same_over_row_chunks(real, rows, monkeypatch, rng):
+    circ = random_circuit(7, rng, n_gates=30, param_count=5, real=real)
+    circ.gates.append(cnot(0, 6))  # a far pair
+    compiled = sim.CompiledCircuit(circ)
+    params = rng.uniform(-np.pi, np.pi, size=5)
+    states = random_states(7, rng, batch=5)
+    states = np.ascontiguousarray(states.real) if real else states
+    whole = compiled.run(params, states)
+    assert len(sim._row_chunks(whole)) == 1
+    monkeypatch.setattr(sim, "_SWEEP_BYTES", (2 * rows + 1) * whole[0].nbytes)
+    assert len(sim._row_chunks(whole)) == -(-len(states) // rows)  # chunks of `rows` rows
+    assert np.array_equal(compiled.run(params, states), whole)
+
+
+@pytest.fixture(scope="module")
+def tfi16_states():
+    return np.array([ground_state(SpinModel("tfi", 16, h))[1] for h in (0.4, 0.8, 1.2, 1.6)])
+
+
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])
+def test_pass_at_16_qubits_is_the_same_over_row_chunks(family, tfi16_states, monkeypatch):
+    circ, _ = build_ansatz(AnsatzSpec(family, 16, 4))
+    compiled = sim.CompiledCircuit(circ)
+    params = np.random.default_rng(5).uniform(-np.pi, np.pi, size=circ.param_count)
+    chunked = compiled.run(params, tfi16_states)
+    assert len(sim._row_chunks(chunked)) == len(tfi16_states)  # a row a chunk
+    monkeypatch.setattr(sim, "_SWEEP_BYTES", 1 << 40)  # the whole batch in one chunk
+    assert np.array_equal(compiled.run(params, tfi16_states), chunked)
+
+
+def test_chunked_pass_memory_stays_within_the_output_and_three_chunks(rng):
+    # A far pair holds its input chunk, the pair-first copy and the product;
+    # walked whole, the same pass held three outputs.
+    n = 14
+    circ = random_circuit(n, rng, n_gates=40, param_count=4, real=True)
+    circ.gates.append(cnot(0, n - 1))
+    compiled = sim.CompiledCircuit(circ)
+    assert any(window is None for _, _, window in compiled.blocks)
+    params = rng.uniform(-np.pi, np.pi, size=4)
+    states = np.ascontiguousarray(random_states(n, rng, batch=16).real)
+    compiled.run(params, states)
+    tracemalloc.start()
+    try:
+        out = compiled.run(params, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunks = sim._row_chunks(out)
+    assert len(chunks) == 4
+    # plus the block matrices and a window's gathered 32 x 32 matrix, under 32 KiB
+    assert peak <= out.nbytes + 3 * out[chunks[0]].nbytes + (1 << 15)
 
 
 @pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])
