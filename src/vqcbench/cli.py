@@ -127,12 +127,23 @@ def _evaluate(config: BenchConfig, circuit, params, dataset: Dataset, out_dir: P
     return report
 
 
+def _read_data(path: Path, num_qubits: int, role: str) -> Dataset:
+    """The dataset at path, whose chain must have one site per model qubit."""
+    if not path.exists():
+        raise FileNotFoundError(f"{role} dataset not found: {path}")
+    dataset = read_dataset(path)
+    if dataset.num_sites != num_qubits:
+        raise ConfigError(
+            f"{path} holds {dataset.num_sites}-site states but the model acts on "
+            f"{num_qubits} qubits"
+        )
+    return dataset
+
+
 def cmd_train(config: BenchConfig, args) -> int:
     out_dir = Path(args.out or config.out_dir)
     train_path, _ = _dataset_paths(config, out_dir)
-    if not train_path.exists():
-        raise FileNotFoundError(f"training dataset not found: {train_path}")
-    dataset = read_dataset(train_path)
+    dataset = _read_data(train_path, config.model.num_qubits, "training")
     seed = args.seed if args.seed is not None else config.seed
     record, _, target = _train_once(config, config.model, dataset, seed)
     _save_training(config, config.model, record, seed, out_dir, **target)
@@ -143,14 +154,6 @@ def cmd_train(config: BenchConfig, args) -> int:
         f"{record.evaluations} evaluations, {record.wall_time_total:.3f}s"
     )
     return 0
-
-
-def _eval_dataset(config: BenchConfig, out_dir: Path) -> Dataset:
-    train_path, test_path = _dataset_paths(config, out_dir)
-    path = train_path if config.eval_on == "train" else test_path
-    if not path.exists():
-        raise FileNotFoundError(f"evaluation dataset not found: {path}")
-    return read_dataset(path)
 
 
 def cmd_eval(config: BenchConfig, args) -> int:
@@ -166,7 +169,9 @@ def cmd_eval(config: BenchConfig, args) -> int:
         )
     spec = model["spec"]
     circuit, _ = build_ansatz(spec)
-    dataset = _eval_dataset(config, out_dir)
+    train_path, test_path = _dataset_paths(config, out_dir)
+    path = train_path if config.eval_on == "train" else test_path
+    dataset = _read_data(path, spec.num_qubits, "evaluation")
     report = _evaluate(config, circuit, model["params"], dataset, out_dir,
                        model.get("readout"), model.get("discard"))
     if config.task == "classify":
@@ -230,6 +235,11 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
     run_seed = args.seed if args.seed is not None else config.seed
     sizes = config.train_sizes or [None]
     models = config.benchmark_models()
+    cell_names = [(model_name(spec), size) for spec in models for size in sizes]
+    for i, (name, size) in enumerate(cell_names):
+        if (name, size) in cell_names[:i]:  # both would write one cell directory
+            raise ConfigError(f"benchmark cell {name} at train size "
+                              f"{'all' if size is None else size} is listed twice")
 
     train_ds, test_ds = _generate(config)
     eval_ds = train_ds if config.eval_on == "train" else test_ds

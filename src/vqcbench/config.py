@@ -26,14 +26,14 @@ from .ansatz import AnsatzSpec
 from .optimizers import OptimizerConfig
 from .spinmodels import (
     CRITICAL_POINT,
+    DEFAULT_COMPRESSION_H,
     DEFAULT_GRID_SIZE,
     DEFAULT_H_RANGE,
     MODEL_KINDS,
     SOLVERS,
     uniform_grid,
 )
-from .metrics import DEFAULT_COMPRESSION_H
-from .training import TASKS, _check_discard
+from .training import TASKS, check_discard
 
 
 class ConfigError(ValueError):
@@ -54,7 +54,7 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _number(value, key: str, where: str) -> float:
+def number(value, key: str, where: str) -> float:
     """A finite JSON number; null, booleans and strings are rejected."""
     try:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -66,7 +66,7 @@ def _number(value, key: str, where: str) -> float:
     return float(value)
 
 
-def _integer(value, key: str, where: str) -> int:
+def integer(value, key: str, where: str) -> int:
     """A JSON integer (2.0 counts as 2); fractions are rejected, not truncated."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -75,7 +75,7 @@ def _integer(value, key: str, where: str) -> int:
     return value
 
 
-def _items(section: dict, key: str, where: str, parse) -> list:
+def items(section: dict, key: str, where: str, parse) -> list:
     """The JSON list under key, each item read by ``parse``."""
     value = section.get(key)
     if not isinstance(value, list):
@@ -84,10 +84,10 @@ def _items(section: dict, key: str, where: str, parse) -> list:
 
 
 def checked_discard(discard: list[int], num_qubits: int, where: str) -> list[int]:
-    """``_check_discard`` of the discard list read from ``where``, whose
+    """``check_discard`` of the discard list read from ``where``, whose
     ValueError becomes a ConfigError naming ``where``.discard."""
     try:
-        return _check_discard(discard, num_qubits)
+        return check_discard(discard, num_qubits)
     except ValueError as exc:
         raise ConfigError(f"{where}.discard: {exc} for {num_qubits} qubits") from exc
 
@@ -111,8 +111,8 @@ def model_spec_from_dict(d: dict, where: str = "model") -> AnsatzSpec:
     try:
         return AnsatzSpec(
             family=family,
-            num_qubits=_integer(_require(d, "num_qubits", where), "num_qubits", where),
-            layers=_integer(_require(d, "layers", where), "layers", where),
+            num_qubits=integer(_require(d, "num_qubits", where), "num_qubits", where),
+            layers=integer(_require(d, "layers", where), "layers", where),
             weight_sharing=weight_sharing,
             hea_template=d.get("hea_template", "single_column"),
         )
@@ -140,23 +140,23 @@ class DataSpec:
         kind = d.get("kind", "tfi")
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown data kind {kind!r} in {where}")
-        num_sites = _integer(_require(d, "num_sites", where), "num_sites", where)
-        h_c = _number(d.get("h_c", CRITICAL_POINT[kind]), "h_c", where)
+        num_sites = integer(_require(d, "num_sites", where), "num_sites", where)
+        h_c = number(d.get("h_c", CRITICAL_POINT[kind]), "h_c", where)
         if "h_values" in d:
             if any(k in d for k in ("h_start", "h_stop", "h_count")):
                 raise ConfigError(f"{where}: give either h_values or h_start/h_stop/h_count")
-            h_values = _items(d, "h_values", where, _number)
+            h_values = items(d, "h_values", where, number)
         elif any(k in d for k in ("h_start", "h_stop", "h_count")):
-            start = _number(d.get("h_start", DEFAULT_H_RANGE[0]), "h_start", where)
-            stop = _number(d.get("h_stop", DEFAULT_H_RANGE[1]), "h_stop", where)
-            count = _integer(d.get("h_count", DEFAULT_GRID_SIZE), "h_count", where)
+            start = number(d.get("h_start", DEFAULT_H_RANGE[0]), "h_start", where)
+            stop = number(d.get("h_stop", DEFAULT_H_RANGE[1]), "h_stop", where)
+            count = integer(d.get("h_count", DEFAULT_GRID_SIZE), "h_count", where)
             h_values = uniform_grid(start, stop, count)
         elif task == "autoencode":
             h_values = list(DEFAULT_COMPRESSION_H)
         else:
             h_values = uniform_grid(*DEFAULT_H_RANGE, DEFAULT_GRID_SIZE)
         default_fraction = 1.0 if task == "autoencode" else 0.75
-        fraction = _number(d.get("train_fraction", default_fraction), "train_fraction", where)
+        fraction = number(d.get("train_fraction", default_fraction), "train_fraction", where)
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"{where}: train_fraction must be in [0, 1]")
         solver = d.get("solver", "auto")
@@ -164,7 +164,7 @@ class DataSpec:
             raise ConfigError(f"{where}: unknown solver {solver!r}")
         return cls(
             kind=kind, num_sites=num_sites, h_values=h_values, h_c=h_c,
-            train_fraction=fraction, seed=_integer(d.get("seed", 0), "seed", where),
+            train_fraction=fraction, seed=integer(d.get("seed", 0), "seed", where),
             solver=solver,
             train_path=_path(d, "train_path", where), test_path=_path(d, "test_path", where),
         )
@@ -177,17 +177,17 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
     kwargs = {"kind": d.get("kind", "powell")}
     for key in ("max_iterations", "seed"):
         if key in d:
-            kwargs[key] = _integer(d[key], key, where)
+            kwargs[key] = integer(d[key], key, where)
     for key in ("cost_tolerance", "param_tolerance", "learning_rate",
                 "line_search_step", "line_search_tol"):
         if key in d:
-            kwargs[key] = _number(d[key], key, where)
+            kwargs[key] = number(d[key], key, where)
     spsa = d.get("spsa", {})
     _check_keys(spsa, {"a", "c", "alpha", "gamma"}, f"{where}.spsa")
     for src, dst in (("a", "spsa_a"), ("c", "spsa_c"),
                      ("alpha", "spsa_alpha"), ("gamma", "spsa_gamma")):
         if src in spsa:
-            kwargs[dst] = _number(spsa[src], src, f"{where}.spsa")
+            kwargs[dst] = number(spsa[src], src, f"{where}.spsa")
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:
@@ -219,14 +219,14 @@ class BenchConfig:
         model = model_spec_from_dict(_require(d, "model", "config"))
         data = DataSpec.from_dict(_require(d, "data", "config"), task)
         optimizer = optimizer_from_dict(d.get("optimizer", {}))
-        models = _items(d, "models", "config",
-                        lambda m, key, _: model_spec_from_dict(m, key)) if "models" in d else []
-        train_sizes = _items(d, "train_sizes", "config", _integer) if "train_sizes" in d else []
+        models = items(d, "models", "config",
+                       lambda m, key, _: model_spec_from_dict(m, key)) if "models" in d else []
+        train_sizes = items(d, "train_sizes", "config", integer) if "train_sizes" in d else []
         if any(s <= 0 for s in train_sizes):
             raise ConfigError("train_sizes must be positive")
         discard = None
         if d.get("discard") is not None:
-            discard = checked_discard(_items(d, "discard", "config", _integer),
+            discard = checked_discard(items(d, "discard", "config", integer),
                                       model.num_qubits, "config")
         eval_on = d.get("eval_on")
         if eval_on not in (None, "train", "test"):
@@ -243,7 +243,7 @@ class BenchConfig:
                 )
         return cls(
             task=task, model=model, data=data, optimizer=optimizer,
-            seed=_integer(d.get("seed", 0), "seed", "config"),
+            seed=integer(d.get("seed", 0), "seed", "config"),
             out_dir=_path(d, "out_dir", "config", "runs"),
             models=models, train_sizes=train_sizes, discard=discard,
             eval_on=eval_on or ("train" if task == "autoencode" else "test"),

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import Circuit, expectation_z_batch, run_circuit_batch
-from .training import _check_discard
-
-# Default compression inputs: TFI ground states straddling the h=1 boundary
-# (the exact critical point is excluded; 0.9 stands in for 1.0).
-DEFAULT_COMPRESSION_H = (0.2, 0.6, 0.9, 1.4, 1.8)
+from .training import check_discard
 
 
 @dataclass
@@ -47,42 +43,43 @@ class CompressionReport:
     final_cost: float | None = None
 
 
+def _roc_counts(scores, labels) -> tuple[list[int], list[int]]:
+    """Integer (fp, tp) counts of the samples called positive (score >=
+    threshold) at thresholds +inf, each distinct score from the highest
+    down, and -inf, for finite scores; two empty lists when a class is
+    absent."""
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    ranked, ranked_labels = scores[order], np.asarray(labels, dtype=int)[order]
+    fp, tp = np.cumsum([ranked_labels == -1, ranked_labels == 1], axis=1)
+    if fp.size == 0 or fp[-1] == 0 or tp[-1] == 0:
+        return [], []
+    last = np.append(ranked[1:] != ranked[:-1], True)  # last sample of each distinct score
+    return [0, *fp[last].tolist(), int(fp[-1])], [0, *tp[last].tolist(), int(tp[-1])]
+
+
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """Exact ROC: thresholds sweep every distinct score plus +-inf sentinels.
 
     A sample is called positive when its score >= threshold.  Points run
-    from (0, 0) to (1, 1) and are monotone in both coordinates.
+    from (0, 0) to (1, 1) and are monotone in both coordinates; [] when
+    only one class is present.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == -1).sum())
-    if n_pos == 0 or n_neg == 0:
-        return []
-    thresholds = [np.inf] + sorted(set(scores.tolist()), reverse=True) + [-np.inf]
-    points = []
-    for t in thresholds:
-        called = scores >= t
-        tp = int((called & (labels == 1)).sum())
-        fp = int((called & (labels == -1)).sum())
-        points.append((fp / n_neg, tp / n_pos))
-    return points
+    fp, tp = _roc_counts(scores, labels)
+    return [(f / fp[-1], t / tp[-1]) for f, t in zip(fp, tp)]
 
 
 def auc_score(scores, labels) -> float | None:
-    """AUC as the Mann-Whitney statistic; ties count one half.
-
-    Returns None when only one class is present (undefined marker).
+    """AUC, the trapezoid area under ``roc_points``: the Mann-Whitney
+    statistic, ties counting one half.  The doubled area in integer counts
+    is exactly 2 wins + ties, so the result is one rounding of
+    (wins + ties / 2) / (P N).  None when only one class is present.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = scores[labels == 1]
-    neg = scores[labels == -1]
-    if pos.size == 0 or neg.size == 0:
+    fp, tp = _roc_counts(scores, labels)
+    if not fp:
         return None
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
+    area2 = sum((f1 - f0) * (t1 + t0) for f0, f1, t0, t1 in zip(fp, fp[1:], tp, tp[1:]))
+    return area2 / (2 * fp[-1] * tp[-1])
 
 
 def evaluate_classifier(circuit: Circuit, readout: int, params, test) -> ClassificationReport:
@@ -114,7 +111,7 @@ def reconstruct_fidelity(encoder: Circuit, params, discard, amplitudes: np.ndarr
     """Fidelity of the decode(reset(encode(state))) round trip for every
     row of a (batch, 2^N) amplitude matrix, resetting the ``discard`` qubits."""
     n = encoder.num_qubits
-    discard = _check_discard(discard, n)
+    discard = check_discard(discard, n)
     encoded = run_circuit_batch(encoder, params, amplitudes)
     batch = encoded.shape[0]
     kept = [q for q in range(n) if q not in discard]

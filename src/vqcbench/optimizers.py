@@ -1,9 +1,10 @@
 """Derivative-free minimizers (Powell, Nelder-Mead, SPSA) and a plain
 gradient-descent driver.
 
-All four share the same result contract: they return the best parameter
-vector and a TrainRecord whose final_cost is the cost at that vector and
-whose cost_history lists every objective evaluation in call order.
+All four share one result contract: they return only a TrainRecord, whose
+final_params is the best parameter vector, final_cost the cost at that
+vector and cost_history every objective evaluation in call order; its
+evaluations count is the length of that history.
 Everything is deterministic given the config (SPSA through its seed), which
 is what makes benchmark runs reproducible bit for bit.  Every objective
 evaluation goes through ``_Tracker``, which raises FloatingPointError when
@@ -68,16 +69,19 @@ class TrainRecord:
 
     final_params: np.ndarray
     cost_history: list[float] = field(default_factory=list)
-    evaluations: int = 0
     wall_time_total: float = 0.0
     wall_time_per_sample: float = 0.0
     converged: bool = False
     final_cost: float = math.nan  # cost at final_params, as evaluated in the run
 
+    @property
+    def evaluations(self) -> int:
+        return len(self.cost_history)
+
 
 class _Tracker:
-    """Wraps the objective: counts evaluations, records history, and stops
-    the run on a non-finite trial point or cost."""
+    """Wraps the objective: records every cost in call order, and stops the
+    run on a non-finite trial point or cost."""
 
     def __init__(self, f):
         self.f = f
@@ -92,10 +96,6 @@ class _Tracker:
         self.history.append(value)
         return value
 
-    @property
-    def count(self) -> int:
-        return len(self.history)
-
 
 def _check_x0(x0) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -107,13 +107,14 @@ def _check_x0(x0) -> np.ndarray:
 
 
 def _finish(tracker, x, fx, converged) -> TrainRecord:
-    return TrainRecord(
-        final_params=x,
-        final_cost=float(fx),
-        cost_history=tracker.history,
-        evaluations=tracker.count,
-        converged=converged,
-    )
+    return TrainRecord(final_params=x, cost_history=tracker.history, converged=converged,
+                       final_cost=float(fx))
+
+
+def _small_change(a, b, tol) -> bool:
+    """The stop rule on a cost pair: their difference is small relative to
+    their size, 2|a - b| <= tol (|a| + |b|) + 1e-20."""
+    return 2.0 * abs(a - b) <= tol * (abs(a) + abs(b)) + 1e-20
 
 
 def _bracket(g, xa, xb, fa, fb):
@@ -227,7 +228,7 @@ def _line_minimize(f, x, direction, fx, step, tol):
     return alpha, f_min
 
 
-def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
+def powell_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
     """Powell's conjugate-direction method.
 
     Each iteration line-minimizes along every maintained direction (Brent
@@ -256,7 +257,8 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRe
             if f_before - fx > delta:
                 delta = f_before - fx
                 i_big = i
-        if 2.0 * (f_start - fx) <= config.cost_tolerance * (abs(f_start) + abs(fx)) + 1e-20:
+        # a line search never raises fx, so f_start - fx is never negative
+        if _small_change(f_start, fx, config.cost_tolerance):
             converged = True
             break
         # extrapolated point test before replacing a direction
@@ -277,10 +279,10 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRe
                     directions[i_big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
 
-    return x, _finish(tracker, x, fx, converged)
+    return _finish(tracker, x, fx, converged)
 
 
-def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
+def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
     """Nelder-Mead simplex with coefficients (1, 2, 0.5, 0.5).
 
     The initial simplex is x0 plus 0.1-radian steps along each coordinate.
@@ -303,9 +305,7 @@ def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, Tr
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         f_best, f_worst = values[0], values[-1]
-        flat = 2.0 * abs(f_worst - f_best) <= config.cost_tolerance * (
-            abs(f_worst) + abs(f_best)
-        ) + 1e-20
+        flat = _small_change(f_worst, f_best, config.cost_tolerance)
         small = np.max(np.abs(simplex[1:] - simplex[0])) <= config.param_tolerance
         if (flat and small) or f_worst == f_best:
             converged = True
@@ -333,11 +333,10 @@ def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, Tr
                     values[i] = tracker(simplex[i])
 
     order = np.argsort(values, kind="stable")
-    best = simplex[order[0]].copy()
-    return best, _finish(tracker, best, values[order[0]], converged)
+    return _finish(tracker, simplex[order[0]].copy(), values[order[0]], converged)
 
 
-def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainRecord]:
+def spsa_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
     """Simultaneous-perturbation stochastic approximation.
 
     Rademacher perturbations from a seeded generator; gain sequences
@@ -368,12 +367,10 @@ def spsa_minimize(f, x0, config: OptimizerConfig) -> tuple[np.ndarray, TrainReco
 
     mark = int(np.floor(0.8 * config.max_iterations))
     stable = best_trace[mark] - best_trace[-1] <= config.cost_tolerance * (1.0 + abs(best_f))
-    return best_x, _finish(tracker, best_x, best_f, stable)
+    return _finish(tracker, best_x, best_f, stable)
 
 
-def gradient_descent_minimize(
-    f, grad, x0, config: OptimizerConfig
-) -> tuple[np.ndarray, TrainRecord]:
+def gradient_descent_minimize(f, grad, x0, config: OptimizerConfig) -> TrainRecord:
     """Fixed-step gradient descent driven by an external gradient oracle.
 
     Raises FloatingPointError when a cost or the parameters become
@@ -397,12 +394,10 @@ def gradient_descent_minimize(
                 f"is lost to rounding at parameters of {np.max(np.abs(x)):.3g}"
             )
         f_new = tracker(x_new)
-        small_cost = 2.0 * abs(fx - f_new) <= config.cost_tolerance * (
-            abs(fx) + abs(f_new)
-        ) + 1e-20
+        small_cost = _small_change(fx, f_new, config.cost_tolerance)
         x, fx = x_new, f_new
         if small_cost or small_step:
             converged = True
             break
-    return x, _finish(tracker, x, fx, converged)
+    return _finish(tracker, x, fx, converged)
 

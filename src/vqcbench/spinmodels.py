@@ -68,6 +68,9 @@ _TOL = 1e-8  # bound on the Lanczos residual
 # XXZ it separates the XY-critical regime from the Ising-ferromagnetic one.
 CRITICAL_POINT = {"tfi": 1.0, "xxz": 1.0}
 DEFAULT_H_RANGE = (0.2, 1.8)
+# Default compression inputs: TFI ground states straddling the h=1 boundary
+# (the exact critical point is excluded; 0.9 stands in for 1.0).
+DEFAULT_COMPRESSION_H = (0.2, 0.6, 0.9, 1.4, 1.8)
 DEFAULT_GRID_SIZE = 64
 
 
@@ -346,8 +349,6 @@ def generate_dataset(
 
     def make(indices, split):
         meta = {
-            "kind": kind,
-            "num_sites": num_sites,
             "h_grid": h_grid,
             "h_c": h_c,
             "solver": solver_used,

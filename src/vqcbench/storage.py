@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _integer, _items, _number, checked_discard, model_spec_from_dict
+from .config import ConfigError, checked_discard, integer, items, model_spec_from_dict, number
 from .optimizers import TrainRecord
 from .spinmodels import MAX_SITES, MODEL_KINDS, DataRecord, Dataset
 from .training import TASKS
@@ -137,22 +137,22 @@ def read_dataset(path) -> Dataset:
         raise ValueError(f"{path}: unexpected bit_order {header.get('bit_order')!r}")
     if header.get("model") not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model {header.get('model')!r}")
-    n = _integer(header.get("N"), "N", f"{path}: header")
+    n = integer(header.get("N"), "N", f"{path}: header")
     if not 1 <= n <= MAX_SITES:
         raise ValueError(f"{path}: header.N must be in [1, {MAX_SITES}], got {n}")
     dim = 1 << n
     h_c = header.get("h_c")
     critical = h_c is not None and not (isinstance(h_c, float) and np.isnan(h_c))
     if critical:
-        _number(h_c, "h_c", f"{path}: header")
+        number(h_c, "h_c", f"{path}: header")
     records = []
     for i, line in enumerate(lines[1:], 1):
         where = f"{path}: record {i}"
         obj = _loads(line, where)
         if not isinstance(obj, dict):
             raise ValueError(f"{where} is not a JSON object")
-        h = _number(obj.get("h"), "h", where)
-        label = _integer(obj.get("label"), "label", where)
+        h = number(obj.get("h"), "h", where)
+        label = integer(obj.get("label"), "label", where)
         parts = {"re": obj.get("re")}
         if "im" in obj:
             parts["im"] = obj["im"]
@@ -180,8 +180,6 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"{where}: label {label} inconsistent with h={h}")
         records.append(DataRecord(state=state, h=h, label=label))
     metadata = {
-        "kind": header["model"],
-        "num_sites": n,
         "h_c": h_c,
         "h_grid": header.get("h_grid", []),
         "solver": header.get("solver"),
@@ -224,14 +222,14 @@ def read_model(path) -> dict:
     if not isinstance(obj.get("model"), dict):
         raise ConfigError(f"{where}.model must be an object, got {obj.get('model')!r}")
     obj["spec"] = spec = model_spec_from_dict(obj["model"], where)
-    obj["params"] = np.asarray(_items(obj, "params", where, _number), dtype=float)
+    obj["params"] = np.asarray(items(obj, "params", where, number), dtype=float)
     n = spec.num_qubits
     if obj["task"] == "classify":
-        obj["readout"] = readout = _integer(obj.get("readout"), "readout", where)
+        obj["readout"] = readout = integer(obj.get("readout"), "readout", where)
         if not 0 <= readout < n:
             raise ConfigError(f"{where}.readout {readout} out of range for {n} qubits")
     else:
-        obj["discard"] = checked_discard(_items(obj, "discard", where, _integer), n, where)
+        obj["discard"] = checked_discard(items(obj, "discard", where, integer), n, where)
     return obj
 
 

@@ -40,13 +40,12 @@ from .simulator import Circuit, CompiledCircuit, z_signs
 TASKS = ("classify", "autoencode")
 
 
-def _check_discard(discard, num_qubits: int | None = None) -> list[int]:
-    """Sorted, de-duplicated discard qubits; non-empty, non-negative and,
-    when ``num_qubits`` is given, below it."""
+def check_discard(discard, num_qubits: int) -> list[int]:
+    """Sorted, de-duplicated discard qubits; non-empty and in [0, num_qubits)."""
     discard = sorted(set(int(q) for q in discard))
     if not discard:
         raise ValueError("discard set must be non-empty")
-    if discard[0] < 0 or (num_qubits is not None and discard[-1] >= num_qubits):
+    if discard[0] < 0 or discard[-1] >= num_qubits:
         raise ValueError(f"discard qubits {discard} out of range")
     return discard
 
@@ -71,7 +70,7 @@ class _Objective:
             # C = (1/M) sum (l_i - m_i)^2
             self.loss = lambda m: (np.mean((labels - m) ** 2), 2.0 * (m - labels) / size)
         elif task == "autoencode":
-            discard = _check_discard(discard or (), n)
+            discard = check_discard(discard or (), n)
             self.obs = sum(z_signs(n, q) for q in discard)
             # C = (1/M) sum (n_d - s_i)/2
             self.loss = lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size))
@@ -151,15 +150,12 @@ def train(
         x0 = initial_parameters(circuit.param_count, init_seed)
 
     objective = _Objective(circuit, dataset, task, readout, discard)
-    minimize = {"powell": powell_minimize, "nelder_mead": nelder_mead_minimize,
-                "spsa": spsa_minimize}
+    minimize = {  # OptimizerConfig has checked the kind
+        "powell": powell_minimize, "nelder_mead": nelder_mead_minimize, "spsa": spsa_minimize,
+        "param_shift_gd": lambda f, x, c: gradient_descent_minimize(f, objective.gradient, x, c),
+    }[optimizer.kind]
     t0 = time.perf_counter()
-    if optimizer.kind in minimize:
-        x, record = minimize[optimizer.kind](objective.cost, x0, optimizer)
-    elif optimizer.kind == "param_shift_gd":
-        x, record = gradient_descent_minimize(objective.cost, objective.gradient, x0, optimizer)
-    else:
-        raise ValueError(f"unknown optimizer kind {optimizer.kind!r}")
+    record = minimize(objective.cost, x0, optimizer)
     elapsed = time.perf_counter() - t0
 
     record.wall_time_total = elapsed

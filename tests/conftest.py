@@ -1,8 +1,9 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
 the strided kernels, circuit inversion, the Kraus branches of the reset
 channel, parameter-shift gradients, the adjoint sweep's per-block
-contraction, full-space ground states and the text of a dataset file, plus
-state vectors and random circuit/state generators.
+contraction, full-space ground states, the text of a dataset file and the
+pairwise AUC and threshold-sweep ROC, plus state vectors and random
+circuit/state generators.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
@@ -275,6 +276,39 @@ def reference_dataset_text(dataset):
             obj["im"] = np.asarray(state.imag, dtype=float).tolist()
         lines.append(dumps(obj))
     return "\n".join(lines) + "\n"
+
+
+def roc_oracle(scores, labels):
+    """ROC points, one threshold at a time: +inf, every distinct score from
+    the highest down, -inf; a sample is called positive at score >= t."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == -1).sum())
+    if n_pos == 0 or n_neg == 0:
+        return []
+    thresholds = [np.inf] + sorted(set(scores.tolist()), reverse=True) + [-np.inf]
+    points = []
+    for t in thresholds:
+        called = scores >= t
+        tp = int((called & (labels == 1)).sum())
+        fp = int((called & (labels == -1)).sum())
+        points.append((fp / n_neg, tp / n_pos))
+    return points
+
+
+def auc_oracle(scores, labels):
+    """AUC as the pairwise Mann-Whitney statistic, ties counting one half;
+    None when only one class is present."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    pos = scores[labels == 1]
+    neg = scores[labels == -1]
+    if pos.size == 0 or neg.size == 0:
+        return None
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
 def random_unitary4(rng, real=False):

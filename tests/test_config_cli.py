@@ -794,6 +794,60 @@ def test_benchmark_size_exceeding_records_exits_2(tmp_path):
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+_QCNN4 = {"family": "qcnn_ry", "num_qubits": 4, "layers": 2}
+
+
+@pytest.mark.parametrize("models,sizes,cell", [
+    ([_QCNN4, _QCNN4], [3, 3], "qcnn_ry_n4_l2 at train size 3"),
+    ([_QCNN4], [3, 5, 3], "qcnn_ry_n4_l2 at train size 3"),
+    # hea_template means nothing to a QCNN, so both specs share one name
+    ([_QCNN4, dict(_QCNN4, hea_template="double_column")], [3],
+     "qcnn_ry_n4_l2 at train size 3"),
+    # without train_sizes every cell trains on the whole training split
+    ([_QCNN4, _QCNN4], None, "qcnn_ry_n4_l2 at train size all"),
+], ids=["model-twice", "size-twice", "same-model-name", "whole-split"])
+def test_benchmark_cells_sharing_a_directory_exit_2(tmp_path, capsys, monkeypatch,
+                                                     models, sizes, cell):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the cells were checked")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_data)
+    cfg = tmp_path / "c.json"
+    extra = {} if sizes is None else {"train_sizes": sizes}
+    write_config(cfg, models=models, **extra)
+    out = tmp_path / "o"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"benchmark cell {cell} is listed twice" in err
+    assert not out.exists()
+
+
+def test_train_and_eval_name_a_dataset_of_the_wrong_size(tmp_path, capsys):
+    toy = _perfect_toy_model(tmp_path)  # 2-site test.jsonl, 2-qubit model.json
+    data = toy / "test.jsonl"
+    cfg = tmp_path / "train.json"
+    write_config(cfg, model={"family": "hea_ry", "num_qubits": 4, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 4, "train_path": str(data)})
+    out = tmp_path / "trained"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{data} holds 2-site states but the model acts on 4 qubits" in err
+    assert not out.exists()
+
+    spec = {"family": "hea_ry", "num_qubits": 4, "layers": 1}
+    write_model(toy / "model.json", "classify", spec, np.zeros(8), readout=0)
+    cfg = tmp_path / "eval.json"
+    write_config(cfg, model={"family": "hea_ry", "num_qubits": 2, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 2, "h_values": [0.5, 1.5]})
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(toy)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{data} holds 2-site states but the model acts on 4 qubits" in err
+    assert not (toy / "report.json").exists()
+
+
 def test_benchmark_json_format(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(

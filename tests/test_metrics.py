@@ -22,12 +22,14 @@ from vqcbench.training import autoencoder_cost, train
 from vqcbench.optimizers import OptimizerConfig
 
 from conftest import (
+    auc_oracle,
     basis_state,
     circuit_full_matrix,
     inverse_circuit,
     kraus_fidelity,
     random_circuit,
     random_state,
+    roc_oracle,
     zero_state,
 )
 
@@ -124,6 +126,33 @@ def test_auc_invariant_under_monotone_transform():
 def test_single_class_auc_undefined():
     assert auc_score([0.1, 0.2], [1, 1]) is None
     assert roc_points([0.1, 0.2], [1, 1]) == []
+
+
+# a few distinct values make ties common; sizes 0 and 1 reach empty classes
+_scores = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0])
+                   | st.floats(-1.0, 1.0), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scores=_scores)
+def test_auc_and_roc_equal_their_pairwise_oracles(data, scores):
+    labels = data.draw(st.lists(st.sampled_from([-1, 1]),
+                                min_size=len(scores), max_size=len(scores)))
+    assert auc_score(scores, labels) == auc_oracle(scores, labels)
+    assert roc_points(scores, labels) == roc_oracle(scores, labels)
+
+
+@pytest.mark.parametrize("scores,labels", [
+    ([0.3], [1]),                                   # one class, one sample
+    ([0.3, 0.3, 0.1], [-1, -1, -1]),                # one class
+    ([0.2, 0.2, 0.2, 0.7], [1, -1, -1, -1]),        # one positive, tied
+    ([0.5, -0.1, 0.5, 0.5], [1, 1, -1, 1]),         # one negative, tied
+    ([0.0, -0.0, 0.0], [1, -1, 1]),                 # signed zeros tie
+    ([0.4] * 5, [1, -1, -1, 1, -1]),                # every score tied
+])
+def test_auc_and_roc_edge_cases_equal_their_oracles(scores, labels):
+    assert auc_score(scores, labels) == auc_oracle(scores, labels)
+    assert roc_points(scores, labels) == roc_oracle(scores, labels)
 
 
 def test_evaluate_classifier_end_to_end():

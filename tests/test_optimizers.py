@@ -7,6 +7,7 @@ import pytest
 
 from vqcbench.optimizers import (
     OptimizerConfig,
+    TrainRecord,
     gradient_descent_minimize,
     nelder_mead_minimize,
     powell_minimize,
@@ -28,44 +29,50 @@ def rosenbrock(x):
 
 
 def test_powell_1d_quadratic():
-    x, rec = powell_minimize(quad1, [0.0], OptimizerConfig(max_iterations=100))
+    rec = powell_minimize(quad1, [0.0], OptimizerConfig(max_iterations=100))
+    x = rec.final_params
     assert abs(x[0] - 3.0) < 1e-6
     assert rec.converged
 
 
 def test_powell_2d_quadratic():
-    x, rec = powell_minimize(quad2, [0.0, 0.0], OptimizerConfig(max_iterations=200))
+    rec = powell_minimize(quad2, [0.0, 0.0], OptimizerConfig(max_iterations=200))
+    x = rec.final_params
     assert np.max(np.abs(x - [1.0, -2.0])) < 1e-6
     assert rec.converged
 
 
 def test_powell_rosenbrock():
-    x, rec = powell_minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=500))
+    rec = powell_minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=500))
+    x = rec.final_params
     assert np.max(np.abs(x - [1.0, 1.0])) < 1e-4
     assert rec.converged
 
 
 def test_powell_iteration_cap_reports_unconverged():
-    x, rec = powell_minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=1))
+    rec = powell_minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=1))
     assert not rec.converged
     assert rec.cost_history[-1] <= rec.cost_history[0]
 
 
 def test_nelder_mead_1d():
-    x, rec = nelder_mead_minimize(quad1, [0.0], OptimizerConfig(max_iterations=500))
+    rec = nelder_mead_minimize(quad1, [0.0], OptimizerConfig(max_iterations=500))
+    x = rec.final_params
     assert abs(x[0] - 3.0) < 1e-5
     assert rec.converged
 
 
 def test_nelder_mead_2d_quadratic():
-    x, rec = nelder_mead_minimize(quad2, [0.0, 0.0], OptimizerConfig(max_iterations=2000))
+    rec = nelder_mead_minimize(quad2, [0.0, 0.0], OptimizerConfig(max_iterations=2000))
+    x = rec.final_params
     assert np.max(np.abs(x - [1.0, -2.0])) < 1e-5
     assert rec.converged
 
 
 def test_nelder_mead_constant_function_returns_x0():
     x0 = [0.4, -0.7]
-    x, rec = nelder_mead_minimize(lambda v: 5.0, x0, OptimizerConfig(max_iterations=50))
+    rec = nelder_mead_minimize(lambda v: 5.0, x0, OptimizerConfig(max_iterations=50))
+    x = rec.final_params
     assert np.array_equal(x, x0)
     assert rec.converged
     assert rec.evaluations == 3  # just the initial simplex
@@ -73,7 +80,8 @@ def test_nelder_mead_constant_function_returns_x0():
 
 def test_spsa_converges_on_quadratic():
     cfg = OptimizerConfig(kind="spsa", max_iterations=500, seed=11)
-    x, rec = spsa_minimize(quad1, [0.0], cfg)
+    rec = spsa_minimize(quad1, [0.0], cfg)
+    x = rec.final_params
     assert abs(x[0] - 3.0) < 0.05
 
 
@@ -84,9 +92,9 @@ def test_spsa_rejects_empty_x0():
 
 def test_spsa_seeded_runs_identical():
     cfg = OptimizerConfig(kind="spsa", max_iterations=200, seed=42)
-    xa, ra = spsa_minimize(quad2, [0.0, 0.0], cfg)
-    xb, rb = spsa_minimize(quad2, [0.0, 0.0], cfg)
-    assert np.array_equal(xa, xb)
+    ra = spsa_minimize(quad2, [0.0, 0.0], cfg)
+    rb = spsa_minimize(quad2, [0.0, 0.0], cfg)
+    assert np.array_equal(ra.final_params, rb.final_params)
     assert ra.cost_history == rb.cost_history
     assert ra.evaluations == rb.evaluations
     assert ra.converged == rb.converged
@@ -96,9 +104,8 @@ def test_spsa_records_cost_of_returned_iterate(tmp_path):
     # A first gain this large overshoots the minimum and every later step
     # moves further away, so the best iterate is x0, not the last one.
     cfg = OptimizerConfig(kind="spsa", max_iterations=5, spsa_a=10.0)
-    x, rec = spsa_minimize(quad1, [2.9], cfg)
+    rec = spsa_minimize(quad1, [2.9], cfg)
     assert rec.cost_history[-1] > min(rec.cost_history)
-    assert np.array_equal(x, rec.final_params)
     assert rec.final_cost == quad1(rec.final_params)
     write_train_record(tmp_path / "train_record.json", rec)
     saved = json.loads((tmp_path / "train_record.json").read_text())
@@ -110,10 +117,12 @@ def test_final_cost_is_cost_at_returned_params(kind):
     cfg = OptimizerConfig(kind=kind, max_iterations=3, learning_rate=0.04)
     if kind == "param_shift_gd":
         grad = lambda x: np.array([2.0 * (x[0] - 1.0), 20.0 * (x[1] + 2.0)])
-        x, rec = gradient_descent_minimize(quad2, grad, [0.0, 0.0], cfg)
+        rec = gradient_descent_minimize(quad2, grad, [0.0, 0.0], cfg)
+        x = rec.final_params
     else:
         minimize = powell_minimize if kind == "powell" else nelder_mead_minimize
-        x, rec = minimize(rosenbrock, [-1.2, 1.0], cfg)
+        rec = minimize(rosenbrock, [-1.2, 1.0], cfg)
+        x = rec.final_params
     f = quad2 if kind == "param_shift_gd" else rosenbrock
     assert rec.final_cost == f(x)
 
@@ -121,7 +130,8 @@ def test_final_cost_is_cost_at_returned_params(kind):
 def test_gradient_descent_quadratic():
     grad = lambda x: np.array([2.0 * (x[0] - 3.0)])
     cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=500, learning_rate=0.1)
-    x, rec = gradient_descent_minimize(quad1, grad, [0.0], cfg)
+    rec = gradient_descent_minimize(quad1, grad, [0.0], cfg)
+    x = rec.final_params
     assert abs(x[0] - 3.0) < 1e-6
     assert rec.converged
 
@@ -162,23 +172,24 @@ def test_powell_huge_line_search_step_never_divides_by_zero(step, k):
 def test_powell_line_search_step_of_exactly_two_pi_runs():
     f = lambda x: float(np.cos(4 * x[0]) + 0.5 * np.cos(x[0] / 3))
     cfg = OptimizerConfig(kind="powell", max_iterations=3, line_search_step=2 * np.pi)
-    x, rec = powell_minimize(f, [0.3], cfg)
+    rec = powell_minimize(f, [0.3], cfg)
+    x = rec.final_params
     assert np.all(np.isfinite(x)) and abs(x[0]) < 100
     assert rec.final_cost == f(x) < f([0.3])
 
 
 def test_running_minimum_monotone():
     for minimize in (powell_minimize, nelder_mead_minimize):
-        _, rec = minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=50))
+        rec = minimize(rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iterations=50))
         running = np.minimum.accumulate(rec.cost_history)
         assert np.all(np.diff(running) <= 0)
 
 
 def test_determinism_of_deterministic_methods():
     for minimize in (powell_minimize, nelder_mead_minimize):
-        xa, ra = minimize(quad2, [0.3, 0.3], OptimizerConfig(max_iterations=100))
-        xb, rb = minimize(quad2, [0.3, 0.3], OptimizerConfig(max_iterations=100))
-        assert np.array_equal(xa, xb)
+        ra = minimize(quad2, [0.3, 0.3], OptimizerConfig(max_iterations=100))
+        rb = minimize(quad2, [0.3, 0.3], OptimizerConfig(max_iterations=100))
+        assert np.array_equal(ra.final_params, rb.final_params)
         assert ra.cost_history == rb.cost_history
 
 
@@ -212,6 +223,33 @@ def test_history_counts_every_evaluation():
         calls.append(float(x[0]))
         return quad1(x)
 
-    _, rec = powell_minimize(spy, [0.0], OptimizerConfig(max_iterations=20))
+    rec = powell_minimize(spy, [0.0], OptimizerConfig(max_iterations=20))
     assert rec.evaluations == len(calls)
     assert len(rec.cost_history) == len(calls)
+
+
+@pytest.mark.parametrize("kind", ["powell", "nelder_mead", "spsa", "param_shift_gd"])
+def test_every_minimizer_returns_one_record_that_counts_its_history(kind):
+    calls = []
+
+    def spy(x):
+        calls.append(np.array(x))
+        return rosenbrock(x)
+
+    def grad(x):
+        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                         200.0 * (x[1] - x[0] ** 2)])
+
+    cfg = OptimizerConfig(kind=kind, max_iterations=5, learning_rate=1e-3)
+    if kind == "param_shift_gd":
+        rec = gradient_descent_minimize(spy, grad, [-1.2, 1.0], cfg)
+    else:
+        minimize = {"powell": powell_minimize, "nelder_mead": nelder_mead_minimize,
+                    "spsa": spsa_minimize}[kind]
+        rec = minimize(spy, [-1.2, 1.0], cfg)
+    assert isinstance(rec, TrainRecord)
+    assert rec.evaluations == len(rec.cost_history) == len(calls) > 1
+    assert rec.cost_history == [rosenbrock(x) for x in calls]
+    # final_params is a point the run evaluated, and final_cost its cost there
+    assert any(np.array_equal(rec.final_params, x) for x in calls)
+    assert rec.final_cost == rosenbrock(rec.final_params)

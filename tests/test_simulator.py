@@ -502,13 +502,28 @@ def test_real_circuit_pass_memory_stays_below_two_complex_states(rng):
     assert peak <= 2 * state.nbytes
 
 
-def test_no_module_imports_a_private_name_of_the_simulator():
-    # the compiled-block format and its kernels have one owner
+def test_no_module_imports_a_private_name_of_another_module():
+    # each private helper has one owner (the compiled-block format and its
+    # kernels in simulator, the discard check in training, ...): no module of
+    # the package imports another's private name, or reads one off a name
+    # it imported
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     source = Path(sim.__file__).parent
     offenders = []
     for path in sorted(source.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simulator"):
-                offenders += [f"{path.name}: {a.name}" for a in node.names
-                              if a.name.startswith("_")]
+        tree = ast.parse(path.read_text())
+        imported = set()  # local names an import from the package binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("vqcbench")):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if private(a.name)]
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names
+                               if a.name.startswith("vqcbench"))
+        offenders += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in imported and private(node.attr)]
     assert offenders == []

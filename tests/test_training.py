@@ -443,7 +443,7 @@ def test_train_owns_the_run_timing():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [1, -1], 1)
     cfg = OptimizerConfig(kind="spsa", max_iterations=5)
-    _, bare = spsa_minimize(lambda x: float(np.sum(x ** 2)), [0.3], cfg)
+    bare = spsa_minimize(lambda x: float(np.sum(x ** 2)), [0.3], cfg)
     assert bare.wall_time_total == bare.wall_time_per_sample == 0.0
     record = train("classify", circ, ds, cfg, readout=0, init_seed=1)
     assert record.wall_time_total > 0.0
