@@ -63,6 +63,14 @@ class AnsatzSpec:
                 )
         if self.hea_template not in HEA_TEMPLATES:
             raise ValueError(f"unknown HEA template {self.hea_template!r}")
+        # a key the family does not read must keep its default, so two specs
+        # that build one circuit are one spec (and one model name)
+        if self.is_qcnn and self.hea_template != HEA_TEMPLATES[0]:
+            raise ValueError(f"hea_template {self.hea_template!r} applies to HEA "
+                             f"families only, not {self.family}")
+        if not self.is_qcnn and not self.weight_sharing:
+            raise ValueError(f"weight_sharing false applies to QCNN families only, "
+                             f"not {self.family}")
 
     @property
     def is_qcnn(self) -> bool:

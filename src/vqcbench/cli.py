@@ -19,6 +19,7 @@ from . import __version__
 from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
 from .config import BenchConfig, ConfigError, cell_seed, load_config
 from .metrics import evaluate_autoencoder, evaluate_classifier
+from .simulator import CompiledCircuit
 from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
 from .storage import (
     atomic_write,
@@ -37,9 +38,9 @@ from .training import train
 
 def model_name(spec: AnsatzSpec) -> str:
     name = f"{spec.family}_n{spec.num_qubits}_l{spec.layers}"
-    if spec.family.startswith("hea") and spec.hea_template == "double_column":
+    if spec.hea_template == "double_column":
         name += "_dc"
-    if spec.family.startswith("qcnn") and not spec.weight_sharing:
+    if not spec.weight_sharing:
         name += "_unshared"
     return name
 
@@ -73,7 +74,6 @@ def _run_metadata(config: BenchConfig) -> dict:
     return {
         "surrogate_cost": True,  # training minimizes MSE on <Z>, sign applied at prediction
         "h_c": config.data.h_c,
-        "hea_template": config.model.hea_template,
         "param_count_formula": "qcnn shared: l*(conv+2)+[l==log2 N]; "
                                "hea: sites*columns (see vqcbench.ansatz.param_count)",
         "data": asdict(config.data),
@@ -94,17 +94,19 @@ def cmd_gen_data(config: BenchConfig, args) -> int:
 
 def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
                 optimizer=None):
-    """Build the circuit for spec and train it on dataset; returns (record,
-    circuit, target), where target is the readout qubit or the discard list
-    as a keyword argument of ``train``, ``_save_training`` and ``_evaluate``."""
+    """Build and compile the circuit for spec and train it on dataset; returns
+    (record, compiled, target), where target is the readout qubit or the
+    discard list as a keyword argument of ``train``, ``_save_training`` and
+    ``_evaluate``, and the compiled circuit is the one ``_evaluate`` runs."""
     circuit, pooled = build_ansatz(spec)
     if config.task == "classify":
         target = {"readout": readout_qubit(spec)}
     else:
         target = {"discard": _resolve_discard(config, pooled)}
-    record = train(config.task, circuit, dataset, optimizer or config.optimizer,
+    compiled = CompiledCircuit(circuit)
+    record = train(config.task, compiled, dataset, optimizer or config.optimizer,
                    init_seed=seed, **target)
-    return record, circuit, target
+    return record, compiled, target
 
 
 def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out_dir: Path,
@@ -116,13 +118,14 @@ def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out
     write_train_record(out_dir / "train_record.json", record)
 
 
-def _evaluate(config: BenchConfig, circuit, params, dataset: Dataset, out_dir: Path,
-              readout=None, discard=None, final_cost=None):
-    """Run the task's evaluator and write its report to out_dir/report.json."""
+def _evaluate(config: BenchConfig, compiled: CompiledCircuit, params, dataset: Dataset,
+              out_dir: Path, readout=None, discard=None, final_cost=None):
+    """Run the task's evaluator on the compiled circuit and write its report
+    to out_dir/report.json."""
     if config.task == "classify":
-        report = evaluate_classifier(circuit, readout, params, dataset)
+        report = evaluate_classifier(compiled, readout, params, dataset)
     else:
-        report = evaluate_autoencoder(circuit, params, discard, dataset, final_cost=final_cost)
+        report = evaluate_autoencoder(compiled, params, discard, dataset, final_cost=final_cost)
     write_report(out_dir / "report.json", config.task, asdict(report))
     return report
 
@@ -172,7 +175,7 @@ def cmd_eval(config: BenchConfig, args) -> int:
     train_path, test_path = _dataset_paths(config, out_dir)
     path = train_path if config.eval_on == "train" else test_path
     dataset = _read_data(path, spec.num_qubits, "evaluation")
-    report = _evaluate(config, circuit, model["params"], dataset, out_dir,
+    report = _evaluate(config, CompiledCircuit(circuit), model["params"], dataset, out_dir,
                        model.get("readout"), model.get("discard"))
     if config.task == "classify":
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
@@ -213,8 +216,8 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
     try:
         subset = _subsample(train_ds, size, seed)
         optimizer = replace(config.optimizer, seed=seed)
-        record, circuit, target = _train_once(config, spec, subset, seed, optimizer)
-        report = _evaluate(config, circuit, record.final_params, eval_ds, cell_dir,
+        record, compiled, target = _train_once(config, spec, subset, seed, optimizer)
+        report = _evaluate(config, compiled, record.final_params, eval_ds, cell_dir,
                            final_cost=record.final_cost, **target)
         if config.task == "classify":
             row["metric_value"], row["auc"] = report.accuracy, report.auc

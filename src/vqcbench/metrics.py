@@ -12,6 +12,10 @@ discard pattern; each term is then |(A^dagger a0)_b|^2, so
 decoder.  F is 1 whenever the encoding is exact.  ``reconstruct_fidelity``
 takes a (batch, 2^N) amplitude matrix and returns F for every row from one
 batched encoder pass.
+
+Every evaluator takes the caller's ``CompiledCircuit``, the one the model
+was trained through, and runs its pass itself; the classifier reads it out
+with ``simulator.expectation``, as the training cost does.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Circuit, expectation_z_batch, run_circuit_batch
+from .simulator import CompiledCircuit, expectation, z_signs
 from .training import check_discard
 
 
@@ -82,12 +86,14 @@ def auc_score(scores, labels) -> float | None:
     return area2 / (2 * fp[-1] * tp[-1])
 
 
-def evaluate_classifier(circuit: Circuit, readout: int, params, test) -> ClassificationReport:
+def evaluate_classifier(compiled: CompiledCircuit, readout: int, params,
+                        test) -> ClassificationReport:
     """Accuracy from sign predictions (sign(<Z_readout>), an exact zero
     predicting +1) plus the exact ROC curve and AUC."""
-    out = run_circuit_batch(circuit, params, test.amplitudes())
+    obs = z_signs(compiled.num_qubits, readout)
+    out = compiled.run(params, test.amplitudes())
     labels = [int(l) for l in test.labels()]
-    scores = [float(m) for m in expectation_z_batch(out, circuit.num_qubits, readout)]
+    scores = [float(m) for m in expectation(out, obs)]
     predictions = [1 if m >= 0.0 else -1 for m in scores]
     correct = sum(p == l for p, l in zip(predictions, labels))
     confusion = {
@@ -107,12 +113,13 @@ def evaluate_classifier(circuit: Circuit, readout: int, params, test) -> Classif
     )
 
 
-def reconstruct_fidelity(encoder: Circuit, params, discard, amplitudes: np.ndarray) -> np.ndarray:
+def reconstruct_fidelity(encoder: CompiledCircuit, params, discard,
+                         amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of the decode(reset(encode(state))) round trip for every
     row of a (batch, 2^N) amplitude matrix, resetting the ``discard`` qubits."""
     n = encoder.num_qubits
     discard = check_discard(discard, n)
-    encoded = run_circuit_batch(encoder, params, amplitudes)
+    encoded = encoder.run(params, amplitudes)
     batch = encoded.shape[0]
     kept = [q for q in range(n) if q not in discard]
     a = encoded.reshape((batch,) + (2,) * n)
@@ -123,7 +130,7 @@ def reconstruct_fidelity(encoder: Circuit, params, discard, amplitudes: np.ndarr
 
 
 def evaluate_autoencoder(
-    encoder: Circuit,
+    encoder: CompiledCircuit,
     params,
     discard,
     test,

@@ -43,7 +43,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+            raise ValueError(f"unknown optimizer kind {self.kind!r}; "
+                             f"expected one of {list(OPTIMIZER_KINDS)}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         for name in ("cost_tolerance", "param_tolerance", "learning_rate", "line_search_tol"):

@@ -433,22 +433,26 @@ class CompiledCircuit:
 @lru_cache(maxsize=None)
 def z_signs(num_qubits: int, qubit: int) -> np.ndarray:
     """The diagonal of Z on ``qubit`` over the 2^N basis states, +1 where the
-    qubit is 0 and -1 where it is 1; cached and read-only."""
+    qubit is 0 and -1 where it is 1; cached and read-only.  The one range
+    check of a readout qubit, in training and evaluation alike."""
+    if qubit not in range(num_qubits):  # also refuses None
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     signs = 1.0 - 2.0 * ((np.arange(1 << num_qubits) >> (num_qubits - 1 - qubit)) & 1)
     signs.setflags(write=False)
     return signs
 
 
+def expectation(amplitudes: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """<O> = |psi|^2 . diag(O) for every row psi of a (batch, 2^N) amplitude
+    matrix, where O is diagonal in the basis with entries ``diagonal`` (such
+    as ``z_signs``): the one readout of training and evaluation."""
+    return (amplitudes * amplitudes.conj()).real @ diagonal
+
+
 def run_circuit_batch(circuit: Circuit, params, amplitudes: np.ndarray) -> np.ndarray:
     """Apply the circuit to a whole (batch, 2^N) amplitude matrix at once:
     row i of the result is the output for input row i.  It compiles the
-    circuit on every call; a caller that runs it often keeps a
-    ``CompiledCircuit``."""
+    circuit on every call.  The package itself runs a ``CompiledCircuit``
+    that it compiles once per model; this wrapper stays only because the
+    benchmark harness under ``bench/`` imports it."""
     return CompiledCircuit(circuit).run(params, amplitudes)
-
-
-def expectation_z_batch(amplitudes: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """<Z_qubit> for every row of a (batch, 2^N) amplitude matrix."""
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    return (amplitudes * amplitudes.conj()).real @ z_signs(num_qubits, qubit)

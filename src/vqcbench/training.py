@@ -10,15 +10,15 @@ which vanishes exactly when every discarded qubit of every encoded state is
 |0>, and equals n_d when they are all |1>.
 
 Both costs are smooth in expectations m_i = <O>_i of a diagonal observable
-O, so ``param_shift_gradient`` returns the exact gradient the
-parameter-shift rule (Schuld et al., arXiv:1811.11184) defines from one
-forward pass and the adjoint sweep ``CompiledCircuit.gradient``, fed with
-lam_i = (dC/dm_i) O psi_i.
+O, so ``_Objective.gradient`` is the exact gradient the parameter-shift rule
+(Schuld et al., arXiv:1811.11184) defines, from one forward pass and the
+adjoint sweep ``CompiledCircuit.gradient``, fed with lam_i = (dC/dm_i) O psi_i.
 
-``train`` builds one objective per run (``_Objective``): the circuit is
-compiled and the dataset prepared once.  Under ``param_shift_gd`` the
-gradient at x reuses the forward pass the cost call at x just made, so k
-steps make k + 1 forward passes and k sweeps.
+``train`` runs the caller's ``CompiledCircuit``, which the caller compiles
+once per model and hands on to evaluation (``vqcbench.metrics``), and builds
+one objective per run (``_Objective``), which prepares the dataset once.
+Under ``param_shift_gd`` the gradient at x reuses the forward pass the cost
+call at x just made, so k steps make k + 1 forward passes and k sweeps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .optimizers import (
     powell_minimize,
     spsa_minimize,
 )
-from .simulator import Circuit, CompiledCircuit, z_signs
+from .simulator import Circuit, CompiledCircuit, expectation, z_signs
 
 TASKS = ("classify", "autoencode")
 
@@ -51,22 +51,21 @@ def check_discard(discard, num_qubits: int) -> list[int]:
 
 
 class _Objective:
-    """The task cost of one run over its whole dataset: one compiled circuit,
-    one prepared input, the task's diagonal observable O (Z on the readout
-    qubit, or the sum of Z on the discarded qubits) and loss(m) = (C, dC/dm)
-    in the m_i = <O>_i.
+    """The task cost of one run over its whole dataset: the caller's compiled
+    circuit, one prepared input, the task's diagonal observable O (Z on the
+    readout qubit, or the sum of Z on the discarded qubits) and
+    loss(m) = (C, dC/dm) in the m_i = <O>_i.
 
     A cost call keeps its forward pass (psi and the m_i) until the next call
     frees it, and ``gradient`` at the same parameters reuses it, so a
     gradient-descent step makes one forward pass and one adjoint sweep."""
 
-    def __init__(self, circuit: Circuit, dataset, task: str, readout=None, discard=None):
-        n, size = circuit.num_qubits, len(dataset)
+    def __init__(self, compiled: CompiledCircuit, dataset, task: str, readout=None,
+                 discard=None):
+        n, size = compiled.num_qubits, len(dataset)
         if task == "classify":
-            if readout is None or not 0 <= readout < n:
-                raise ValueError(f"readout qubit {readout} out of range")
-            labels = dataset.labels().astype(float)
             self.obs = z_signs(n, readout)
+            labels = dataset.labels().astype(float)
             # C = (1/M) sum (l_i - m_i)^2
             self.loss = lambda m: (np.mean((labels - m) ** 2), 2.0 * (m - labels) / size)
         elif task == "autoencode":
@@ -76,13 +75,13 @@ class _Objective:
             self.loss = lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size))
         else:
             raise ValueError(f"unknown task {task!r}")
-        self.compiled = CompiledCircuit(circuit)
-        self.mat = self.compiled.state(dataset.amplitudes())
+        self.compiled = compiled
+        self.mat = compiled.state(dataset.amplitudes())
         self._pass = None  # (params, psi, m) of the last cost call
 
     def _forward(self, params):
         psi = self.compiled.run(params, self.mat)  # checks and converts params
-        return psi, (psi * psi.conj()).real @ self.obs
+        return psi, expectation(psi, self.obs)
 
     def cost(self, params) -> float:
         self._pass = None  # free the last pass before this one allocates
@@ -101,16 +100,6 @@ class _Objective:
         return self.compiled.gradient(params, psi, weights[:, None] * self.obs * psi)
 
 
-def classification_cost(circuit: Circuit, readout: int, dataset, params) -> float:
-    """Mean squared error between labels and readout expectations, in [0, 4]."""
-    return _Objective(circuit, dataset, "classify", readout=readout).cost(params)
-
-
-def autoencoder_cost(encoder: Circuit, discard, dataset, params) -> float:
-    """Mean reset-penalty cost over the dataset, in [0, n_d]."""
-    return _Objective(encoder, dataset, "autoencode", discard=discard).cost(params)
-
-
 def param_shift_gradient(
     circuit: Circuit,
     dataset,
@@ -121,8 +110,10 @@ def param_shift_gradient(
 ) -> np.ndarray:
     """Exact gradient of a task cost (the parameter-shift gradient, whose name
     ``param_shift_gd`` keeps) by one forward pass and one adjoint sweep
-    (``CompiledCircuit.gradient``)."""
-    return _Objective(circuit, dataset, task, readout, discard).gradient(params)
+    (``CompiledCircuit.gradient``).  It compiles the circuit on every call;
+    ``train`` calls ``_Objective.gradient`` instead, and this wrapper stays
+    only because the benchmark harness under ``bench/`` imports it."""
+    return _Objective(CompiledCircuit(circuit), dataset, task, readout, discard).gradient(params)
 
 
 def initial_parameters(param_count: int, seed: int) -> np.ndarray:
@@ -133,7 +124,7 @@ def initial_parameters(param_count: int, seed: int) -> np.ndarray:
 
 def train(
     task: str,
-    circuit: Circuit,
+    compiled: CompiledCircuit,
     dataset,
     optimizer: OptimizerConfig,
     readout: int | None = None,
@@ -141,15 +132,17 @@ def train(
     init_params=None,
     init_seed: int = 0,
 ) -> TrainRecord:
-    """Minimize the task cost; wall time covers the optimizer call only."""
+    """Minimize the task cost of the compiled circuit; wall time covers the
+    optimizer call only."""
     if init_params is not None:
         x0 = np.asarray(init_params, dtype=float)
-        if x0.shape != (circuit.param_count,):
-            raise ValueError(f"init_params must have length {circuit.param_count}, got {x0.shape}")
+        if x0.shape != (compiled.param_count,):
+            raise ValueError(
+                f"init_params must have length {compiled.param_count}, got {x0.shape}")
     else:
-        x0 = initial_parameters(circuit.param_count, init_seed)
+        x0 = initial_parameters(compiled.param_count, init_seed)
 
-    objective = _Objective(circuit, dataset, task, readout, discard)
+    objective = _Objective(compiled, dataset, task, readout, discard)
     minimize = {  # OptimizerConfig has checked the kind
         "powell": powell_minimize, "nelder_mead": nelder_mead_minimize, "spsa": spsa_minimize,
         "param_shift_gd": lambda f, x, c: gradient_descent_minimize(f, objective.gradient, x, c),

@@ -3,7 +3,9 @@ the strided kernels, circuit inversion, the Kraus branches of the reset
 channel, parameter-shift gradients, the adjoint sweep's per-block
 contraction, full-space ground states, the text of a dataset file and the
 pairwise AUC and threshold-sweep ROC, plus state vectors and random
-circuit/state generators.
+circuit/state generators.  The uncompiled path (``expectation_z_batch`` on
+``run_circuit_batch``, and the task costs on a fresh compile) is here too:
+the program compiles each model once and runs that, and must match it.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
@@ -17,6 +19,7 @@ import pytest
 import scipy.linalg
 
 from vqcbench import simulator as sim
+from vqcbench import training
 from vqcbench.spinmodels import SpinModel, build_hamiltonian
 from vqcbench.storage import BIT_ORDER, FORMAT_VERSION
 
@@ -175,6 +178,25 @@ def kraus_fidelity(encoder, params, discard, state):
     return float(np.sum(np.abs(decoded @ state.conj()) ** 2))
 
 
+def expectation_z_batch(amplitudes, num_qubits, qubit):
+    """<Z_qubit> for every row of a (batch, 2^N) amplitude matrix."""
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range")
+    return (amplitudes * amplitudes.conj()).real @ sim.z_signs(num_qubits, qubit)
+
+
+def classification_cost(circuit, readout, dataset, params):
+    """Mean squared error between labels and readout expectations, in [0, 4]."""
+    compiled = sim.CompiledCircuit(circuit)
+    return training._Objective(compiled, dataset, "classify", readout=readout).cost(params)
+
+
+def autoencoder_cost(encoder, discard, dataset, params):
+    """Mean reset-penalty cost over the dataset, in [0, n_d]."""
+    compiled = sim.CompiledCircuit(encoder)
+    return training._Objective(compiled, dataset, "autoencode", discard=discard).cost(params)
+
+
 # Two-point rule for rotation generators with eigenvalues +-1/2, and the
 # four-term rule for controlled rotations (frequencies 1/2 and 1).
 _SQRT2 = np.sqrt(2.0)
@@ -200,11 +222,11 @@ def param_shift_oracle(circuit, dataset, params, task="classify", readout=None,
     n = circuit.num_qubits
     mat = np.array([np.asarray(r.state, dtype=complex) for r in dataset.records])
     if task == "classify":
-        observe = lambda amp: sim.expectation_z_batch(amp, n, readout)
+        observe = lambda amp: expectation_z_batch(amp, n, readout)
         m = observe(sim.run_circuit_batch(circuit, params, mat))
         prefactors = 2.0 * (m - dataset.labels()) / len(dataset)
     else:
-        observe = lambda amp: sum(sim.expectation_z_batch(amp, n, q) for q in discard)
+        observe = lambda amp: sum(expectation_z_batch(amp, n, q) for q in discard)
         prefactors = np.full(len(dataset), -0.5 / len(dataset))
     grad = np.zeros(circuit.param_count)
     for index, gate in enumerate(circuit.gates):

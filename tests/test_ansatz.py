@@ -37,6 +37,20 @@ def test_spec_validation():
     AnsatzSpec("hea_ry", 6, 2)  # HEA takes any N >= 2
 
 
+@pytest.mark.parametrize("family,key,value", [
+    ("qcnn_ry", "hea_template", "double_column"),
+    ("qcnn_su4", "hea_template", "double_column"),
+    ("hea_ry", "weight_sharing", False),
+    ("hea_rxrzrx", "weight_sharing", False),
+])
+def test_spec_rejects_a_key_its_family_does_not_read(family, key, value):
+    with pytest.raises(ValueError, match=f"{key} .* applies to .* families only, not {family}"):
+        AnsatzSpec(family, 4, 1, **{key: value})
+    # the key at its default, as every model file written from a spec holds it
+    default = {"hea_template": "single_column", "weight_sharing": True}[key]
+    assert AnsatzSpec(family, 4, 1, **{key: default}) == AnsatzSpec(family, 4, 1)
+
+
 def test_qcnn_ry_16_full_depth_has_17_params():
     spec = AnsatzSpec("qcnn_ry", 16, 4)
     assert param_count(spec) == 17
@@ -65,10 +79,12 @@ def test_hea_counts():
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_built_slot_count_matches_formula(family, n):
-    layer_range = legal_qcnn_layers(n) if family.startswith("qcnn") else range(1, 4)
+    qcnn = family.startswith("qcnn")
+    layer_range = legal_qcnn_layers(n) if qcnn else range(1, 4)
+    # each family varies only the key it reads (the other must keep its default)
     for layers in layer_range:
-        for sharing in (True, False):
-            for template in ("single_column", "double_column"):
+        for sharing in (True, False) if qcnn else (True,):
+            for template in ("single_column",) if qcnn else ("single_column", "double_column"):
                 spec = AnsatzSpec(family, n, layers, weight_sharing=sharing,
                                   hea_template=template)
                 circ, _ = build_ansatz(spec)

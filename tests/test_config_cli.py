@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import vqcbench
-from vqcbench import cli, storage
+from vqcbench import cli, simulator, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
 from vqcbench.optimizers import TrainRecord
 from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
@@ -797,17 +797,19 @@ def test_benchmark_size_exceeding_records_exits_2(tmp_path):
 _QCNN4 = {"family": "qcnn_ry", "num_qubits": 4, "layers": 2}
 
 
-@pytest.mark.parametrize("models,sizes,cell", [
-    ([_QCNN4, _QCNN4], [3, 3], "qcnn_ry_n4_l2 at train size 3"),
-    ([_QCNN4], [3, 5, 3], "qcnn_ry_n4_l2 at train size 3"),
-    # hea_template means nothing to a QCNN, so both specs share one name
+@pytest.mark.parametrize("models,sizes,message", [
+    ([_QCNN4, _QCNN4], [3, 3], "benchmark cell qcnn_ry_n4_l2 at train size 3 is listed twice"),
+    ([_QCNN4], [3, 5, 3], "benchmark cell qcnn_ry_n4_l2 at train size 3 is listed twice"),
+    # hea_template means nothing to a QCNN, so a spec that differs only there
+    # would share the first one's name: it is rejected when the config loads
     ([_QCNN4, dict(_QCNN4, hea_template="double_column")], [3],
-     "qcnn_ry_n4_l2 at train size 3"),
+     "invalid models[1]: hea_template 'double_column' applies to HEA families only, "
+     "not qcnn_ry"),
     # without train_sizes every cell trains on the whole training split
-    ([_QCNN4, _QCNN4], None, "qcnn_ry_n4_l2 at train size all"),
+    ([_QCNN4, _QCNN4], None, "benchmark cell qcnn_ry_n4_l2 at train size all is listed twice"),
 ], ids=["model-twice", "size-twice", "same-model-name", "whole-split"])
 def test_benchmark_cells_sharing_a_directory_exit_2(tmp_path, capsys, monkeypatch,
-                                                     models, sizes, cell):
+                                                     models, sizes, message):
     def no_data(*args, **kwargs):
         raise AssertionError("data generated before the cells were checked")
 
@@ -819,7 +821,55 @@ def test_benchmark_cells_sharing_a_directory_exit_2(tmp_path, capsys, monkeypatc
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"benchmark cell {cell} is listed twice" in err
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,models,discard", [
+    ("classify", [_QCNN4, {"family": "hea_ry", "num_qubits": 4, "layers": 1}], None),
+    ("autoencode", [dict(_QCNN4, layers=1), {"family": "hea_rxrzrx", "num_qubits": 4,
+                                             "layers": 1}], [1, 3]),
+])
+def test_a_benchmark_cell_compiles_its_circuit_once(tmp_path, monkeypatch, task, models,
+                                                    discard):
+    # training and evaluation run one CompiledCircuit: one construction per cell
+    compiles = []
+    init = simulator.CompiledCircuit.__init__
+
+    def counting(self, circuit):
+        compiles.append(circuit.num_qubits)
+        init(self, circuit)
+
+    monkeypatch.setattr(simulator.CompiledCircuit, "__init__", counting)
+    cfg = tmp_path / "c.json"
+    write_config(cfg, task=task, model=models[0], models=models, train_sizes=[3, 5],
+                 discard=discard, data={"kind": "tfi", "num_sites": 4, "h_count": 8, "seed": 7},
+                 optimizer={"kind": "spsa", "max_iterations": 2})
+    out = tmp_path / "o"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    assert [r["status"][:2] for r in rows] == ["ok"] * 4
+    assert compiles == [4] * len(rows)
+
+
+@pytest.mark.parametrize("section,value,message", [
+    ("model", dict(_QCNN4, hea_template="double_column"),
+     "invalid model: hea_template 'double_column' applies to HEA families only, not qcnn_ry"),
+    ("model", {"family": "hea_ry", "num_qubits": 4, "layers": 1, "weight_sharing": False},
+     "invalid model: weight_sharing false applies to QCNN families only, not hea_ry"),
+    ("optimizer", {"kind": "adam"}, "invalid optimizer: unknown optimizer kind 'adam'; "
+     "expected one of ['powell', 'nelder_mead', 'spsa', 'param_shift_gd']"),
+])
+def test_a_key_or_kind_that_cannot_apply_exits_2_naming_it(tmp_path, capsys, section, value,
+                                                            message):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, **{section: value})
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
     assert not out.exists()
 
 
@@ -919,8 +969,7 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, message):
 
 _DATA_KEYS = ["kind", "num_sites", "h_values", "h_c", "train_fraction", "seed", "solver",
               "train_path", "test_path"]
-_METADATA_KEYS = ["surrogate_cost", "h_c", "hea_template", "param_count_formula", "data",
-                  "version"]
+_METADATA_KEYS = ["surrogate_cost", "h_c", "param_count_formula", "data", "version"]
 
 
 def test_output_files_keep_their_key_order(tmp_path):

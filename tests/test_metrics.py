@@ -16,15 +16,16 @@ from vqcbench.metrics import (
     reconstruct_fidelity,
     roc_points,
 )
-from vqcbench.simulator import Circuit
+from vqcbench.simulator import Circuit, CompiledCircuit, run_circuit_batch
 from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
-from vqcbench.training import autoencoder_cost, train
+from vqcbench.training import _Objective, train
 from vqcbench.optimizers import OptimizerConfig
 
 from conftest import (
     auc_oracle,
     basis_state,
     circuit_full_matrix,
+    expectation_z_batch,
     inverse_circuit,
     kraus_fidelity,
     random_circuit,
@@ -75,7 +76,7 @@ def density_matrix_fidelity(encoder, params, discard, state):
 
 def test_predict_identity_circuit():
     ds = make_dataset([basis_state(1, 0), basis_state(1, 1)], [1, -1], 1)
-    report = evaluate_classifier(Circuit(1), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
     assert report.predictions == [1, -1]
 
 
@@ -83,9 +84,17 @@ def test_predict_tie_breaks_positive():
     # |+> has <Z> = 0 exactly, and an exact zero predicts +1
     plus = np.full(2, 1 / np.sqrt(2))
     ds = make_dataset([plus], [-1], 1)
-    report = evaluate_classifier(Circuit(1), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
     assert report.scores[0] == 0.0
     assert report.predictions == [1]
+
+
+def test_evaluate_classifier_rejects_an_out_of_range_readout():
+    # the readout check training uses (in simulator.z_signs), before any pass runs
+    ds = make_dataset([zero_state(2)], [1], 2)
+    for readout in (2, -1, None):
+        with pytest.raises(ValueError, match=f"qubit {readout} out of range for 2 qubits"):
+            evaluate_classifier(CompiledCircuit(Circuit(2)), readout, [], ds)
 
 
 def test_perfect_separation_report():
@@ -158,20 +167,48 @@ def test_auc_and_roc_edge_cases_equal_their_oracles(scores, labels):
 def test_evaluate_classifier_end_to_end():
     # identity circuit on |0>, |1>: perfectly separable
     ds = make_dataset([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [1, -1], 1)
-    report = evaluate_classifier(Circuit(1), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
     assert report.accuracy == 1.0
     assert report.auc == 1.0
     assert report.confusion == {"tp": 1, "tn": 1, "fp": 0, "fn": 0}
     # deterministic
-    report2 = evaluate_classifier(Circuit(1), 0, [], ds)
+    report2 = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
     assert report == report2
 
 
 def test_accuracy_zero_when_labels_flipped():
     ds = make_dataset([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [-1, 1], 1)
-    report = evaluate_classifier(Circuit(1), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
     assert report.accuracy == 0.0
     assert report.auc == 0.0
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_evaluators_equal_the_uncompiled_path_exactly(rng, real):
+    # a compiled circuit that a training objective has already run gives
+    # the evaluators bit for bit what a fresh compile and the plain readout
+    # give; the fidelity's reference runs the closed form on the pass
+    # run_circuit_batch made, through an encoder with no gates
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        circ = random_circuit(n, rng, n_gates=12, param_count=3, real=real)
+        params = rng.uniform(-np.pi, np.pi, size=3)
+        states = rng.normal(size=(4, 1 << n))
+        if not real:
+            states = states + 1j * rng.normal(size=states.shape)
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        ds = make_dataset(states, [1, -1, 1, -1], n)
+        readout = int(rng.integers(n))
+        discard = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+        compiled = CompiledCircuit(circ)
+        _Objective(compiled, ds, "classify", readout=readout).cost(params + 0.5)
+
+        encoded = run_circuit_batch(circ, params, ds.amplitudes())
+        scores = evaluate_classifier(compiled, readout, params, ds).scores
+        assert scores == expectation_z_batch(encoded, n, readout).tolist()
+        got = reconstruct_fidelity(compiled, params, discard, ds.amplitudes())
+        want = reconstruct_fidelity(CompiledCircuit(Circuit(n)), [], discard, encoded)
+        assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +216,15 @@ def test_accuracy_zero_when_labels_flipped():
 
 
 def test_identity_encoder_on_zero_state():
-    assert reconstruct_fidelity(Circuit(4), [], [0, 2], [zero_state(4)]) == pytest.approx([1.0])
+    got = reconstruct_fidelity(CompiledCircuit(Circuit(4)), [], [0, 2], [zero_state(4)])
+    assert got == pytest.approx([1.0])
 
 
 def test_identity_encoder_plus_tensor_zero():
     amp = np.zeros(4, dtype=complex)
     amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
-    assert reconstruct_fidelity(Circuit(2), [], [0], [amp]) == pytest.approx([0.5])
+    got = reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], [0], [amp])
+    assert got == pytest.approx([0.5])
 
 
 def test_fidelity_matches_density_matrix_oracle(rng):
@@ -196,7 +235,7 @@ def test_fidelity_matches_density_matrix_oracle(rng):
         states = np.array([random_state(n, rng) for _ in range(3)])
         n_d = int(rng.integers(1, n))
         discard = tuple(sorted(rng.choice(n, size=n_d, replace=False).tolist()))
-        got = reconstruct_fidelity(circ, params, discard, states)
+        got = reconstruct_fidelity(CompiledCircuit(circ), params, discard, states)
         oracle = [density_matrix_fidelity(circ, params, list(discard), s) for s in states]
         assert got == pytest.approx(oracle, abs=1e-10)
         assert np.all((0.0 <= got) & (got <= 1.0 + 1e-9))
@@ -218,7 +257,7 @@ def compression_cases(draw):
 @given(compression_cases())
 def test_closed_form_fidelity_matches_kraus_and_density_oracles(case):
     circ, params, discard, state = case
-    [got] = reconstruct_fidelity(circ, params, discard, [state])
+    [got] = reconstruct_fidelity(CompiledCircuit(circ), params, discard, [state])
     kraus = kraus_fidelity(circ, params, discard, state)
     dense = density_matrix_fidelity(circ, params, list(discard), state)
     assert got == pytest.approx(kraus, abs=1e-10)
@@ -235,10 +274,11 @@ def test_fidelity_memory_stays_within_a_few_states(rng):
     params = rng.uniform(-np.pi, np.pi, size=4)
     discard = list(range(0, n, 2))
     state = random_state(n, rng)[None, :]
-    reconstruct_fidelity(circ, params, discard, state)
+    compiled = CompiledCircuit(circ)
+    reconstruct_fidelity(compiled, params, discard, state)
     tracemalloc.start()
     try:
-        reconstruct_fidelity(circ, params, discard, state)
+        reconstruct_fidelity(compiled, params, discard, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,7 +294,8 @@ def test_fidelity_one_when_encoder_output_factorizes(rng):
     from vqcbench.simulator import ry
 
     circ = Circuit(n, [ry(2, angle=0.7)])
-    assert reconstruct_fidelity(circ, [], [0, 1], state) == pytest.approx([1.0], abs=1e-12)
+    got = reconstruct_fidelity(CompiledCircuit(circ), [], [0, 1], state)
+    assert got == pytest.approx([1.0], abs=1e-12)
 
 
 def test_trained_cost_zero_implies_fidelity_one():
@@ -263,12 +304,13 @@ def test_trained_cost_zero_implies_fidelity_one():
     _, state, _ = ground_state(SpinModel("tfi", 4, 1.8))
     ds = make_dataset([state], [1], 4)
     record = train(
-        "autoencode", circ, ds,
+        "autoencode", CompiledCircuit(circ), ds,
         OptimizerConfig(kind="powell", max_iterations=200, cost_tolerance=1e-14),
         discard=discard, init_seed=1,
     )
     cost = min(record.cost_history)
-    [fid] = reconstruct_fidelity(circ, record.final_params, discard, ds.amplitudes())
+    [fid] = reconstruct_fidelity(CompiledCircuit(circ), record.final_params, discard,
+                                 ds.amplitudes())
     if cost < 1e-9:
         assert fid >= 1 - 1e-6
     assert fid >= 1 - 2 * cost  # general cost-fidelity bound direction
@@ -280,14 +322,15 @@ def test_evaluate_autoencoder_report(rng):
     _, s1, _ = ground_state(SpinModel("tfi", 4, 0.5))
     _, s2, _ = ground_state(SpinModel("tfi", 4, 1.5))
     ds = make_dataset([s1, s2], [-1, 1], 4)
-    report = evaluate_autoencoder(circ, params, discard, ds, final_cost=0.123)
+    report = evaluate_autoencoder(CompiledCircuit(circ), params, discard, ds, final_cost=0.123)
     assert len(report.fidelities) == 2
     assert report.mean_fidelity == pytest.approx(np.mean(report.fidelities))
     assert report.n_d == 2
     assert report.final_cost == 0.123
     for f in report.fidelities:
         assert 0.0 <= f <= 1.0 + 1e-9
-    single = evaluate_autoencoder(circ, params, discard, make_dataset([s1], [1], 4))
+    single = evaluate_autoencoder(CompiledCircuit(circ), params, discard,
+                                  make_dataset([s1], [1], 4))
     assert single.mean_fidelity == pytest.approx(single.fidelities[0])
 
 
@@ -296,10 +339,12 @@ def test_compression_spec_validation():
     # in range, and read as a set
     for bad in ([], [-1], [2], [0, 5]):
         with pytest.raises(ValueError):
-            reconstruct_fidelity(Circuit(2), [], bad, [zero_state(2)])
+            reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], bad, [zero_state(2)])
     amp = np.zeros(4)
     amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
     for same in ([0], [0, 0], (0,)):
-        assert reconstruct_fidelity(Circuit(2), [], same, [amp]) == pytest.approx([0.5])
-    report = evaluate_autoencoder(Circuit(3), [], [2, 0, 2], make_dataset([zero_state(3)], [1], 3))
+        got = reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], same, [amp])
+        assert got == pytest.approx([0.5])
+    report = evaluate_autoencoder(CompiledCircuit(Circuit(3)), [], [2, 0, 2],
+                                  make_dataset([zero_state(3)], [1], 3))
     assert report.n_d == 2

@@ -19,7 +19,6 @@ from vqcbench.simulator import (
     cnot,
     cry,
     cz,
-    expectation_z_batch,
     h,
     run_circuit_batch,
     ry,
@@ -32,6 +31,7 @@ from conftest import (
     REAL_KINDS,
     basis_state,
     circuit_full_matrix,
+    expectation_z_batch,
     gate_full_matrix,
     inverse_circuit,
     kraus_reset_branches,

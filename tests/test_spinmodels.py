@@ -9,9 +9,8 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import full_space_ground
+from conftest import expectation_z_batch, full_space_ground
 from vqcbench import cli, spinmodels
-from vqcbench.simulator import expectation_z_batch
 from vqcbench.spinmodels import (
     MODEL_KINDS,
     Dataset,

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import param_shift_oracle, random_circuit
+from conftest import autoencoder_cost, classification_cost, param_shift_oracle, random_circuit
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import OptimizerConfig, spsa_minimize
 from vqcbench.metrics import evaluate_autoencoder, evaluate_classifier
-from vqcbench.simulator import Circuit, Gate, ry
+from vqcbench.simulator import Circuit, CompiledCircuit, Gate, ry
 from vqcbench.spinmodels import DataRecord, Dataset
 from vqcbench.training import (
     TASKS,
-    autoencoder_cost,
-    classification_cost,
     initial_parameters,
     param_shift_gradient,
     train,
@@ -119,9 +117,9 @@ def test_register_size_mismatch_rejected_everywhere():
         with pytest.raises(ValueError):
             param_shift_gradient(circ, ds, params, task=task, **target)
     with pytest.raises(ValueError):
-        evaluate_classifier(circ, 0, params, ds)
+        evaluate_classifier(CompiledCircuit(circ), 0, params, ds)
     with pytest.raises(ValueError):
-        evaluate_autoencoder(circ, params, [1], ds)
+        evaluate_autoencoder(CompiledCircuit(circ), params, [1], ds)
     # a record whose length disagrees with the dataset's own register size
     bad = make_dataset([np.eye(4)[0], np.eye(8)[0]], [1, -1], 2)
     with pytest.raises(ValueError, match="record 1"):
@@ -305,7 +303,7 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     states = rng.normal(size=(4, 1 << n))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
-    objective = training._Objective(circ, ds, task, **target)
+    objective = training._Objective(CompiledCircuit(circ), ds, task, **target)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
         expected = param_shift_gradient(circ, ds, params, task=task, **target)
@@ -316,20 +314,22 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
 
 
 def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
+    # every construction, wherever it happens: the caller's one compile, and
+    # none inside train however many steps it takes
     compiles = []
+    init = simulator.CompiledCircuit.__init__
 
-    class Counting(simulator.CompiledCircuit):
-        def __init__(self, circuit):
-            compiles.append(1)
-            super().__init__(circuit)
+    def counting(self, circuit):
+        compiles.append(1)
+        init(self, circuit)
 
-    monkeypatch.setattr(training, "CompiledCircuit", Counting)
+    monkeypatch.setattr(simulator.CompiledCircuit, "__init__", counting)
     circ, _ = build_ansatz(AnsatzSpec("qcnn_ry", 4, 2))
     ds = make_dataset([np.eye(16)[0], np.eye(16)[5], np.eye(16)[15]], [1, -1, -1], 4)
     counts = []
     for steps in (3, 6):
         compiles.clear()
-        record = train("classify", circ, ds,
+        record = train("classify", CompiledCircuit(circ), ds,
                        OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
                                        learning_rate=0.05),
                        readout=0, init_seed=1)
@@ -355,7 +355,7 @@ def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monke
     circ, _ = build_ansatz(AnsatzSpec("qcnn_su4", 8, 3))
     states = np.random.default_rng(4).normal(size=(3, 256))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1], 8)
-    record = train("classify", circ, ds,
+    record = train("classify", CompiledCircuit(circ), ds,
                    OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
                                    learning_rate=0.05),
                    readout=0, init_seed=1)
@@ -374,7 +374,7 @@ def test_train_separable_pair_reaches_tiny_cost():
     circ = build_hea(spec)
     ds = make_dataset([np.eye(8)[0], np.eye(8)[7]], [+1, -1], n)
     record = train(
-        "classify", circ, ds,
+        "classify", CompiledCircuit(circ), ds,
         OptimizerConfig(kind="powell", max_iterations=60),
         readout=0, init_seed=5,
     )
@@ -387,8 +387,8 @@ def test_train_deterministic_given_seed():
     circ = build_hea(AnsatzSpec("hea_ry", n, 1))
     ds = make_dataset([np.eye(4)[0], np.eye(4)[3]], [+1, -1], n)
     cfg = OptimizerConfig(kind="powell", max_iterations=10)
-    rec_a = train("classify", circ, ds, cfg, readout=0, init_seed=9)
-    rec_b = train("classify", circ, ds, cfg, readout=0, init_seed=9)
+    rec_a = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=9)
+    rec_b = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=9)
     assert rec_a.cost_history == rec_b.cost_history
     assert np.array_equal(rec_a.final_params, rec_b.final_params)
 
@@ -399,7 +399,7 @@ def test_train_autoencode_path():
     amp[0] = 1.0
     ds = make_dataset([amp], [1], 4)
     record = train(
-        "autoencode", circ, ds,
+        "autoencode", CompiledCircuit(circ), ds,
         OptimizerConfig(kind="powell", max_iterations=20),
         discard=discard, init_seed=2,
     )
@@ -412,7 +412,8 @@ def test_train_with_gd_optimizer():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0], [1.0, 0.0]], [+1, -1], 1)
     cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=300, learning_rate=0.2)
-    record = train("classify", circ, ds, cfg, readout=0, init_params=np.array([0.3]))
+    record = train("classify", CompiledCircuit(circ), ds, cfg, readout=0,
+                   init_params=np.array([0.3]))
     assert record.cost_history[-1] == pytest.approx(1.0, abs=1e-8)
     assert record.final_params[0] == pytest.approx(np.pi / 2, abs=1e-4)
     assert record.converged
@@ -422,13 +423,13 @@ def test_train_validates_inputs():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0]], [1], 1)
     with pytest.raises(ValueError):
-        train("classify", circ, ds, OptimizerConfig(), readout=None)
+        train("classify", CompiledCircuit(circ), ds, OptimizerConfig(), readout=None)
     with pytest.raises(ValueError):
-        train("autoencode", circ, ds, OptimizerConfig(), discard=set())
+        train("autoencode", CompiledCircuit(circ), ds, OptimizerConfig(), discard=set())
     with pytest.raises(ValueError):
-        train("rank", circ, ds, OptimizerConfig(), readout=0)
+        train("rank", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0)
     with pytest.raises(ValueError):
-        train("classify", circ, ds, OptimizerConfig(), readout=0,
+        train("classify", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0,
               init_params=np.array([0.1, 0.2]))
 
 
@@ -436,7 +437,7 @@ def test_train_rejects_an_unknown_task_by_name():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0]], [1], 1)
     with pytest.raises(ValueError, match="unknown task 'regress'"):
-        train("regress", circ, ds, OptimizerConfig(), readout=0)
+        train("regress", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0)
 
 
 def test_train_owns_the_run_timing():
@@ -445,7 +446,7 @@ def test_train_owns_the_run_timing():
     cfg = OptimizerConfig(kind="spsa", max_iterations=5)
     bare = spsa_minimize(lambda x: float(np.sum(x ** 2)), [0.3], cfg)
     assert bare.wall_time_total == bare.wall_time_per_sample == 0.0
-    record = train("classify", circ, ds, cfg, readout=0, init_seed=1)
+    record = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=1)
     assert record.wall_time_total > 0.0
     assert record.wall_time_per_sample == record.wall_time_total / 2
 
