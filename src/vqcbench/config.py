@@ -146,10 +146,14 @@ class DataSpec:
             if any(k in d for k in ("h_start", "h_stop", "h_count")):
                 raise ConfigError(f"{where}: give either h_values or h_start/h_stop/h_count")
             h_values = items(d, "h_values", where, number)
+            if not h_values:
+                raise ConfigError(f"{where}.h_values must hold at least one field value")
         elif any(k in d for k in ("h_start", "h_stop", "h_count")):
             start = number(d.get("h_start", DEFAULT_H_RANGE[0]), "h_start", where)
             stop = number(d.get("h_stop", DEFAULT_H_RANGE[1]), "h_stop", where)
             count = integer(d.get("h_count", DEFAULT_GRID_SIZE), "h_count", where)
+            if count < 1:
+                raise ConfigError(f"{where}.h_count must be positive, got {count}")
             h_values = uniform_grid(start, stop, count)
         elif task == "autoencode":
             h_values = list(DEFAULT_COMPRESSION_H)

@@ -57,6 +57,17 @@ class OptimizerConfig:
         for name in ("spsa_alpha", "spsa_gamma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        if self.kind == "spsa":
+            # a gain gain/(k+1)^power falls with k, so the last one is the smallest
+            for gain, power in (("spsa_a", "spsa_alpha"), ("spsa_c", "spsa_gamma")):
+                try:
+                    last = getattr(self, gain) / self.max_iterations ** getattr(self, power)
+                except OverflowError:  # (k+1)^power beyond the float range
+                    last = 0.0
+                if last == 0.0:
+                    raise ValueError(
+                        f"{power} {getattr(self, power)!r} makes the gain {gain}/(k+1)^{power} "
+                        f"reach 0 within max_iterations {self.max_iterations}")
         # every cost is 2 pi-periodic in every parameter, so a longer bracket
         # step means nothing
         if not 0.0 < self.line_search_step <= 2 * math.pi:

@@ -27,6 +27,15 @@ adjoint sweep (``CompiledCircuit.gradient``), take its rows a chunk at a time
 that a chunk stays in cache through every block instead of the whole batch
 streaming through each one.  A kernel gives each row the same result
 whatever chunk it is in.
+
+A third way through the blocks serves a caller that runs one circuit on one
+input many times, changing a few parameters at a time (Powell's line
+searches, through ``training._Objective``): it hands ``run`` a ``PassMemo``
+of the last pass.  The pass then recomputes only the block matrices that the
+changed slots reach, and resumes at the memo's checkpoint, the state
+entering the first block the last change reached, when no block before it
+changed.  Every block matrix and every kernel input is bit for bit the one
+a pass without the memo would use.
 """
 
 from __future__ import annotations
@@ -291,12 +300,32 @@ def _factor(g: Gate, places: tuple[int, ...], param_count: int):
     return (*abc, param_count if g.slot is None else g.slot, g.scale)
 
 
+@dataclass(eq=False)
+class PassMemo:
+    """The last pass of ``CompiledCircuit.run`` on one input, kept by the
+    caller for the next pass: its parameters, every factor and padded block
+    matrix, and one checkpoint, the state entering block ``start`` (per row
+    chunk, the kernel's own output array, or a view of the input when
+    ``start`` is 0).  The input must stay unchanged between passes; another
+    input object starts the memo afresh."""
+
+    source: object = None
+    params: np.ndarray | None = None
+    factors: np.ndarray | None = None
+    flats: np.ndarray | None = None
+    start: int = 0
+    checkpoint: list | None = None
+
+
 class CompiledCircuit:
     """A circuit folded once into blocks (module docstring): ``blocks`` holds
     (wires, u, window) in order, and block matrix u is the product of the
     factors ``chains[u]``, first applied first, padded with the identity.
     Each gate matrix is A + cos(t/2) B + sin(t/2) C in its angle t, so factor
-    f is a[f] + cos(h) b[f] + sin(h) c[f], h = scale[f] theta[slot[f]] / 2."""
+    f is a[f] + cos(h) b[f] + sin(h) c[f], h = scale[f] theta[slot[f]] / 2.
+    Slot s drives chain u where ``drives[s, u]``, and ``first[s]`` is the
+    first block whose chain it drives (the block count if none); slot
+    ``param_count`` stands for no slot."""
 
     def __init__(self, circuit: Circuit):
         n = self.num_qubits = circuit.num_qubits
@@ -335,17 +364,25 @@ class CompiledCircuit:
         self.chains = np.zeros((len(chains), length), dtype=int)
         for chain, u in chains.items():
             self.chains[u, : len(chain)] = chain
+        self.drives = np.zeros((self.param_count + 1, len(chains)), dtype=bool)
+        self.drives[self.slot[self.chains], np.arange(len(chains))[:, None]] = True
+        self.first = np.full(self.param_count + 1, len(self.blocks))
+        for k in reversed(range(len(self.blocks))):
+            self.first[self.drives[:, self.blocks[k][1]]] = k
 
-    def factors(self, params):
-        """Every factor matrix and its derivative in its slot's parameter."""
-        half = 0.5 * self.scale * np.append(params, 0.0)[self.slot]
+    def factors(self, params, rows=slice(None)):
+        """Every factor matrix, or those of ``rows``, and its derivative in its
+        slot's parameter."""
+        scale = self.scale[rows]
+        half = 0.5 * scale * np.append(params, 0.0)[self.slot[rows]]
         cos, sin = np.cos(half)[:, None, None], np.sin(half)[:, None, None]
-        return (self.a + cos * self.b + sin * self.c,
-                (0.5 * self.scale)[:, None, None] * (cos * self.c - sin * self.b))
+        b, c = self.b[rows], self.c[rows]
+        return self.a[rows] + cos * b + sin * c, (0.5 * scale)[:, None, None] * (cos * c - sin * b)
 
-    def block_matrices(self, factors: np.ndarray) -> np.ndarray:
-        """Product of every chain, by a pairwise batched-matmul reduction."""
-        f = factors[self.chains]
+    def block_matrices(self, factors: np.ndarray, chains=slice(None)) -> np.ndarray:
+        """Product of every chain, or of those of ``chains``, by a pairwise
+        batched-matmul reduction."""
+        f = factors[self.chains[chains]]
         while f.shape[1] > 1:
             f = f[:, 1::2] @ f[:, ::2]
         return f[:, 0]
@@ -359,30 +396,73 @@ class CompiledCircuit:
             return np.ascontiguousarray(amp.real, dtype=float)
         return np.ascontiguousarray(amp, dtype=complex)
 
-    def run(self, params, amplitudes) -> np.ndarray:
+    def run(self, params, amplitudes, memo: PassMemo | None = None) -> np.ndarray:
         """Every block on a (batch, 2^N) input, which is left unchanged.  A
         batch of more than one chunk (``_row_chunks``) goes through every
-        block a chunk at a time, into the rows of the result."""
+        block a chunk at a time, into the rows of the result.  With a
+        ``memo`` of the last pass on the same input, the pass starts at its
+        checkpoint when no block before it changed (``_recall``), and keeps
+        the state entering the first changed block as the next checkpoint."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
         amp = self.state(amplitudes)
-        flats = _padded(self.block_matrices(self.factors(params)[0]))
-        n = self.num_qubits
-        chunks = _row_chunks(amp)
-        if len(chunks) > 1:
-            out = np.empty_like(amp)
-            for rows in chunks:
-                chunk = amp[rows]
-                for wires, u, window in self.blocks:
-                    chunk = _kernel(chunk, n, wires, window, flats[u])[0]
+        if not self.blocks:
+            return amp.copy()
+        if memo is None:
+            flats, start, mark = _padded(self.block_matrices(self.factors(params)[0])), 0, None
+        else:
+            flats, start, mark = self._recall(memo, params, amplitudes)
+        chunks, n = _row_chunks(amp), self.num_qubits
+        out = np.empty_like(amp) if len(chunks) > 1 else None
+        if start:
+            entries = memo.checkpoint
+        else:
+            entries = [amp[rows] for rows in chunks] if out is not None else [amp]
+        # a lone chunk is the input itself, not a view of it, so that with no
+        # other reference left a converted input is freed after the first block
+        del amp
+        kept = []
+        for i, rows in enumerate(chunks):
+            chunk, entries[i] = entries[i], None
+            for k in range(start, len(self.blocks)):
+                if k == mark:
+                    kept.append(chunk)
+                wires, u, window = self.blocks[k]
+                chunk = _kernel(chunk, n, wires, window, flats[u])[0]
+            if out is None:
+                out = chunk
+            else:
                 out[rows] = chunk
-            return out
-        # One chunk: the whole batch, with no result allocated ahead; rebinding
-        # amp frees an input ``state`` converted after the first block.
-        for wires, u, window in self.blocks:
-            amp = _kernel(amp, n, wires, window, flats[u])[0]
-        return amp if self.blocks else amp.copy()
+        if memo is not None:
+            memo.params, memo.start, memo.checkpoint = params.copy(), mark, kept
+        return out
+
+    def _recall(self, memo: PassMemo, params: np.ndarray, amplitudes) -> tuple:
+        """(flats, start, mark) of a pass through ``memo``, which it brings up
+        to ``params``: the factors of the slots whose bits changed and the
+        block matrices of the chains they drive are recomputed, and the rest
+        are kept.  The pass starts at block ``start``, the checkpoint's, if no
+        block before it changed, else at block 0, and keeps the state entering
+        block ``mark``, the first changed one (``start`` if none changed).
+        The memo reads as empty until the pass completes."""
+        last, memo.params = memo.params, None
+        if last is None or memo.source is not amplitudes:
+            memo.source, memo.start = amplitudes, 0
+            memo.factors = self.factors(params)[0]
+            memo.flats = _padded(self.block_matrices(memo.factors))
+            changed = np.arange(self.param_count)
+        else:
+            moved = np.append(params.view(np.int64) != last.view(np.int64), False)
+            changed = np.flatnonzero(moved)
+            if changed.size:
+                rows = moved[self.slot]
+                memo.factors[rows] = self.factors(params, rows)[0]
+                chains = self.drives[changed].any(axis=0)
+                memo.flats[chains] = _padded(self.block_matrices(memo.factors, chains))
+        mark = self.first[changed].min(initial=len(self.blocks))
+        start = memo.start if memo.start <= mark else 0
+        return memo.flats, start, start if mark == len(self.blocks) else mark
 
     def gradient(self, params, psi, lam) -> np.ndarray:
         """sum_i 2 Re <lam_i| dU/dtheta |psi0_i> for every slot theta, where

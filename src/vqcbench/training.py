@@ -35,7 +35,7 @@ from .optimizers import (
     powell_minimize,
     spsa_minimize,
 )
-from .simulator import Circuit, CompiledCircuit, expectation, z_signs
+from .simulator import Circuit, CompiledCircuit, PassMemo, expectation, z_signs
 
 TASKS = ("classify", "autoencode")
 
@@ -58,7 +58,12 @@ class _Objective:
 
     A cost call keeps its forward pass (psi and the m_i) until the next call
     frees it, and ``gradient`` at the same parameters reuses it, so a
-    gradient-descent step makes one forward pass and one adjoint sweep."""
+    gradient-descent step makes one forward pass and one adjoint sweep.
+    Every pass goes through the run's one ``PassMemo``, so a pass whose
+    parameters differ from the last in a few slots (Powell's line search
+    moves one) recomputes only the block matrices those slots reach and
+    applies only the blocks from the first of them on; its result is bit
+    for bit the full pass's."""
 
     def __init__(self, compiled: CompiledCircuit, dataset, task: str, readout=None,
                  discard=None):
@@ -78,9 +83,10 @@ class _Objective:
         self.compiled = compiled
         self.mat = compiled.state(dataset.amplitudes())
         self._pass = None  # (params, psi, m) of the last cost call
+        self._memo = PassMemo()
 
     def _forward(self, params):
-        psi = self.compiled.run(params, self.mat)  # checks and converts params
+        psi = self.compiled.run(params, self.mat, self._memo)  # checks and converts params
         return psi, expectation(psi, self.obs)
 
     def cost(self, params) -> float:

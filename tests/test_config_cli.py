@@ -443,6 +443,53 @@ def test_bad_spsa_gain_exits_2_without_traceback(tmp_path, capsys, gain):
     assert "spsa" in err
 
 
+@pytest.mark.parametrize("iterations,gain,key", [
+    (400, {"gamma": 200}, "spsa_gamma"),  # (k+1)^gamma overflows
+    (2, {"gamma": 1e308}, "spsa_gamma"),
+    (2, {"alpha": 1e308}, "spsa_alpha"),
+    (1000, {"c": 1e-300, "gamma": 10}, "spsa_gamma"),  # c/(k+1)^gamma underflows to 0
+    (1000, {"a": 1e-300, "alpha": 10}, "spsa_alpha"),
+])
+def test_spsa_gain_that_reaches_zero_exits_2_naming_its_key(tmp_path, capsys, iterations, gain,
+                                                              key):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, optimizer={"kind": "spsa", "max_iterations": iterations, "spsa": gain})
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{key} {float(gain[key.split('_')[1]])!r} makes the gain" in err
+    assert f"reach 0 within max_iterations {iterations}" in err
+
+
+@pytest.mark.parametrize("iterations,gain", [
+    (1, {"gamma": 1e308}),  # the only gain is c/1^gamma = c
+    (20, {"c": 1e-300, "gamma": 5}),  # the last c_k is subnormal, not 0
+])
+def test_spsa_gain_that_stays_above_zero_trains(tmp_path, iterations, gain):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, optimizer={"kind": "spsa", "max_iterations": iterations, "spsa": gain})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"h_count": 0}, "data.h_count must be positive, got 0"),
+    ({"h_count": -3}, "data.h_count must be positive, got -3"),
+    ({"h_start": 0.2, "h_stop": 1.8, "h_count": 0}, "data.h_count must be positive, got 0"),
+    ({"h_values": []}, "data.h_values must hold at least one field value"),
+])
+def test_empty_field_grid_exits_2_naming_its_key(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, data={"kind": "tfi", "num_sites": 4, **grid})
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("optimizer", "max_iterations", None),
     ("optimizer", "max_iterations", 2.9),

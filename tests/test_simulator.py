@@ -502,6 +502,108 @@ def test_real_circuit_pass_memory_stays_below_two_complex_states(rng):
     assert peak <= 2 * state.nbytes
 
 
+# ---------------------------------------------------------------------------
+# the pass memo: a pass through PassMemo against a fresh pass
+
+
+FAMILIES = [("qcnn_ry", 3), ("qcnn_so4", 3), ("qcnn_su4", 3), ("hea_ry", 1), ("hea_rxrzrx", 1)]
+
+
+@st.composite
+def memo_sequences(draw):
+    """(compiled circuit, two inputs, chunk rows or None, steps): a family at
+    N = 4 or 8, or a random circuit of every kind with bound and slotted
+    gates; real or complex inputs; steps that move one slot, several, none,
+    go back to an earlier parameter vector or switch to the other input."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from([f for f, _ in FAMILIES] + ["random"]))
+    if family == "random":
+        n, real = draw(st.integers(2, 6)), draw(st.booleans())
+        slotted = random_circuit(n, rng, draw(st.integers(1, 20)), param_count=draw(
+            st.integers(1, 5)), real=real)
+        bound = random_circuit(n, rng, draw(st.integers(0, 6)), real=real)
+        gates = bound.gates + slotted.gates
+        rng.shuffle(gates)
+        circ = Circuit(n, gates, slotted.param_count)
+    else:
+        n = draw(st.sampled_from([4, 8]))
+        top = n.bit_length() - 1 if family.startswith("qcnn") else 2
+        circ, _ = build_ansatz(AnsatzSpec(family, n, draw(st.integers(1, top))))
+    inputs = [random_states(n, rng, batch=draw(st.integers(1, 5))) for _ in range(2)]
+    if draw(st.booleans()):
+        inputs = [np.ascontiguousarray(states.real) for states in inputs]
+    rows = draw(st.sampled_from([None, 1, 2]))
+    params = [rng.uniform(-np.pi, np.pi, size=circ.param_count)]
+    on = [0]
+    for kind in draw(st.lists(st.sampled_from(["one", "several", "none", "back", "input"]),
+                              min_size=1, max_size=12)):
+        p, source = params[-1].copy(), on[-1]
+        if kind == "one":
+            p[rng.integers(len(p))] += rng.normal()
+        elif kind == "several":
+            moved = rng.choice(len(p), size=rng.integers(1, len(p) + 1), replace=False)
+            p[moved] = rng.uniform(-np.pi, np.pi, size=len(moved))
+        elif kind == "back":
+            p = params[rng.integers(len(params))].copy()
+        elif kind == "input":
+            source = 1 - source
+        params.append(p)
+        on.append(source)
+    return sim.CompiledCircuit(circ), inputs, rows, list(zip(params, on))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_sequences())
+def test_memo_pass_equals_a_fresh_pass(case):
+    compiled, inputs, rows, steps = case
+    memo = sim.PassMemo()
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            amp = compiled.state(inputs[0])
+            patch.setattr(sim, "_SWEEP_BYTES", (2 * rows + 1) * amp[0].nbytes)
+            assert len(sim._row_chunks(amp)) == -(-len(amp) // rows)
+        for params, source in steps:
+            kept = compiled.run(params, inputs[source], memo)
+            fresh = compiled.run(params, inputs[source])
+            assert kept.dtype == fresh.dtype
+            assert np.array_equal(kept, fresh)
+            assert kept is not fresh
+
+
+def _first_changed_block(compiled, params, stepped) -> int:
+    """The first block whose matrix differs between the two parameter vectors."""
+    before, after = (compiled.block_matrices(compiled.factors(p)[0]) for p in (params, stepped))
+    changed = [k for k, (_, u, _) in enumerate(compiled.blocks)
+               if not np.array_equal(before[u], after[u])]
+    return changed[0]
+
+
+@pytest.mark.parametrize("family,layers", FAMILIES)
+def test_memo_pass_after_a_step_in_one_slot_applies_only_the_blocks_from_its_first_on(
+        family, layers, monkeypatch):
+    circ, _ = build_ansatz(AnsatzSpec(family, 8, layers))
+    compiled = sim.CompiledCircuit(circ)
+    rng = np.random.default_rng(6)
+    params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
+    states = compiled.state(random_states(8, rng, batch=2).real)
+    calls = []
+    kernel = sim._kernel
+    monkeypatch.setattr(sim, "_kernel", lambda *args: calls.append(1) or kernel(*args))
+    for slot in range(circ.param_count):
+        memo = sim.PassMemo()
+        compiled.run(params, states, memo)
+        # the first step in the slot moves the checkpoint to the slot's first
+        # block, and the second starts there
+        first, second = params.copy(), params.copy()
+        first[slot] += 0.3
+        second[slot] += 0.5
+        compiled.run(first, states, memo)
+        calls.clear()
+        out = compiled.run(second, states, memo)
+        assert len(calls) == len(compiled.blocks) - _first_changed_block(compiled, first, second)
+        assert np.array_equal(out, compiled.run(second, states))
+
+
 def test_no_module_imports_a_private_name_of_another_module():
     # each private helper has one owner (the compiled-block format and its
     # kernels in simulator, the discard check in training, ...): no module of

@@ -13,7 +13,7 @@ from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import OptimizerConfig, spsa_minimize
 from vqcbench.metrics import evaluate_autoencoder, evaluate_classifier
 from vqcbench.simulator import Circuit, CompiledCircuit, Gate, ry
-from vqcbench.spinmodels import DataRecord, Dataset
+from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
 from vqcbench.training import (
     TASKS,
     initial_parameters,
@@ -362,6 +362,28 @@ def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monke
     assert len(record.cost_history) == steps + 1  # no early stop
     blocks = len(simulator.CompiledCircuit(circ).blocks)
     assert calls == {"run": steps + 1, "gradient": steps, "kernel": (2 * steps + 1) * blocks}
+
+
+@pytest.mark.parametrize("family,layers", [("qcnn_ry", 3), ("qcnn_su4", 2), ("hea_rxrzrx", 1)])
+def test_powell_through_the_pass_memo_keeps_the_cost_history_of_fresh_passes(
+        family, layers, monkeypatch):
+    # XXZ ground states tie costs to the last bit (Powell's Brent search
+    # compares them), so any rounding change would show in the history
+    train_set, _ = generate_dataset("xxz", 8, np.linspace(0.2, 1.8, 16), train_fraction=0.5,
+                                    seed=0, solver="dense")
+    compiled = CompiledCircuit(build_ansatz(AnsatzSpec(family, 8, layers))[0])
+    config = OptimizerConfig(kind="powell", max_iterations=1, line_search_tol=1e-4)
+    calls = []
+    kernel = simulator._kernel
+    monkeypatch.setattr(simulator, "_kernel", lambda *args: calls.append(1) or kernel(*args))
+    kept = train("classify", compiled, train_set, config, readout=0, init_seed=3)
+    kept_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(training, "PassMemo", lambda: None)  # every pass from block 0
+    fresh = train("classify", compiled, train_set, config, readout=0, init_seed=3)
+    assert kept.cost_history == fresh.cost_history
+    assert np.array_equal(kept.final_params, fresh.final_params)
+    assert kept_calls < 0.8 * len(calls)
 
 
 # ---------------------------------------------------------------------------
