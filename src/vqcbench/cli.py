@@ -103,10 +103,18 @@ def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
         target = {"readout": readout_qubit(spec)}
     else:
         target = {"discard": _resolve_discard(config, pooled)}
-    compiled = CompiledCircuit(circuit)
+    compiled = _compile(circuit, target)
     record = train(config.task, compiled, dataset, optimizer or config.optimizer,
                    init_seed=seed, **target)
     return record, compiled, target
+
+
+def _compile(circuit, target: dict) -> CompiledCircuit:
+    """The circuit compiled for its task's target: a classifier reads <Z> on
+    its readout qubit alone, so only that qubit's light cone is compiled; an
+    autoencoder's reset-channel fidelity reads every qubit, so all of it is."""
+    readout = target.get("readout")
+    return CompiledCircuit(circuit, None if readout is None else [readout])
 
 
 def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out_dir: Path,
@@ -175,8 +183,10 @@ def cmd_eval(config: BenchConfig, args) -> int:
     train_path, test_path = _dataset_paths(config, out_dir)
     path = train_path if config.eval_on == "train" else test_path
     dataset = _read_data(path, spec.num_qubits, "evaluation")
-    report = _evaluate(config, CompiledCircuit(circuit), model["params"], dataset, out_dir,
-                       model.get("readout"), model.get("discard"))
+    key = "readout" if config.task == "classify" else "discard"
+    target = {key: model[key]}
+    report = _evaluate(config, _compile(circuit, target), model["params"], dataset, out_dir,
+                       **target)
     if config.task == "classify":
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:

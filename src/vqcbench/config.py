@@ -232,6 +232,8 @@ class BenchConfig:
         if d.get("discard") is not None:
             discard = checked_discard(items(d, "discard", "config", integer),
                                       model.num_qubits, "config")
+            if task != "autoencode":  # a key the task does not read is refused
+                raise ConfigError(f"discard applies to autoencode only, not {task}")
         eval_on = d.get("eval_on")
         if eval_on not in (None, "train", "test"):
             raise ConfigError(f"eval_on must be 'train' or 'test', got {eval_on!r}")

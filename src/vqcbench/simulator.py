@@ -36,6 +36,16 @@ changed slots reach, and resumes at the memo's checkpoint, the state
 entering the first block the last change reached, when no block before it
 changed.  Every block matrix and every kernel input is bit for bit the one
 a pass without the memo would use.
+
+A caller that reads only qubits Q, such as a classifier's <Z> on its readout,
+compiles with ``observed=Q``.  A gate acts as the identity on every wire but
+its targets, so a gate whose wires no later gate links to Q cannot change
+what is read on Q (the backward light cone of a local cost, Cerezo et al.,
+arXiv:2001.00550).  The compiler walks the gates backwards from Q, keeps a
+gate one of whose targets is already in the cone and adds its targets to the
+cone; only the kept gates are folded into blocks.  A slot with no kept gate
+drives no block, so its gradient is exactly 0 and a memo pass that moves only
+it recomputes no block matrix.
 """
 
 from __future__ import annotations
@@ -325,13 +335,25 @@ class CompiledCircuit:
     f is a[f] + cos(h) b[f] + sin(h) c[f], h = scale[f] theta[slot[f]] / 2.
     Slot s drives chain u where ``drives[s, u]``, and ``first[s]`` is the
     first block whose chain it drives (the block count if none); slot
-    ``param_count`` stands for no slot."""
+    ``param_count`` stands for no slot.
 
-    def __init__(self, circuit: Circuit):
+    With ``observed`` qubits, only the gates in their backward light cone
+    (module docstring) are compiled, so a slot none of whose gates is in it
+    drives no chain."""
+
+    def __init__(self, circuit: Circuit, observed=None):
         n = self.num_qubits = circuit.num_qubits
         self.param_count = circuit.param_count
+        gates = circuit.gates
+        if observed is not None:
+            cone, gates = set(observed), []
+            for g in reversed(circuit.gates):
+                if cone.intersection(g.targets):
+                    cone.update(g.targets)
+                    gates.append(g)
+            gates.reverse()
         gate_lists, last, held = [], {}, {q: [] for q in range(n)}
-        for g in circuit.gates:
+        for g in gates:
             a, b = g.targets[0], g.targets[-1]
             if a in last and last[a] == last.get(b):
                 gate_lists[last[a]][1].append(g)
@@ -455,8 +477,8 @@ class CompiledCircuit:
         else:
             moved = np.append(params.view(np.int64) != last.view(np.int64), False)
             changed = np.flatnonzero(moved)
-            if changed.size:
-                rows = moved[self.slot]
+            rows = moved[self.slot]
+            if rows.any():  # else no moved slot drives a chain
                 memo.factors[rows] = self.factors(params, rows)[0]
                 chains = self.drives[changed].any(axis=0)
                 memo.flats[chains] = _padded(self.block_matrices(memo.factors, chains))

@@ -883,9 +883,9 @@ def test_a_benchmark_cell_compiles_its_circuit_once(tmp_path, monkeypatch, task,
     compiles = []
     init = simulator.CompiledCircuit.__init__
 
-    def counting(self, circuit):
+    def counting(self, circuit, observed=None):
         compiles.append(circuit.num_qubits)
-        init(self, circuit)
+        init(self, circuit, observed)
 
     monkeypatch.setattr(simulator.CompiledCircuit, "__init__", counting)
     cfg = tmp_path / "c.json"
@@ -898,6 +898,41 @@ def test_a_benchmark_cell_compiles_its_circuit_once(tmp_path, monkeypatch, task,
     rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
     assert [r["status"][:2] for r in rows] == ["ok"] * 4
     assert compiles == [4] * len(rows)
+
+
+@pytest.mark.parametrize("task,model,observed", [
+    ("classify", {"family": "hea_ry", "num_qubits": 4, "layers": 1}, [0]),
+    ("autoencode", _QCNN4, None),
+])
+def test_train_and_eval_compile_the_readout_cone_or_the_whole_circuit(tmp_path, monkeypatch,
+                                                                      task, model, observed):
+    # a classifier reads <Z> on its readout only; the reset-channel fidelity
+    # of an autoencoder reads every qubit
+    seen = []
+    init = simulator.CompiledCircuit.__init__
+
+    def recording(self, circuit, observed=None):
+        seen.append(observed)
+        init(self, circuit, observed)
+
+    monkeypatch.setattr(simulator.CompiledCircuit, "__init__", recording)
+    cfg = tmp_path / "c.json"
+    write_config(cfg, task=task, model=model, optimizer={"kind": "powell", "max_iterations": 1})
+    out = tmp_path / "o"
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert seen == [observed, observed]
+
+
+def test_classify_config_with_a_discard_list_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, model={"family": "hea_ry", "num_qubits": 4, "layers": 1}, discard=[1, 2])
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error: discard applies to autoencode only, not classify" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,value,message", [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqcbench import simulator as sim
-from vqcbench.ansatz import AnsatzSpec, build_ansatz
+from vqcbench.ansatz import AnsatzSpec, build_ansatz, readout_qubit
 from vqcbench.spinmodels import SpinModel, ground_state
 from vqcbench.simulator import (
     Circuit,
@@ -602,6 +602,67 @@ def test_memo_pass_after_a_step_in_one_slot_applies_only_the_blocks_from_its_fir
         out = compiled.run(second, states, memo)
         assert len(calls) == len(compiled.blocks) - _first_changed_block(compiled, first, second)
         assert np.array_equal(out, compiled.run(second, states))
+
+
+# ---------------------------------------------------------------------------
+# the light cone: a compile for an observed qubit against the full compile
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_cases())
+def test_cone_compile_equals_the_full_compile_on_every_observed_qubit(case):
+    circ, params, states, _ = case
+    weights = np.linspace(-1.0, 2.0, len(states))  # dC/dm_i of some cost
+    full = sim.CompiledCircuit(circ)
+    for q in range(circ.num_qubits):
+        cone = sim.CompiledCircuit(circ, observed=[q])
+        signs = sim.z_signs(circ.num_qubits, q)
+        passes = [c.run(params, states) for c in (full, cone)]
+        m_full, m_cone = (sim.expectation(psi, signs) for psi in passes)
+        assert np.max(np.abs(m_cone - m_full)) < 1e-12
+        g_full, g_cone = (c.gradient(params, psi, weights[:, None] * signs * psi)
+                          for c, psi in zip((full, cone), passes))
+        driving = cone.drives[: circ.param_count].any(axis=1)
+        assert np.max(np.abs(g_cone - g_full)[driving], initial=0.0) < 1e-12
+        assert np.all(g_cone[~driving] == 0.0)
+        # a memo pass after a step in each slot in turn, flat slots included
+        memo, stepped = sim.PassMemo(), params.copy()
+        assert np.array_equal(cone.run(stepped, states, memo), passes[1])
+        for slot in range(circ.param_count):
+            stepped[slot] += 0.4
+            assert np.array_equal(cone.run(stepped, states, memo), cone.run(stepped, states))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("family,driving", [("hea_ry", 3), ("hea_rxrzrx", 9)])
+def test_cone_compile_of_a_one_layer_hea_keeps_one_block(family, driving, n):
+    # the readout's cone holds the last rotations on wires 0 and 1, the CZ
+    # between them and the first rotations on both: 3 or 9 slots at any N
+    spec = AnsatzSpec(family, n, 1)
+    circ, _ = build_ansatz(spec)
+    cone = sim.CompiledCircuit(circ, observed=[readout_qubit(spec)])
+    assert len(sim.CompiledCircuit(circ).blocks) == n - 1
+    assert [wires for wires, _, _ in cone.blocks] == [(0, 1)]
+    assert cone.drives[: circ.param_count].any(axis=1).sum() == driving
+
+
+@pytest.mark.parametrize("n,blocks", [(8, 19), (16, 43)])
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_so4", "qcnn_su4"])
+def test_cone_compile_of_a_full_depth_qcnn_keeps_every_block(family, n, blocks):
+    # only the trailing X of each pooling unit, on the qubit it pools out,
+    # lies outside the readout's cone
+    spec = AnsatzSpec(family, n, n.bit_length() - 1)
+    circ, _ = build_ansatz(spec)
+    full, cone = sim.CompiledCircuit(circ), sim.CompiledCircuit(circ, [readout_qubit(spec)])
+    assert [b[0] for b in cone.blocks] == [b[0] for b in full.blocks]
+    assert len(cone.blocks) == blocks
+    assert cone.drives[: circ.param_count].any(axis=1).all()
+
+    def factors_applied(compiled):  # factor 0 is the identity that pads a chain
+        return sum(np.count_nonzero(compiled.chains[u]) for _, u, _ in compiled.blocks)
+
+    pooling_units = sum(g.kind == "cry" for g in circ.gates) // 2
+    assert factors_applied(full) - factors_applied(cone) == pooling_units == n - 1
 
 
 def test_no_module_imports_a_private_name_of_another_module():
