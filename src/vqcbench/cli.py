@@ -33,7 +33,7 @@ from .storage import (
     write_results_json,
     write_train_record,
 )
-from .training import train
+from .training import compile_for, train
 
 
 def model_name(spec: AnsatzSpec) -> str:
@@ -103,18 +103,10 @@ def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
         target = {"readout": readout_qubit(spec)}
     else:
         target = {"discard": _resolve_discard(config, pooled)}
-    compiled = _compile(circuit, target)
+    compiled = compile_for(circuit, config.task, target.get("readout"))
     record = train(config.task, compiled, dataset, optimizer or config.optimizer,
                    init_seed=seed, **target)
     return record, compiled, target
-
-
-def _compile(circuit, target: dict) -> CompiledCircuit:
-    """The circuit compiled for its task's target: a classifier reads <Z> on
-    its readout qubit alone, so only that qubit's light cone is compiled; an
-    autoencoder's reset-channel fidelity reads every qubit, so all of it is."""
-    readout = target.get("readout")
-    return CompiledCircuit(circuit, None if readout is None else [readout])
 
 
 def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out_dir: Path,
@@ -185,8 +177,8 @@ def cmd_eval(config: BenchConfig, args) -> int:
     dataset = _read_data(path, spec.num_qubits, "evaluation")
     key = "readout" if config.task == "classify" else "discard"
     target = {key: model[key]}
-    report = _evaluate(config, _compile(circuit, target), model["params"], dataset, out_dir,
-                       **target)
+    compiled = compile_for(circuit, config.task, target.get("readout"))
+    report = _evaluate(config, compiled, model["params"], dataset, out_dir, **target)
     if config.task == "classify":
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:
@@ -311,6 +303,12 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vqcbench",
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="override the output directory")
         if name in ("train", "benchmark"):
-            p.add_argument("--seed", type=int, default=None, help="override the run seed")
+            p.add_argument("--seed", type=_seed, default=None, help="override the run seed")
         if name == "eval":
             p.add_argument("--model", default=None, help="model file (default: out/model.json)")
         if name == "benchmark":

@@ -75,6 +75,14 @@ def integer(value, key: str, where: str) -> int:
     return value
 
 
+def seed(value, key: str, where: str) -> int:
+    """A non-negative JSON integer, as numpy's seeded generators take."""
+    value = integer(value, key, where)
+    if value < 0:
+        raise ConfigError(f"{where}.{key} must be a non-negative integer, got {value}")
+    return value
+
+
 def items(section: dict, key: str, where: str, parse) -> list:
     """The JSON list under key, each item read by ``parse``."""
     value = section.get(key)
@@ -168,7 +176,7 @@ class DataSpec:
             raise ConfigError(f"{where}: unknown solver {solver!r}")
         return cls(
             kind=kind, num_sites=num_sites, h_values=h_values, h_c=h_c,
-            train_fraction=fraction, seed=integer(d.get("seed", 0), "seed", where),
+            train_fraction=fraction, seed=seed(d.get("seed", 0), "seed", where),
             solver=solver,
             train_path=_path(d, "train_path", where), test_path=_path(d, "test_path", where),
         )
@@ -179,9 +187,10 @@ def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
                "learning_rate", "spsa", "seed", "line_search_step", "line_search_tol"}
     _check_keys(d, allowed, where)
     kwargs = {"kind": d.get("kind", "powell")}
-    for key in ("max_iterations", "seed"):
-        if key in d:
-            kwargs[key] = integer(d[key], key, where)
+    if "max_iterations" in d:
+        kwargs["max_iterations"] = integer(d["max_iterations"], "max_iterations", where)
+    if "seed" in d:
+        kwargs["seed"] = seed(d["seed"], "seed", where)
     for key in ("cost_tolerance", "param_tolerance", "learning_rate",
                 "line_search_step", "line_search_tol"):
         if key in d:
@@ -249,7 +258,7 @@ class BenchConfig:
                 )
         return cls(
             task=task, model=model, data=data, optimizer=optimizer,
-            seed=integer(d.get("seed", 0), "seed", "config"),
+            seed=seed(d.get("seed", 0), "seed", "config"),
             out_dir=_path(d, "out_dir", "config", "runs"),
             models=models, train_sizes=train_sizes, discard=discard,
             eval_on=eval_on or ("train" if task == "autoencode" else "test"),

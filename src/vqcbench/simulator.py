@@ -139,10 +139,6 @@ def x(q: int) -> Gate:
     return Gate("x", (q,))
 
 
-def h(q: int) -> Gate:
-    return Gate("h", (q,))
-
-
 def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
@@ -153,10 +149,6 @@ def cz(a: int, b: int) -> Gate:
 
 def cry(control: int, target: int, angle: float | None = None, slot: int | None = None) -> Gate:
     return Gate("cry", (control, target), angle=angle, slot=slot)
-
-
-def u2(a: int, b: int, matrix) -> Gate:
-    return Gate("u2", (a, b), matrix=matrix)
 
 
 @dataclass
@@ -287,27 +279,14 @@ def _place(abc, places: tuple[int, ...]) -> tuple:
     return tuple(abc)
 
 
-@lru_cache(maxsize=None)
-def _placed_affine(kind: str, places: tuple[int, ...]) -> tuple:
-    """``_place`` of a kind's own (A, B, C), once per kind and places; read-only."""
-    abc = _place(_AFFINE[kind], places)
-    for m in abc:
-        m.setflags(write=False)
-    return abc
-
-
 def _factor(g: Gate, places: tuple[int, ...], param_count: int):
     """(A, B, C, slot, scale) of gate g in the 4x4 space of its block, where
     its targets sit at ``places``; a bound angle is folded into A."""
-    if g.angle is None and g.matrix is None:
-        abc = _placed_affine(g.kind, places)
-    else:
-        abc = (g.matrix, _Z4, _Z4) if g.kind == "u2" else _AFFINE[g.kind]
-        if g.angle is not None:
-            half = 0.5 * g.scale * g.angle
-            abc = (abc[0] + np.cos(half) * abc[1] + np.sin(half) * abc[2], 0 * abc[1], 0 * abc[2])
-        abc = _place(abc, places)
-    return (*abc, param_count if g.slot is None else g.slot, g.scale)
+    abc = (g.matrix, _Z4, _Z4) if g.kind == "u2" else _AFFINE[g.kind]
+    if g.angle is not None:
+        half = 0.5 * g.scale * g.angle
+        abc = (abc[0] + np.cos(half) * abc[1] + np.sin(half) * abc[2], 0 * abc[1], 0 * abc[2])
+    return (*_place(abc, places), param_count if g.slot is None else g.slot, g.scale)
 
 
 @dataclass(eq=False)

@@ -288,13 +288,14 @@ class Dataset:
         return len(self.records)
 
     def amplitudes(self) -> np.ndarray:
-        """The records' states as a (samples, 2^num_sites) complex matrix."""
+        """The records' states as a (samples, 2^num_sites) matrix, float64 if
+        every record is real (as ground states are) and complex otherwise."""
         if not self.records:
             raise ValueError("dataset must be non-empty")
         dim = 1 << self.num_sites
-        mat = np.empty((len(self.records), dim), dtype=complex)
-        for i, rec in enumerate(self.records):
-            state = np.asarray(rec.state)
+        states = [np.asarray(rec.state) for rec in self.records]
+        mat = np.empty((len(states), dim), dtype=np.result_type(float, *states))
+        for i, state in enumerate(states):
             if state.shape != (dim,):
                 raise ValueError(
                     f"record {i} has {state.shape[0]} amplitudes, expected {dim}"

@@ -44,9 +44,6 @@ RESULT_COLUMNS = [
     "time_total_s", "time_per_sample_s", "optimizer", "seed", "status",
 ]
 
-# columns that vary across runs even with fixed seeds
-TIMING_COLUMNS = ("time_total_s", "time_per_sample_s")
-
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
@@ -267,16 +264,3 @@ def write_results_csv(path, rows: list[dict]) -> None:
 def write_results_json(path, rows: list[dict]) -> None:
     ordered = sorted(rows, key=lambda r: (str(r.get("model")), int(r.get("train_size", 0))))
     atomic_write(path, json.dumps(ordered, indent=2) + "\n")
-
-
-def strip_timing_columns(csv_text: str) -> str:
-    """Drop timing columns from a results CSV (for determinism comparisons)."""
-    lines = csv_text.splitlines()
-    reader = csv.reader(lines)
-    rows = list(reader)
-    header = rows[0]
-    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
-    out = []
-    for row in rows:
-        out.append(",".join(row[i] for i in keep))
-    return "\n".join(out) + "\n"

@@ -15,8 +15,9 @@ O, so ``_Objective.gradient`` is the exact gradient the parameter-shift rule
 adjoint sweep ``CompiledCircuit.gradient``, fed with lam_i = (dC/dm_i) O psi_i.
 
 ``train`` runs the caller's ``CompiledCircuit``, which the caller compiles
-once per model and hands on to evaluation (``vqcbench.metrics``), and builds
-one objective per run (``_Objective``), which prepares the dataset once.
+once per model through ``compile_for`` and hands on to evaluation
+(``vqcbench.metrics``), and builds one objective per run (``_Objective``),
+which prepares the dataset once.
 Under ``param_shift_gd`` the gradient at x reuses the forward pass the cost
 call at x just made, so k steps make k + 1 forward passes and k sweeps.
 """
@@ -106,6 +107,15 @@ class _Objective:
         return self.compiled.gradient(params, psi, weights[:, None] * self.obs * psi)
 
 
+def compile_for(circuit: Circuit, task: str, readout: int | None = None) -> CompiledCircuit:
+    """The circuit compiled as its task reads it, the one compile that
+    ``train``, evaluation and ``param_shift_gradient`` run.  A classifier reads
+    <Z> on its readout qubit alone, so only that qubit's backward light cone
+    is compiled (``CompiledCircuit``'s ``observed``); an autoencoder's
+    reset-channel fidelity reads every qubit, so all of it is."""
+    return CompiledCircuit(circuit, [readout] if task == "classify" else None)
+
+
 def param_shift_gradient(
     circuit: Circuit,
     dataset,
@@ -116,10 +126,12 @@ def param_shift_gradient(
 ) -> np.ndarray:
     """Exact gradient of a task cost (the parameter-shift gradient, whose name
     ``param_shift_gd`` keeps) by one forward pass and one adjoint sweep
-    (``CompiledCircuit.gradient``).  It compiles the circuit on every call;
-    ``train`` calls ``_Objective.gradient`` instead, and this wrapper stays
-    only because the benchmark harness under ``bench/`` imports it."""
-    return _Objective(CompiledCircuit(circuit), dataset, task, readout, discard).gradient(params)
+    (``CompiledCircuit.gradient``) on what ``train`` compiles: ``compile_for``
+    of the circuit, on every call.  ``train`` calls ``_Objective.gradient``
+    instead, and this wrapper stays only because the benchmark harness under
+    ``bench/`` imports it."""
+    compiled = compile_for(circuit, task, readout)
+    return _Objective(compiled, dataset, task, readout, discard).gradient(params)
 
 
 def initial_parameters(param_count: int, seed: int) -> np.ndarray:
@@ -135,19 +147,12 @@ def train(
     optimizer: OptimizerConfig,
     readout: int | None = None,
     discard=None,
-    init_params=None,
     init_seed: int = 0,
 ) -> TrainRecord:
-    """Minimize the task cost of the compiled circuit; wall time covers the
-    optimizer call only."""
-    if init_params is not None:
-        x0 = np.asarray(init_params, dtype=float)
-        if x0.shape != (compiled.param_count,):
-            raise ValueError(
-                f"init_params must have length {compiled.param_count}, got {x0.shape}")
-    else:
-        x0 = initial_parameters(compiled.param_count, init_seed)
-
+    """Minimize the task cost of the compiled circuit from
+    ``initial_parameters(..., init_seed)``; wall time covers the optimizer
+    call only."""
+    x0 = initial_parameters(compiled.param_count, init_seed)
     objective = _Objective(compiled, dataset, task, readout, discard)
     minimize = {  # OptimizerConfig has checked the kind
         "powell": powell_minimize, "nelder_mead": nelder_mead_minimize, "spsa": spsa_minimize,

@@ -11,6 +11,7 @@ A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
 one state as ``state[None, :]``."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -263,6 +264,17 @@ def full_space_ground(kind, n, h):
     ham = build_hamiltonian(SpinModel(kind, n, h)).to_dense()
     w, v = scipy.linalg.eigh(ham, subset_by_index=(0, 1))
     return float(w[0]), float(w[1] - w[0]), v[:, 0]
+
+
+# results CSV columns that vary across runs even with fixed seeds
+TIMING_COLUMNS = ("time_total_s", "time_per_sample_s")
+
+
+def strip_timing_columns(csv_text):
+    """A results CSV without its timing columns, for determinism comparisons."""
+    rows = list(csv.reader(csv_text.splitlines()))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows) + "\n"
 
 
 ALL_KINDS = ["ry", "rx", "rz", "x", "h", "cnot", "cz", "cry", "u2"]

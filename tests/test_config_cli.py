@@ -20,7 +20,6 @@ from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
 from vqcbench.storage import (
     read_dataset,
     read_model,
-    strip_timing_columns,
     write_dataset,
     write_model,
     write_report,
@@ -29,7 +28,7 @@ from vqcbench.storage import (
     write_train_record,
 )
 
-from conftest import reference_dataset_text
+from conftest import reference_dataset_text, strip_timing_columns
 
 
 def write_config(path, **overrides):
@@ -487,6 +486,39 @@ def test_empty_field_grid_exits_2_naming_its_key(tmp_path, capsys, grid, message
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+    assert not out.exists()
+
+
+_DATA = {"kind": "tfi", "num_sites": 4, "h_start": 0.2, "h_stop": 1.8, "h_count": 16}
+
+
+@pytest.mark.parametrize("command,overrides,flags,message", [
+    ("benchmark", {"seed": -1}, [], "config.seed must be a non-negative integer, got -1"),
+    ("gen-data", {"data": {**_DATA, "seed": -7}}, [],
+     "data.seed must be a non-negative integer, got -7"),
+    ("train", {"data": {**_DATA, "seed": -7}}, [],
+     "data.seed must be a non-negative integer, got -7"),
+    ("train", {"optimizer": {"kind": "spsa", "max_iterations": 5, "seed": -1}}, [],
+     "optimizer.seed must be a non-negative integer, got -1"),
+    ("benchmark", {}, ["--seed", "-2"], "--seed: expected a non-negative integer, got '-2'"),
+])
+def test_negative_seed_exits_2_naming_its_key_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               command, overrides, flags,
+                                                               message):
+    solves = []
+    monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: solves.append(a))
+    cfg = tmp_path / "c.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "run"
+    try:
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)] + flags)
+    except SystemExit as exc:  # argparse refuses the flag's value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert solves == []
     assert not out.exists()
 
 

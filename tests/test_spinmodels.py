@@ -406,8 +406,8 @@ def test_dataset_record_order_follows_grid():
 def test_dataset_state_helpers():
     train, _ = generate_dataset("tfi", 3, [0.5, 1.5], train_fraction=1.0, seed=1)
     amps = train.amplitudes()
-    assert amps.shape == (2, 8) and amps.dtype == complex
-    assert np.array_equal(amps.real, [r.state for r in train.records])
+    assert amps.shape == (2, 8) and amps.dtype == np.float64
+    assert np.array_equal(amps, [r.state for r in train.records])
     assert np.all(expectation_z_batch(amps, 3, 0) <= 1.0)
     assert list(train.labels()) == [-1, 1]
     with pytest.raises(ValueError, match="non-empty"):

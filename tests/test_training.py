@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import autoencoder_cost, classification_cost, param_shift_oracle, random_circuit
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
-from vqcbench.optimizers import OptimizerConfig, spsa_minimize
+from vqcbench.optimizers import (
+    OptimizerConfig,
+    TrainRecord,
+    gradient_descent_minimize,
+    spsa_minimize,
+)
 from vqcbench.metrics import evaluate_autoencoder, evaluate_classifier
 from vqcbench.simulator import Circuit, CompiledCircuit, Gate, ry
 from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
@@ -303,7 +308,8 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     states = rng.normal(size=(4, 1 << n))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
-    objective = training._Objective(CompiledCircuit(circ), ds, task, **target)
+    compiled = training.compile_for(circ, task, target.get("readout"))
+    objective = training._Objective(compiled, ds, task, **target)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
         expected = param_shift_gradient(circ, ds, params, task=task, **target)
@@ -311,6 +317,43 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
         assert np.array_equal(objective.gradient(params), expected)  # a fresh pass
         objective.cost(params)
         assert np.array_equal(objective.gradient(params.copy()), expected)  # the kept pass
+
+
+@pytest.mark.parametrize("family,layers", [
+    ("qcnn_ry", 3), ("qcnn_so4", 3), ("qcnn_su4", 3), ("hea_ry", 1), ("hea_rxrzrx", 1),
+])
+@pytest.mark.parametrize("task", TASKS)
+def test_param_shift_gradient_is_the_gradient_train_runs(family, layers, task, rng,
+                                                         monkeypatch):
+    # the gradient the benchmark checks against finite differences is bit for
+    # bit the one train hands its minimizer: a classifier's through the
+    # readout's light cone, an autoencoder's through the whole circuit
+    circ, pooled = build_ansatz(AnsatzSpec(family, 8, layers))
+    states = rng.normal(size=(8, 256))
+    ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1] * 4, 8)
+    target = {"readout": 0} if task == "classify" else {"discard": pooled or [1, 3]}
+    compiled = training.compile_for(circ, task, target.get("readout"))
+    handed = []
+
+    def minimizer(f, grad, x0, config):
+        f(x0)
+        handed.append(grad(x0))
+        return TrainRecord(np.asarray(x0))
+
+    monkeypatch.setattr(training, "gradient_descent_minimize", minimizer)
+    train(task, compiled, ds, OptimizerConfig(kind="param_shift_gd"), init_seed=5, **target)
+    params = initial_parameters(circ.param_count, 5)
+    grad = param_shift_gradient(circ, ds, params, task, **target)
+    assert np.array_equal(grad, handed[0])
+    assert np.array_equal(grad, training._Objective(compiled, ds, task, **target).gradient(params))
+    outside = ~compiled.drives[: circ.param_count].any(axis=1)
+    if task == "classify":
+        assert np.count_nonzero(outside) == {"hea_ry": 13, "hea_rxrzrx": 39}.get(family, 0)
+        assert np.all(grad[outside] == 0.0)
+    else:
+        assert not outside.any()
+        whole = training._Objective(CompiledCircuit(circ), ds, task, **target)
+        assert np.array_equal(grad, whole.gradient(params))
 
 
 def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
@@ -434,8 +477,8 @@ def test_train_with_gd_optimizer():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0], [1.0, 0.0]], [+1, -1], 1)
     cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=300, learning_rate=0.2)
-    record = train("classify", CompiledCircuit(circ), ds, cfg, readout=0,
-                   init_params=np.array([0.3]))
+    objective = training._Objective(CompiledCircuit(circ), ds, "classify", readout=0)
+    record = gradient_descent_minimize(objective.cost, objective.gradient, np.array([0.3]), cfg)
     assert record.cost_history[-1] == pytest.approx(1.0, abs=1e-8)
     assert record.final_params[0] == pytest.approx(np.pi / 2, abs=1e-4)
     assert record.converged
@@ -450,9 +493,6 @@ def test_train_validates_inputs():
         train("autoencode", CompiledCircuit(circ), ds, OptimizerConfig(), discard=set())
     with pytest.raises(ValueError):
         train("rank", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0)
-    with pytest.raises(ValueError):
-        train("classify", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0,
-              init_params=np.array([0.1, 0.2]))
 
 
 def test_train_rejects_an_unknown_task_by_name():
