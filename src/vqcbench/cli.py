@@ -131,10 +131,13 @@ def _evaluate(config: BenchConfig, compiled: CompiledCircuit, params, dataset: D
 
 
 def _read_data(path: Path, num_qubits: int, role: str) -> Dataset:
-    """The dataset at path, whose chain must have one site per model qubit."""
+    """The dataset at path, which must hold a record, on a chain of one site
+    per model qubit."""
     if not path.exists():
         raise FileNotFoundError(f"{role} dataset not found: {path}")
     dataset = read_dataset(path)
+    if not dataset.records:
+        raise ValueError(f"{role} dataset {path} holds no records")
     if dataset.num_sites != num_qubits:
         raise ConfigError(
             f"{path} holds {dataset.num_sites}-site states but the model acts on "

@@ -100,6 +100,15 @@ def checked_discard(discard: list[int], num_qubits: int, where: str) -> list[int
         raise ConfigError(f"{where}.discard: {exc} for {num_qubits} qubits") from exc
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path; other bytes raise a ValueError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _path(section: dict, key: str, where: str, default=None):
     """The string under key, or ``default`` when the key is absent."""
     value = section.get(key, default)
@@ -271,7 +280,7 @@ class BenchConfig:
 
 def load_config(path) -> BenchConfig:
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

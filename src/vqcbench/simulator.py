@@ -31,11 +31,12 @@ whatever chunk it is in.
 A third way through the blocks serves a caller that runs one circuit on one
 input many times, changing a few parameters at a time (Powell's line
 searches, through ``training._Objective``): it hands ``run`` a ``PassMemo``
-of the last pass.  The pass then recomputes only the block matrices that the
-changed slots reach, and resumes at the memo's checkpoint, the state
-entering the first block the last change reached, when no block before it
-changed.  Every block matrix and every kernel input is bit for bit the one
-a pass without the memo would use.
+of the last pass, which also keeps that pass's output.  A pass that changes
+no block returns the kept output; any other recomputes only the block
+matrices that the changed slots reach, and resumes at the memo's checkpoint,
+the state entering the first block the last change reached, when no block
+before it changed.  Every block matrix and every kernel input is bit for bit
+the one a pass without the memo would use.
 
 A caller that reads only qubits Q, such as a classifier's <Z> on its readout,
 compiles with ``observed=Q``.  A gate acts as the identity on every wire but
@@ -45,7 +46,7 @@ arXiv:2001.00550).  The compiler walks the gates backwards from Q, keeps a
 gate one of whose targets is already in the cone and adds its targets to the
 cone; only the kept gates are folded into blocks.  A slot with no kept gate
 drives no block, so its gradient is exactly 0 and a memo pass that moves only
-it recomputes no block matrix.
+it returns the kept output.
 """
 
 from __future__ import annotations
@@ -293,9 +294,10 @@ def _factor(g: Gate, places: tuple[int, ...], param_count: int):
 class PassMemo:
     """The last pass of ``CompiledCircuit.run`` on one input, kept by the
     caller for the next pass: its parameters, every factor and padded block
-    matrix, and one checkpoint, the state entering block ``start`` (per row
+    matrix, one checkpoint, the state entering block ``start`` (per row
     chunk, the kernel's own output array, or a view of the input when
-    ``start`` is 0).  The input must stay unchanged between passes; another
+    ``start`` is 0), and its output, read-only, which a pass that changes no
+    block returns.  The input must stay unchanged between passes; another
     input object starts the memo afresh."""
 
     source: object = None
@@ -304,6 +306,7 @@ class PassMemo:
     flats: np.ndarray | None = None
     start: int = 0
     checkpoint: list | None = None
+    output: np.ndarray | None = None
 
 
 class CompiledCircuit:
@@ -401,9 +404,10 @@ class CompiledCircuit:
         """Every block on a (batch, 2^N) input, which is left unchanged.  A
         batch of more than one chunk (``_row_chunks``) goes through every
         block a chunk at a time, into the rows of the result.  With a
-        ``memo`` of the last pass on the same input, the pass starts at its
-        checkpoint when no block before it changed (``_recall``), and keeps
-        the state entering the first changed block as the next checkpoint."""
+        ``memo`` of the last pass on the same input, a pass that changes no
+        block returns its output; any other starts at its checkpoint when no
+        block before it changed (``_recall``), and keeps the state entering
+        the first changed block and its own output, made read-only."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
@@ -414,6 +418,8 @@ class CompiledCircuit:
             flats, start, mark = _padded(self.block_matrices(self.factors(params)[0])), 0, None
         else:
             flats, start, mark = self._recall(memo, params, amplitudes)
+            if flats is None:
+                return memo.output
         chunks, n = _row_chunks(amp), self.num_qubits
         out = np.empty_like(amp) if len(chunks) > 1 else None
         if start:
@@ -436,17 +442,19 @@ class CompiledCircuit:
             else:
                 out[rows] = chunk
         if memo is not None:
-            memo.params, memo.start, memo.checkpoint = params.copy(), mark, kept
+            out.setflags(write=False)
+            memo.params, memo.start, memo.checkpoint, memo.output = params.copy(), mark, kept, out
         return out
 
     def _recall(self, memo: PassMemo, params: np.ndarray, amplitudes) -> tuple:
         """(flats, start, mark) of a pass through ``memo``, which it brings up
-        to ``params``: the factors of the slots whose bits changed and the
-        block matrices of the chains they drive are recomputed, and the rest
-        are kept.  The pass starts at block ``start``, the checkpoint's, if no
-        block before it changed, else at block 0, and keeps the state entering
-        block ``mark``, the first changed one (``start`` if none changed).
-        The memo reads as empty until the pass completes."""
+        to ``params``, or Nones if no slot whose bits changed drives a block,
+        so that the memo's output stands.  Else the factors of those slots and
+        the block matrices of the chains they drive are recomputed, and the
+        rest are kept.  The pass starts at block ``start``, the checkpoint's,
+        if no block before it changed, else at block 0, and keeps the state
+        entering block ``mark``, the first changed one.  The memo reads as
+        empty until the pass completes."""
         last, memo.params = memo.params, None
         if last is None or memo.source is not amplitudes:
             memo.source, memo.start = amplitudes, 0
@@ -456,14 +464,15 @@ class CompiledCircuit:
         else:
             moved = np.append(params.view(np.int64) != last.view(np.int64), False)
             changed = np.flatnonzero(moved)
-            rows = moved[self.slot]
-            if rows.any():  # else no moved slot drives a chain
-                memo.factors[rows] = self.factors(params, rows)[0]
-                chains = self.drives[changed].any(axis=0)
-                memo.flats[chains] = _padded(self.block_matrices(memo.factors, chains))
+            if self.first[changed].min(initial=len(self.blocks)) == len(self.blocks):
+                memo.params = last  # the kept output's, whole again
+                return None, None, None
+            memo.factors[moved[self.slot]] = self.factors(params, moved[self.slot])[0]
+            chains = self.drives[changed].any(axis=0)
+            memo.flats[chains] = _padded(self.block_matrices(memo.factors, chains))
+        memo.output = None  # freed before the pass allocates its own
         mark = self.first[changed].min(initial=len(self.blocks))
-        start = memo.start if memo.start <= mark else 0
-        return memo.flats, start, start if mark == len(self.blocks) else mark
+        return memo.flats, memo.start if memo.start <= mark else 0, mark
 
     def gradient(self, params, psi, lam) -> np.ndarray:
         """sum_i 2 Re <lam_i| dU/dtheta |psi0_i> for every slot theta, where

@@ -7,7 +7,7 @@ Hamiltonians (Pauli matrices, site index j from 0, open chain):
 
 Both are real symmetric in the computational basis, so ground states are
 real float64 vectors; ``Dataset.amplitudes`` stacks them into the
-(samples, 2^N) complex matrix the simulator takes.  Site j maps to qubit j
+(samples, 2^N) float64 matrix the simulator takes.  Site j maps to qubit j
 (qubit 0 = most significant bit, the simulator convention).
 
 Both have the form H = A + h B:

@@ -30,7 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, checked_discard, integer, items, model_spec_from_dict, number
+from .ansatz import param_count
+from .config import (
+    ConfigError,
+    checked_discard,
+    integer,
+    items,
+    model_spec_from_dict,
+    number,
+    read_text,
+)
 from .optimizers import TrainRecord
 from .spinmodels import MAX_SITES, MODEL_KINDS, DataRecord, Dataset
 from .training import TASKS
@@ -121,8 +130,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     path = Path(path)
-    with path.open() as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+    lines = [line for line in read_text(path).splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     header = _loads(lines[0], f"{path}: header")
@@ -207,10 +215,11 @@ def write_model(path, task, model_spec_dict, params, readout=None, discard=None,
 
 def read_model(path) -> dict:
     """A model file with its task, model section (parsed into ``spec``), finite
-    parameters and the task's readout qubit or discard list (sorted and
+    parameters, one per slot of the model (as ``n_params``, when present,
+    says), and the task's readout qubit or discard list (sorted and
     de-duplicated) checked, the last two against the model's qubits; any of
     them missing, of the wrong type or out of range raises ConfigError."""
-    obj = _loads(Path(path).read_text(), str(path))
+    obj = _loads(read_text(path), str(path))
     if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version")
     where = "model file"
@@ -220,6 +229,13 @@ def read_model(path) -> dict:
         raise ConfigError(f"{where}.model must be an object, got {obj.get('model')!r}")
     obj["spec"] = spec = model_spec_from_dict(obj["model"], where)
     obj["params"] = np.asarray(items(obj, "params", where, number), dtype=float)
+    slots = param_count(spec)
+    if len(obj["params"]) != slots:
+        raise ConfigError(f"{path}: params holds {len(obj['params'])} values, "
+                          f"but the model has {slots} parameters")
+    if "n_params" in obj and integer(obj["n_params"], "n_params", where) != slots:
+        raise ConfigError(f"{path}: n_params is {obj['n_params']}, "
+                          f"but the model has {slots} parameters")
     n = spec.num_qubits
     if obj["task"] == "classify":
         obj["readout"] = readout = integer(obj.get("readout"), "readout", where)

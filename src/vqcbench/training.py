@@ -18,8 +18,9 @@ adjoint sweep ``CompiledCircuit.gradient``, fed with lam_i = (dC/dm_i) O psi_i.
 once per model through ``compile_for`` and hands on to evaluation
 (``vqcbench.metrics``), and builds one objective per run (``_Objective``),
 which prepares the dataset once.
-Under ``param_shift_gd`` the gradient at x reuses the forward pass the cost
-call at x just made, so k steps make k + 1 forward passes and k sweeps.
+Under ``param_shift_gd`` the gradient at x gets the pass the cost call at x
+left in the run's ``PassMemo``, so k steps make k + 1 forward passes and k
+sweeps.
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ class _Objective:
     readout qubit, or the sum of Z on the discarded qubits) and
     loss(m) = (C, dC/dm) in the m_i = <O>_i.
 
-    A cost call keeps its forward pass (psi and the m_i) until the next call
-    frees it, and ``gradient`` at the same parameters reuses it, so a
-    gradient-descent step makes one forward pass and one adjoint sweep.
-    Every pass goes through the run's one ``PassMemo``, so a pass whose
-    parameters differ from the last in a few slots (Powell's line search
-    moves one) recomputes only the block matrices those slots reach and
-    applies only the blocks from the first of them on; its result is bit
-    for bit the full pass's."""
+    It keeps no pass of its own: the cost's and the gradient's passes go
+    through the run's one ``PassMemo``.  A pass that changes no block (the
+    gradient at the cost's parameters, a Powell step outside the light cone)
+    returns the last output; one that moves a few slots recomputes only the
+    block matrices they reach and applies only the blocks from the first of
+    them on.  Either result is bit for bit the full pass's."""
 
     def __init__(self, compiled: CompiledCircuit, dataset, task: str, readout=None,
                  discard=None):
@@ -83,7 +82,6 @@ class _Objective:
             raise ValueError(f"unknown task {task!r}")
         self.compiled = compiled
         self.mat = compiled.state(dataset.amplitudes())
-        self._pass = None  # (params, psi, m) of the last cost call
         self._memo = PassMemo()
 
     def _forward(self, params):
@@ -91,18 +89,10 @@ class _Objective:
         return psi, expectation(psi, self.obs)
 
     def cost(self, params) -> float:
-        self._pass = None  # free the last pass before this one allocates
-        psi, m = self._forward(params)
-        self._pass = (np.array(params, dtype=float), psi, m)
-        return float(self.loss(m)[0])
+        return float(self.loss(self._forward(params)[1])[0])
 
     def gradient(self, params) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        kept = self._pass
-        if kept is not None and np.array_equal(kept[0], params):
-            psi, m = kept[1:]
-        else:
-            psi, m = self._forward(params)
+        psi, m = self._forward(params)
         weights = self.loss(m)[1]
         return self.compiled.gradient(params, psi, weights[:, None] * self.obs * psi)
 
@@ -111,8 +101,15 @@ def compile_for(circuit: Circuit, task: str, readout: int | None = None) -> Comp
     """The circuit compiled as its task reads it, the one compile that
     ``train``, evaluation and ``param_shift_gradient`` run.  A classifier reads
     <Z> on its readout qubit alone, so only that qubit's backward light cone
-    is compiled (``CompiledCircuit``'s ``observed``); an autoencoder's
-    reset-channel fidelity reads every qubit, so all of it is."""
+    is compiled (``CompiledCircuit``'s ``observed``).  An autoencoder is
+    compiled whole, though it too reads only its discarded qubits: its cost
+    reads their <Z>, and its fidelity F = ||A^dagger a0||^2
+    (``vqcbench.metrics``) is built from A^dagger A, their reduced state, so
+    a gate outside their cone, which acts on kept qubits alone, changes
+    neither.  The whole compile stays so that autoencoder outputs stay bit
+    for bit those of earlier runs: a cone compile rounds differently (its
+    gradient reads exactly 0 on slots outside the cone, where the whole
+    compile's reads about 1e-17)."""
     return CompiledCircuit(circuit, [readout] if task == "classify" else None)
 
 

@@ -223,7 +223,7 @@ def test_dataset_line_that_is_not_json_exits_2_naming_file_and_line(tmp_path, ca
 
 
 def test_model_roundtrip_full_precision(tmp_path):
-    params = np.array([np.pi, 1 / 3, -7.123456789012345e-11])
+    params = np.array([np.pi, 1 / 3, -7.123456789012345e-11, -0.0])  # one per slot
     path = tmp_path / "model.json"
     write_model(path, "classify", {"family": "hea_ry", "num_qubits": 2, "layers": 1,
                                    "weight_sharing": True, "hea_template": "single_column"},
@@ -365,14 +365,14 @@ def test_dataset_with_a_non_finite_amplitude_raises_and_writes_nothing(tmp_path,
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["classify", "autoencode"]),
-       st.lists(st.one_of(finite, st.sampled_from(EDGE_FLOATS)), max_size=6),
+       st.lists(st.one_of(finite, st.sampled_from(EDGE_FLOATS)), min_size=4, max_size=4),
        st.integers(0, 7), st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
        st.one_of(st.none(), st.integers(0, 2**32)),
        st.dictionaries(st.text(max_size=5), st.one_of(finite, st.sampled_from(EDGE_FLOATS)),
                        max_size=3))
 def test_model_write_read_write_is_byte_identical(task, params, readout, discard, init_seed,
                                                    metadata):
-    spec = {"family": "qcnn_ry", "num_qubits": 8, "layers": 1}
+    spec = {"family": "qcnn_ry", "num_qubits": 8, "layers": 1}  # 4 parameters
     classify = task == "classify"
 
     def write(obj, path):
@@ -800,6 +800,67 @@ def test_eval_names_a_model_file_that_is_not_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "model.json: Expecting property name" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("fraction,command,role,name", [
+    (0.0, "train", "training", "train.jsonl"), (1.0, "eval", "evaluation", "test.jsonl"),
+])
+def test_train_and_eval_name_a_dataset_with_no_records(tmp_path, capsys, fraction, command,
+                                                       role, name):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, data={"kind": "tfi", "num_sites": 4, "h_values": [0.5, 1.5], "seed": 7,
+                            "train_fraction": fraction},
+                 optimizer={"kind": "spsa", "max_iterations": 2})
+    out = tmp_path / "run"
+    for step in ["gen-data"] + (["train"] if command == "eval" else []):
+        assert cli.main([step, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{role} dataset {out / name} holds no records" in err
+    assert not (out / {"train": "model.json", "eval": "report.json"}[command]).exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    ("train", "c.json"), ("train", "test.jsonl"), ("eval", "model.json"),
+])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, name):
+    cfg = tmp_path / "c.json"
+    write_config(cfg, model={"family": "hea_ry", "num_qubits": 2, "layers": 1},
+                 data={"kind": "tfi", "num_sites": 2, "h_values": [0.5, 1.5], "seed": 0,
+                       "train_path": str(tmp_path / "run" / "test.jsonl")})
+    toy = _perfect_toy_model(tmp_path)  # run/test.jsonl, read by both commands
+    bad = cfg if name == "c.json" else toy / name
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    out = tmp_path / "trained" if command == "train" else toy
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: not UTF-8 text (invalid start byte at byte 0)" in err
+    assert not (tmp_path / "trained").exists()
+    assert not (toy / "report.json").exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("params", [0.1] * 8, "params holds 8 values, but the model has 9 parameters"),
+    ("n_params", 99, "n_params is 99, but the model has 9 parameters"),
+])
+def test_eval_checks_a_model_files_parameter_count(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)  # qcnn_ry on 4 qubits, 2 layers: 9 parameters
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    write_model(out / "model.json", "classify", {"family": "qcnn_ry", "num_qubits": 4,
+                                                  "layers": 2}, np.zeros(9), readout=0)
+    model = json.loads((out / "model.json").read_text())
+    model[key] = value
+    (out / "model.json").write_text(json.dumps(model))
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{out / 'model.json'}: {message}" in err
     assert not (out / "report.json").exists()
 
 

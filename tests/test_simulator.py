@@ -588,6 +588,37 @@ def test_memo_pass_after_a_step_in_one_slot_applies_only_the_blocks_from_its_fir
         assert np.array_equal(out, compiled.run(second, states))
 
 
+@pytest.mark.parametrize("family,layers", FAMILIES)
+def test_memo_pass_that_changes_no_block_runs_no_kernel(family, layers, monkeypatch):
+    # the memo keeps the last output, read-only, and a pass whose moved slots
+    # drive no block returns it: at the same parameters, or after a step in a
+    # slot outside the readout's light cone
+    spec = AnsatzSpec(family, 8, layers)
+    circ, _ = build_ansatz(spec)
+    cone = sim.CompiledCircuit(circ, observed=[readout_qubit(spec)])
+    rng = np.random.default_rng(8)
+    params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
+    states = cone.state(random_states(8, rng, batch=3).real)
+    flat = np.flatnonzero(~cone.drives[: circ.param_count].any(axis=1))
+    assert len(flat) == {"hea_ry": 13, "hea_rxrzrx": 39}.get(family, 0)
+    calls = []
+    kernel = sim._kernel
+    monkeypatch.setattr(sim, "_kernel", lambda *args: calls.append(1) or kernel(*args))
+    memo = sim.PassMemo()
+    kept = cone.run(params, states, memo)
+    assert not kept.flags.writeable
+    steps = [params.copy()]
+    for slot in flat:
+        steps.append(steps[-1].copy())
+        steps[-1][slot] += 0.7
+    for stepped in steps:
+        calls.clear()
+        out = cone.run(stepped, states, memo)
+        assert calls == []
+        assert out is kept
+        assert np.array_equal(out, cone.run(stepped, states))
+
+
 # ---------------------------------------------------------------------------
 # the light cone: a compile for an observed qubit against the full compile
 

@@ -404,7 +404,9 @@ def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monke
                    readout=0, init_seed=1)
     assert len(record.cost_history) == steps + 1  # no early stop
     blocks = len(simulator.CompiledCircuit(circ).blocks)
-    assert calls == {"run": steps + 1, "gradient": steps, "kernel": (2 * steps + 1) * blocks}
+    # the gradient's forward run returns the output the cost's run kept
+    assert calls == {"run": 2 * steps + 1, "gradient": steps,
+                     "kernel": (2 * steps + 1) * blocks}
 
 
 @pytest.mark.parametrize("family,layers", [("qcnn_ry", 3), ("qcnn_su4", 2), ("hea_rxrzrx", 1)])
