@@ -170,7 +170,7 @@ def cmd_eval(config: BenchConfig, args) -> int:
     model = read_model(model_path)
     if model["task"] != config.task:
         raise ConfigError(
-            f"model file was trained for task {model['task']!r} "
+            f"{model_path}: model file was trained for task {model['task']!r} "
             f"but the config says {config.task!r}"
         )
     spec = model["spec"]

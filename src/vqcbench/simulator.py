@@ -34,7 +34,7 @@ searches, through ``training._Objective``): it hands ``run`` a ``PassMemo``
 of the last pass, which also keeps that pass's output.  A pass that changes
 no block returns the kept output; any other recomputes only the block
 matrices that the changed slots reach, and resumes at the memo's checkpoint,
-the state entering the first block the last change reached, when no block
+the state entering the first step the last change reached, when no step
 before it changed.  Every block matrix and every kernel input is bit for bit
 the one a pass without the memo would use.
 
@@ -47,6 +47,30 @@ gate one of whose targets is already in the cone and adds its targets to the
 cone; only the kept gates are folded into blocks.  A slot with no kept gate
 drives no block, so its gradient is exactly 0 and a memo pass that moves only
 it returns the kept output.
+
+A pass walks the steps of a layout plan (``_plan``), made once at compile
+time.  A kernel is fast on a block whose window has many columns, and slow on
+a pair more than four wires apart (a far pair, which ``_pairs`` copies) or on
+the last wires of a large register: at N = 16 a block costs about 35 us per
+float64 row on wires 0-8, and 2-13 times that on far pairs and the last
+wires.  A rotation step by d wires transposes each row, seen as a
+(2^d, 2^(N - d)) matrix (about 70 us a row at N = 16), so that the wire at
+position p moves to (p - d) mod N; the blocks after it run at their wires'
+rotated positions, where a far pair may become a window.  This relabels
+qubits inside a circuit, as distributed simulators do (Haener and Steiger,
+arXiv:1704.01127).  A dynamic program picks the rotations by a fixed price on
+each block's shape at each rotation (``_PRICES``), and blocks that share no
+wire may move so that they share a rotation.  The plan depends only on the
+circuit's wires, whether its gates are real, and N.  Every pass starts and
+ends in the canonical layout, so every reader of amplitudes sees the
+conventions above.  Where rows are short a rotation rarely pays: prices scale
+with the row but a rotation's call does not, so at N <= 8 one there and back
+costs at least 6 us a row, more than moving a block saves (at most 1.7 us on
+float64 rows, 4.5 us on complex ones).  No family's plan rotates there: its
+steps are its blocks, and its passes compute bit for bit what the walk of the
+blocks in order computes.  A rotated block may round in its last bits unlike
+the same block unrotated, since a window sums its terms in another order than
+a far pair's product.
 """
 
 from __future__ import annotations
@@ -76,6 +100,27 @@ _AFFINE = {
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 _MAX_WINDOW = 5  # wires in the widest matmul window (a 32 x 32 matrix)
 _SWEEP_BYTES = 1 << 20  # a chunk's input and output in a pass, or its (psi, lam) in the sweep
+# The layout plan's prices: us of one kernel call on a row of 2^16 amplitudes,
+# float64 (a real circuit's) or complex128, one BLAS thread, as measured
+# (medians inside QCNN passes where they reach the shape).  A block in a D x D
+# window is priced by D and its R columns, past 64 alike; a far pair (D 0 here)
+# by the R columns after its last wire.  A rotation costs _ROTATE_US, twice
+# that by one wire.  Every price scales with the row, except the _CALL_US a
+# rotation adds as one more call.
+_PRICES = {
+    True: {2: {1: 171, 32: 57, 64: 40}, 4: {1: 91, 16: 60, 32: 38, 64: 34},
+           8: {1: 77, 8: 69, 16: 44, 32: 35, 64: 38},
+           16: {1: 85, 4: 176, 8: 76, 16: 56, 32: 44, 64: 60},
+           32: {1: 115, 2: 248, 4: 168, 8: 112, 16: 81, 32: 78, 64: 100},
+           0: {1: 215, 2: 470, 4: 260, 8: 170, 16: 120, 32: 110, 64: 100}},
+    False: {2: {1: 208, 32: 380, 64: 200}, 4: {1: 152, 16: 446, 32: 293, 64: 175},
+            8: {1: 173, 8: 478, 16: 328, 32: 244, 64: 210},
+            16: {1: 239, 4: 588, 8: 428, 16: 343, 32: 292, 64: 380},
+            32: {1: 360, 2: 1302, 4: 664, 8: 516, 16: 442, 32: 438, 64: 410},
+            0: {1: 420, 2: 600, 4: 415, 8: 365, 16: 330, 32: 330, 64: 330}},
+}
+_ROTATE_US, _CALL_US = {True: 70, False: 100}, 3
+_NEAR_CHEAPEST = 1.1  # a block runs "well" at a rotation within 10 % of its cheapest
 
 
 @dataclass(eq=False)
@@ -184,21 +229,32 @@ class Circuit:
 
 
 def _pairs(amp: np.ndarray, n: int, wires) -> np.ndarray:
-    """View of amp with axes (first wire, second wire or a unit axis, rest...)."""
-    qa, qb = wires[0], wires[-1]
+    """View of amp with axes (first wire, second wire or a unit axis, rest...),
+    whichever of the wires comes first in the register."""
+    qa, qb = min(wires), max(wires)
     shape = (-1, 2, 1 << max(qb - qa - 1, 0), 1 + (qb > qa), 1 << (n - 1 - qb))
-    return amp.reshape(shape).transpose(1, 3, 0, 2, 4)
+    return amp.reshape(shape).transpose((1, 3, 0, 2, 4) if wires[0] == qa else (3, 1, 0, 2, 4))
+
+
+def _span(n: int, wires) -> tuple | None:
+    """(lo, hi): the window of k <= 5 wires a block runs in, from its first
+    wire in the register to its last, or to the register's last wire if that
+    fits; None for a far pair, whose wires no window spans."""
+    lo = min(wires)
+    hi = n - 1 if n - lo <= _MAX_WINDOW else max(wires)
+    return None if hi - lo >= _MAX_WINDOW else (lo, hi)
 
 
 @lru_cache(maxsize=None)
 def _window(n: int, wires: tuple[int, ...]):
-    """(index, D, R) for a block in the window of k <= 5 wires from wires[0]
-    (to the last wire if it fits): amplitudes reshape to (-1, D = 2^k, R), and
-    the window matrix is the flattened block matrix + [0] at ``index``."""
-    lo = wires[0]
-    hi = n - 1 if n - lo <= _MAX_WINDOW else wires[-1]
-    if hi - lo >= _MAX_WINDOW:
+    """(index, D, R) for a block in its window (``_span``) of k wires:
+    amplitudes reshape to (-1, D = 2^k, R), and the window matrix is the
+    flattened block matrix + [0] at ``index``, with wires[0] as the block's
+    high bit, whichever wire comes first in the register."""
+    span = _span(n, wires)
+    if span is None:
         return None
+    lo, hi = span
     r, c = np.indices((2 << (hi - lo), 2 << (hi - lo)))
     shifts = [hi - q for q in wires]
     rest = len(r) - 1 - sum(1 << s for s in shifts)
@@ -235,6 +291,108 @@ def _row_chunks(amp: np.ndarray) -> list[slice]:
     fill _SWEEP_BYTES (one row each at N = 16 on float64)."""
     rows = max(1, _SWEEP_BYTES // (2 * amp.itemsize * amp.shape[1]))
     return [slice(start, start + rows) for start in range(0, len(amp), rows)]
+
+
+def _rotate(amp: np.ndarray, n: int, d: int) -> np.ndarray:
+    """A new array: each row of amp, seen as a (2^d, 2^(N - d)) matrix,
+    transposed, so that the wire at position p moves to (p - d) mod N."""
+    return np.ascontiguousarray(amp.reshape(-1, 1 << d, 1 << (n - d)).swapaxes(1, 2)).reshape(
+        amp.shape)
+
+
+def _block_cost(n: int, wires, prices: dict) -> float:
+    """A block's price in ``prices`` (``_PRICES``) on a row of 2^16 amplitudes."""
+    span = _span(n, wires)
+    if span is None:
+        return prices[0][min(1 << (n - 1 - max(wires)), 64)]
+    lo, hi = span
+    return prices[2 << (hi - lo)][min(1 << (n - 1 - hi), 64)]
+
+
+def _rotations(cost: np.ndarray, rotate: np.ndarray) -> tuple:
+    """(price, rotations): the least priced rotation of the register for each
+    block in turn, where running block k at rotation r costs cost[k, r],
+    turning from r to t costs rotate[r, t], and the pass starts and ends at
+    rotation 0 (dynamic programming over the blocks).  Ties keep the
+    rotation, and end at the lowest."""
+    n = cost.shape[1]
+    keep = np.arange(n)
+    total, back = rotate[0] + cost[0], []
+    for row in cost[1:]:
+        via = total[:, None] + rotate
+        prev = via.argmin(axis=0)
+        prev = np.where(via[keep, keep] <= via[prev, keep], keep, prev)
+        back.append(prev)
+        total = via[prev, keep] + row
+    total = total + rotate[:, 0]
+    turns = [int(total.argmin())]
+    for prev in reversed(back):
+        turns.append(int(prev[turns[-1]]))
+    return total.min(), turns[::-1]
+
+
+def _grouped(blocks: list, cost: np.ndarray) -> list:
+    """An order of ``blocks`` that keeps each wire's blocks in their order, and
+    so computes the same pass: the next block is the first ready one (no
+    earlier block on its wires left) that runs well (``_NEAR_CHEAPEST``) at
+    some rotation where every block since the group began also runs well, or,
+    if none, the first ready one, which begins a new group."""
+    well = cost <= _NEAR_CHEAPEST * cost.min(axis=1, keepdims=True)
+    queues = {}
+    for k, (wires, _, _) in enumerate(blocks):
+        for q in wires:
+            queues.setdefault(q, []).append(k)
+    order, shared, left = [], np.ones(cost.shape[1], bool), list(range(len(blocks)))
+    while left:
+        ready = [k for k in left if all(queues[q][0] == k for q in blocks[k][0])]
+        pick = next((k for k in ready if (well[k] & shared).any()), None)
+        if pick is None:
+            pick, shared = ready[0], np.ones(cost.shape[1], bool)
+        shared &= well[pick]
+        order.append(pick)
+        left.remove(pick)
+        for q in blocks[pick][0]:
+            queues[q].pop(0)
+    return order
+
+
+def _plan(n: int, blocks: list, real: bool) -> list:
+    """The steps of a pass over ``blocks`` (``CompiledCircuit``): blocks, each
+    at the rotation of the register that ``_rotations`` picks at the prices
+    ``_PRICES[real]`` and ``_ROTATE_US[real]``, and the rotations between
+    them.  The blocks run in their order, or in the ``_grouped`` order where
+    that is priced strictly lower (so with a rotation: prices are sums of
+    dyadic numbers, exact in any order).  A plan with no rotation is
+    ``blocks`` itself."""
+    if not blocks:
+        return []
+    prices, scale = _PRICES[real], 2.0 ** (n - 16)  # prices are per row of 2^16
+
+    def at(wires, r):
+        return tuple((q - r) % n for q in wires)
+
+    cost = scale * np.array([[_block_cost(n, at(wires, r), prices) for r in range(n)]
+                             for wires, _, _ in blocks])
+    d = (np.arange(n) - np.arange(n)[:, None]) % n  # d[from, to]
+    rotate = np.where(d == 0, 0.0, _CALL_US + scale * _ROTATE_US[real] * (1 + (d == 1)))
+    order = list(range(len(blocks)))
+    price, turns = _rotations(cost, rotate)
+    grouped = _grouped(blocks, cost)
+    grouped_price, grouped_turns = _rotations(cost[grouped], rotate)
+    if grouped_price < price:
+        order, turns = grouped, grouped_turns
+    if not any(turns):
+        return list(blocks)
+    steps, r = [], 0
+    for k, t in zip(order, turns):
+        if t != r:
+            steps.append(((t - r) % n, None, None))
+            r = t
+        wires, u, _ = blocks[k]
+        steps.append(blocks[k] if t == 0 else (at(wires, t), u, _window(n, at(wires, t))))
+    if r:
+        steps.append(((-r) % n, None, None))
+    return steps
 
 
 def _adjoint_outer(both: np.ndarray, window, product) -> np.ndarray:
@@ -294,8 +452,8 @@ def _factor(g: Gate, places: tuple[int, ...], param_count: int):
 class PassMemo:
     """The last pass of ``CompiledCircuit.run`` on one input, kept by the
     caller for the next pass: its parameters, every factor and padded block
-    matrix, one checkpoint, the state entering block ``start`` (per row
-    chunk, the kernel's own output array, or a view of the input when
+    matrix, one checkpoint, the state entering step ``start`` (per row
+    chunk, the output array of the step before, or a view of the input when
     ``start`` is 0), and its output, read-only, which a pass that changes no
     block returns.  The input must stay unchanged between passes; another
     input object starts the memo afresh."""
@@ -313,10 +471,15 @@ class CompiledCircuit:
     """A circuit folded once into blocks (module docstring): ``blocks`` holds
     (wires, u, window) in order, and block matrix u is the product of the
     factors ``chains[u]``, first applied first, padded with the identity.
+    A pass walks ``steps``, the layout plan (module docstring): a block step
+    (wires, u, window) of a block, with its wires at their rotated positions
+    (the first still its matrix's high bit) and its window there, or a
+    rotation step (d, None, None) by d wires.  At most 8 qubits, a family's
+    steps are its blocks.
     Each gate matrix is A + cos(t/2) B + sin(t/2) C in its angle t, so factor
     f is a[f] + cos(h) b[f] + sin(h) c[f], h = scale[f] theta[slot[f]] / 2.
     Slot s drives chain u where ``drives[s, u]``, and ``first[s]`` is the
-    first block whose chain it drives (the block count if none); slot
+    first step whose chain it drives (the step count if none); slot
     ``param_count`` stands for no slot.
 
     With ``observed`` qubits, only the gates in their backward light cone
@@ -370,9 +533,11 @@ class CompiledCircuit:
             self.chains[u, : len(chain)] = chain
         self.drives = np.zeros((self.param_count + 1, len(chains)), dtype=bool)
         self.drives[self.slot[self.chains], np.arange(len(chains))[:, None]] = True
-        self.first = np.full(self.param_count + 1, len(self.blocks))
-        for k in reversed(range(len(self.blocks))):
-            self.first[self.drives[:, self.blocks[k][1]]] = k
+        self.steps = _plan(n, self.blocks, self.real)
+        self.first = np.full(self.param_count + 1, len(self.steps))
+        for k in reversed(range(len(self.steps))):
+            if self.steps[k][1] is not None:
+                self.first[self.drives[:, self.steps[k][1]]] = k
 
     def factors(self, params, rows=slice(None)):
         """Every factor matrix, or those of ``rows``, and its derivative in its
@@ -401,18 +566,20 @@ class CompiledCircuit:
         return np.ascontiguousarray(amp, dtype=complex)
 
     def run(self, params, amplitudes, memo: PassMemo | None = None) -> np.ndarray:
-        """Every block on a (batch, 2^N) input, which is left unchanged.  A
-        batch of more than one chunk (``_row_chunks``) goes through every
-        block a chunk at a time, into the rows of the result.  With a
-        ``memo`` of the last pass on the same input, a pass that changes no
-        block returns its output; any other starts at its checkpoint when no
-        block before it changed (``_recall``), and keeps the state entering
-        the first changed block and its own output, made read-only."""
+        """Every step on a (batch, 2^N) input, which is left unchanged: each
+        block, and each rotation of the register between them (``_rotate``),
+        so that the output is in the canonical layout.  A batch of more than
+        one chunk (``_row_chunks``) goes through every step a chunk at a
+        time, into the rows of the result.  With a ``memo`` of the last pass
+        on the same input, a pass that changes no block returns its output;
+        any other starts at its checkpoint when no step before it changed
+        (``_recall``), and keeps the state entering the first changed step
+        and its own output, made read-only."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
         amp = self.state(amplitudes)
-        if not self.blocks:
+        if not self.steps:
             return amp.copy()
         if memo is None:
             flats, start, mark = _padded(self.block_matrices(self.factors(params)[0])), 0, None
@@ -432,11 +599,14 @@ class CompiledCircuit:
         kept = []
         for i, rows in enumerate(chunks):
             chunk, entries[i] = entries[i], None
-            for k in range(start, len(self.blocks)):
+            for k in range(start, len(self.steps)):
                 if k == mark:
                     kept.append(chunk)
-                wires, u, window = self.blocks[k]
-                chunk = _kernel(chunk, n, wires, window, flats[u])[0]
+                wires, u, window = self.steps[k]
+                if u is None:  # a rotation by ``wires`` wires
+                    chunk = _rotate(chunk, n, wires)
+                else:
+                    chunk = _kernel(chunk, n, wires, window, flats[u])[0]
             if out is None:
                 out = chunk
             else:
@@ -451,9 +621,9 @@ class CompiledCircuit:
         to ``params``, or Nones if no slot whose bits changed drives a block,
         so that the memo's output stands.  Else the factors of those slots and
         the block matrices of the chains they drive are recomputed, and the
-        rest are kept.  The pass starts at block ``start``, the checkpoint's,
-        if no block before it changed, else at block 0, and keeps the state
-        entering block ``mark``, the first changed one.  The memo reads as
+        rest are kept.  The pass starts at step ``start``, the checkpoint's,
+        if no step before it changed, else at step 0, and keeps the state
+        entering step ``mark``, the first changed one.  The memo reads as
         empty until the pass completes."""
         last, memo.params = memo.params, None
         if last is None or memo.source is not amplitudes:
@@ -464,14 +634,14 @@ class CompiledCircuit:
         else:
             moved = np.append(params.view(np.int64) != last.view(np.int64), False)
             changed = np.flatnonzero(moved)
-            if self.first[changed].min(initial=len(self.blocks)) == len(self.blocks):
+            if self.first[changed].min(initial=len(self.steps)) == len(self.steps):
                 memo.params = last  # the kept output's, whole again
                 return None, None, None
             memo.factors[moved[self.slot]] = self.factors(params, moved[self.slot])[0]
             chains = self.drives[changed].any(axis=0)
             memo.flats[chains] = _padded(self.block_matrices(memo.factors, chains))
         memo.output = None  # freed before the pass allocates its own
-        mark = self.first[changed].min(initial=len(self.blocks))
+        mark = self.first[changed].min(initial=len(self.steps))
         return memo.flats, memo.start if memo.start <= mark else 0, mark
 
     def gradient(self, params, psi, lam) -> np.ndarray:
@@ -481,9 +651,11 @@ class CompiledCircuit:
         m_i = <psi_i|O|psi_i>, this is the gradient of a cost C(m).
 
         Adjoint differentiation (Jones and Gacon, arXiv:2009.02823) by one
-        backward sweep of one kernel call per block: psi and lam are walked
-        back together, stacked in one array, a chunk of rows (``_row_chunks``)
-        at a time so that the chunk stays in cache through the sweep.
+        backward sweep over the steps, one kernel call per block: psi and lam
+        are walked back together, stacked in one array, a chunk of rows
+        (``_row_chunks``) at a time so that the chunk stays in cache through
+        the sweep.  A rotation step is undone by the inverse rotation, and
+        adds nothing to the gradient.
         With block B undone, W = conj(B) sum conj(lam) psi^T over its wires
         gives slot theta 2 Re sum(dB/dtheta * W).  The sum is read from the
         layout the kernel used, with no pair-first copy (``_adjoint_outer``),
@@ -494,16 +666,20 @@ class CompiledCircuit:
         factors, derivatives = self.factors(params)
         conj = self.block_matrices(factors).conj()
         undo = _padded(conj.transpose(0, 2, 1))
-        outers = np.zeros((len(self.blocks), 4, 4), np.result_type(psi, lam))
+        placed = [k for k, (_, u, _) in enumerate(self.steps) if u is not None]
+        outers = np.zeros((len(self.steps), 4, 4), np.result_type(psi, lam))
         for rows in _row_chunks(psi):
             # psi over lam in one array, so each block is undone on both in one call
             both = np.concatenate([psi[rows], lam[rows]])
-            for k, (wires, u, window) in reversed(list(enumerate(self.blocks))):
+            for k, (wires, u, window) in reversed(list(enumerate(self.steps))):
+                if u is None:  # undo a rotation by ``wires`` wires
+                    both = _rotate(both, n, n - wires)
+                    continue
                 both, product = _kernel(both, n, wires, window, undo[u])
                 outers[k] += _adjoint_outer(both, window, product)
-        us = [u for _, u, _ in self.blocks]
+        us = [self.steps[k][1] for k in placed]
         w = np.zeros(conj.shape, outers.dtype)
-        np.add.at(w, us, conj[us] @ outers)
+        np.add.at(w, us, conj[us] @ outers[placed])
         # prefix[:, j] is the product of the factors before position j, suffix after
         # it; the padding past the longest chain is the identity with derivative 0
         chains = self.chains[:, : self.depth]

@@ -218,10 +218,20 @@ def read_model(path) -> dict:
     parameters, one per slot of the model (as ``n_params``, when present,
     says), and the task's readout qubit or discard list (sorted and
     de-duplicated) checked, the last two against the model's qubits; any of
-    them missing, of the wrong type or out of range raises ConfigError."""
+    them missing, of the wrong type or out of range raises a ConfigError
+    that names the file."""
     obj = _loads(read_text(path), str(path))
     if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version")
+    try:
+        _check_model(obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return obj
+
+
+def _check_model(obj: dict) -> None:
+    """``read_model``'s checks of a model file's fields, which it fills in."""
     where = "model file"
     if obj.get("task") not in TASKS:
         raise ConfigError(f"{where}.task must be one of {list(TASKS)}, got {obj.get('task')!r}")
@@ -231,10 +241,10 @@ def read_model(path) -> dict:
     obj["params"] = np.asarray(items(obj, "params", where, number), dtype=float)
     slots = param_count(spec)
     if len(obj["params"]) != slots:
-        raise ConfigError(f"{path}: params holds {len(obj['params'])} values, "
+        raise ConfigError(f"params holds {len(obj['params'])} values, "
                           f"but the model has {slots} parameters")
     if "n_params" in obj and integer(obj["n_params"], "n_params", where) != slots:
-        raise ConfigError(f"{path}: n_params is {obj['n_params']}, "
+        raise ConfigError(f"n_params is {obj['n_params']}, "
                           f"but the model has {slots} parameters")
     n = spec.num_qubits
     if obj["task"] == "classify":
@@ -243,7 +253,6 @@ def read_model(path) -> dict:
             raise ConfigError(f"{where}.readout {readout} out of range for {n} qubits")
     else:
         obj["discard"] = checked_discard(items(obj, "discard", where, integer), n, where)
-    return obj
 
 
 def write_train_record(path, record: TrainRecord) -> None:

@@ -1,8 +1,10 @@
 """Shared test oracles: dense gate/circuit matrices built independently of
-the strided kernels, circuit inversion, the Kraus branches of the reset
-channel, parameter-shift gradients, the adjoint sweep's per-block
-contraction, full-space ground states, the text of a dataset file and the
-pairwise AUC and threshold-sweep ROC, plus state vectors and random
+the strided kernels, a per-gate np.tensordot statevector pass and its
+adjoint gradient, the canonical per-block walk of a compiled circuit (its
+blocks in order, with no layout plan), circuit inversion, the Kraus branches
+of the reset channel, parameter-shift gradients, the adjoint sweep's
+per-block contraction, full-space ground states, the text of a dataset file
+and the pairwise AUC and threshold-sweep ROC, plus state vectors and random
 circuit/state generators.  The uncompiled path (``expectation_z_batch`` on
 ``run_circuit_batch``, and the task costs on a fresh compile) is here too:
 the program compiles each model once and runs that, and must match it.
@@ -70,53 +72,93 @@ def oracle_gate_matrix(gate, params=None):
     return np.cos(t / 2) * _I2 - 1j * np.sin(t / 2) * _PAULI[gate.kind]
 
 
-def embed_1q(u, q, n):
-    """kron(I, ..., u at position q, ..., I) under the q0-most-significant order."""
-    full = np.eye(1)
-    for pos in range(n):
-        full = np.kron(full, u if pos == q else np.eye(2))
-    return full
-
-
-def embed_2q(u, qa, qb, n):
-    """Embed a 4x4 matrix acting on (qa, qb), qa the high bit of the pair,
-    as a sum of kron products of elementary 2x2 matrices."""
-    basis = [np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]]),
-             np.array([[0, 0], [1, 0]]), np.array([[0, 0], [0, 1]])]
-    # basis[2*i + k] = |i><k|
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            if u[r, c] == 0:
-                continue
-            ia, ja = r >> 1, r & 1
-            ka, la = c >> 1, c & 1
-            term = np.eye(1)
-            for pos in range(n):
-                if pos == qa:
-                    term = np.kron(term, basis[2 * ia + ka])
-                elif pos == qb:
-                    term = np.kron(term, basis[2 * ja + la])
-                else:
-                    term = np.kron(term, np.eye(2))
-            full = full + u[r, c] * term
-    return full
+def embed(u, targets, n):
+    """The sparse 2^n x 2^n matrix of u (2x2, or 4x4 with the first target as
+    its high bit) on ``targets``, under the q0-most-significant order: entry
+    (i, j) is u[i's target bits, j's target bits] where i and j agree on
+    every other bit, and 0 elsewhere."""
+    k, j = len(targets), np.arange(1 << n)
+    shifts = [n - 1 - q for q in targets]
+    local = sum(((j >> s) & 1) << (k - 1 - p) for p, s in enumerate(shifts))
+    rest = j & ~sum(1 << s for s in shifts)
+    rows = [rest | sum(((r >> (k - 1 - p)) & 1) << s for p, s in enumerate(shifts))
+            for r in range(1 << k)]
+    values = [np.asarray(u, dtype=complex)[r, local] for r in range(1 << k)]
+    shape = (1 << n, 1 << n)
+    return scipy.sparse.csr_matrix((np.concatenate(values), (np.concatenate(rows),
+                                                             np.tile(j, 1 << k))), shape)
 
 
 def gate_full_matrix(gate, n, params=None):
-    u = oracle_gate_matrix(gate, params)
-    if len(gate.targets) == 1:
-        return embed_1q(u, gate.targets[0], n)
-    qa, qb = gate.targets
-    return embed_2q(u, qa, qb, n)
+    return embed(oracle_gate_matrix(gate, params), gate.targets, n).toarray()
 
 
 def circuit_full_matrix(circuit, params=None):
     full = np.eye(1 << circuit.num_qubits, dtype=complex)
     for g in circuit.gates:
-        full = gate_full_matrix(g, circuit.num_qubits, params) @ full
+        full = embed(oracle_gate_matrix(g, params), g.targets, circuit.num_qubits) @ full
     return full
+
+
+def tensordot_apply(u, targets, states):
+    """u (2x2, or 4x4 with the first target as its high bit) on ``targets``
+    of every row of a (batch, 2^n) array, by np.tensordot over the targets'
+    axes of the (batch, 2, ..., 2) view."""
+    k, n = len(targets), states.shape[1].bit_length() - 1
+    axes = [q + 1 for q in targets]
+    tensor = np.asarray(u, dtype=complex).reshape((2,) * 2 * k)
+    out = np.tensordot(tensor, states.reshape((-1,) + (2,) * n), (list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(states.shape)
+
+
+def tensordot_pass(circuit, params, states):
+    """The circuit on a (batch, 2^n) array one gate at a time
+    (``tensordot_apply``): the statevector oracle that folds no blocks and
+    uses no CompiledCircuit."""
+    psi = np.asarray(states, dtype=complex)
+    for gate in circuit.gates:
+        psi = tensordot_apply(oracle_gate_matrix(gate, params), gate.targets, psi)
+    return psi
+
+
+def oracle_gate_derivative(gate, params):
+    """dM/dtheta of a slot-bound rotation's matrix in its slot's parameter:
+    scale/2 times the matrix at angle + pi, whose control-0 block a cry
+    drops (R(t + pi) = R(t) R(pi) and R(pi) = -iP)."""
+    shifted = replace(gate, slot=None, angle=gate.scale * params[gate.slot] + np.pi, scale=1.0)
+    derivative = 0.5 * gate.scale * oracle_gate_matrix(shifted)
+    if gate.kind == "cry":
+        derivative[:2, :2] = 0.0
+    return derivative
+
+
+def tensordot_gradient(circuit, params, psi, lam):
+    """sum_i 2 Re <lam_i| dU/dtheta |psi0_i> for every slot, where
+    psi = U psi0, the contract of ``CompiledCircuit.gradient``: psi and lam
+    are walked back a gate at a time, and each slot-bound gate G adds
+    2 Re <lam| dG |psi> with psi the state before G and lam pulled back
+    through the gates after it."""
+    grad = np.zeros(circuit.param_count)
+    psi, lam = np.asarray(psi, dtype=complex), np.asarray(lam, dtype=complex)
+    for gate in reversed(circuit.gates):
+        undo = oracle_gate_matrix(gate, params).conj().T
+        psi = tensordot_apply(undo, gate.targets, psi)
+        if gate.slot is not None:
+            moved = tensordot_apply(oracle_gate_derivative(gate, params), gate.targets, psi)
+            grad[gate.slot] += 2.0 * np.real(np.vdot(lam, moved))
+        lam = tensordot_apply(undo, gate.targets, lam)
+    return grad
+
+
+def canonical_pass(compiled, params, amplitudes):
+    """A compiled circuit's blocks on the input in their order and in the
+    canonical layout, each by ``_kernel``: the walk of a pass whose layout
+    plan is the identity, as every pass ran before the plan."""
+    amp = compiled.state(amplitudes)
+    flats = sim._padded(compiled.block_matrices(compiled.factors(params)[0]))
+    for wires, u, window in compiled.blocks:
+        amp = sim._kernel(amp, compiled.num_qubits, wires, window, flats[u])[0]
+    return amp
 
 
 def inverse_circuit(circuit):

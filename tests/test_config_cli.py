@@ -864,6 +864,32 @@ def test_eval_checks_a_model_files_parameter_count(tmp_path, capsys, key, value,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"readout": 9}, "model file.readout 9 out of range for 4 qubits"),
+    ({"task": "autoencode", "discard": [1]},
+     "model file was trained for task 'autoencode' but the config says 'classify'"),
+    ({"model": {"family": "nope", "num_qubits": 4, "layers": 2}},
+     "invalid model file: unknown ansatz family 'nope'"),
+], ids=["readout", "task", "family"])
+def test_eval_names_the_model_file_it_refuses(tmp_path, capsys, change, message):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)  # a classifier: qcnn_ry on 4 qubits, 2 layers
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    path = tmp_path / "m.json"
+    write_model(path, "classify", {"family": "qcnn_ry", "num_qubits": 4, "layers": 2},
+                np.zeros(9), readout=0)
+    model = json.loads(path.read_text())
+    model.update(change)
+    path.write_text(json.dumps(model))
+    args = ["eval", "--config", str(cfg), "--out", str(out), "--model", str(path)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: {message}" in err
+    assert not (out / "report.json").exists()
+
+
 def test_benchmark_rows_and_determinism(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(

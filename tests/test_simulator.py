@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from vqcbench import simulator as sim
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, readout_qubit
 from vqcbench.spinmodels import SpinModel, ground_state
+from vqcbench.training import compile_for
 from vqcbench.simulator import (
     Circuit,
     cnot,
@@ -31,6 +32,7 @@ from conftest import (
     ALL_KINDS,
     REAL_KINDS,
     basis_state,
+    canonical_pass,
     circuit_full_matrix,
     expectation_z_batch,
     gate_full_matrix,
@@ -40,6 +42,8 @@ from conftest import (
     random_circuit,
     random_state,
     random_unitary4,
+    tensordot_gradient,
+    tensordot_pass,
     zero_state,
 )
 
@@ -287,10 +291,12 @@ def test_real_gates_preserve_real_amplitudes(rng):
 
 @st.composite
 def circuit_cases(draw):
-    """1-5 qubits, gates of every kind in both wire orders (rotations bound
+    """1-9 qubits, gates of every kind in both wire orders (rotations bound
     or on shared slots with scale +-1), a batch of 1-6 real or complex
-    states; ``real`` circuits use only gates with real matrices."""
-    n = draw(st.integers(1, 5))
+    states; ``real`` circuits use only gates with real matrices.  From 6
+    qubits on, one gate is on a pair at least 5 wires apart, which no
+    window takes in the canonical layout (``_window``)."""
+    n = draw(st.integers(1, 9))
     real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = REAL_KINDS if real else ALL_KINDS
@@ -301,6 +307,10 @@ def circuit_cases(draw):
     bound = random_circuit(n, rng, draw(st.integers(0, 4)), kinds, real=real)
     gates = [replace(g, scale=float(rng.choice([-1.0, 1.0]))) if g.slot is not None else g
              for g in bound.gates + slotted.gates]
+    if n >= 6:
+        a = int(rng.integers(n - 5))
+        pair = rng.permutation([a, int(rng.integers(a + 5, n))])
+        gates.append(sim.Gate("u2", tuple(pair), matrix=random_unitary4(rng, real)))
     rng.shuffle(gates)
     states = rng.normal(size=(draw(st.integers(1, 6)), 1 << n))
     if draw(st.booleans()):
@@ -678,6 +688,114 @@ def test_cone_compile_of_a_full_depth_qcnn_keeps_every_block(family, n, blocks):
 
     pooling_units = sum(g.kind == "cry" for g in circ.gates) // 2
     assert factors_applied(full) - factors_applied(cone) == pooling_units == n - 1
+
+
+# ---------------------------------------------------------------------------
+# the layout plan: a pass's steps, blocks and rotations of the register
+
+
+def _rotation_steps(compiled):
+    return [wires for wires, u, _ in compiled.steps if u is None]
+
+
+def _unrotated(compiled):
+    """Each block step's (wires, u) in the canonical layout, in step order."""
+    n, turn, blocks = compiled.num_qubits, 0, []
+    for wires, u, _ in compiled.steps:
+        if u is None:
+            turn = (turn + wires) % n
+        else:
+            blocks.append((tuple(sorted((q + turn) % n for q in wires)), u))
+    assert turn == 0  # a pass ends in the canonical layout
+    return blocks
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_so4", "qcnn_su4", "hea_ry", "hea_rxrzrx"])
+def test_layout_plan_is_the_fold_itself_at_8_qubits_or_fewer(family, n):
+    # every compile of these families walks its blocks in order with no
+    # rotation, so that N <= 8 passes stay bit for bit those of the walk
+    if family.startswith("qcnn"):
+        specs = [AnsatzSpec(family, n, layers) for layers in range(1, n.bit_length())]
+    else:
+        specs = [AnsatzSpec(family, n, layers, hea_template=template)
+                 for layers in (1, 2, 4) for template in ("single_column", "double_column")]
+    for spec in specs:
+        circ, _ = build_ansatz(spec)
+        compiles = [compile_for(circ, "classify", readout_qubit(spec)),
+                    compile_for(circ, "autoencode"), sim.CompiledCircuit(circ),
+                    sim.CompiledCircuit(circ, observed=[n - 1])]
+        for compiled in compiles:
+            assert _rotation_steps(compiled) == []
+            assert len(compiled.steps) == len(compiled.blocks)
+            assert all(step is block for step, block in zip(compiled.steps, compiled.blocks))
+
+
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])
+def test_layout_plan_at_16_qubits_rotates_and_keeps_each_wires_block_order(family):
+    spec = AnsatzSpec(family, 16, 4)
+    circ, _ = build_ansatz(spec)
+    compiled = compile_for(circ, "classify", readout_qubit(spec))
+    assert 1 <= len(_rotation_steps(compiled)) <= len(compiled.blocks) // 4
+    assert all(0 < d < 16 for d in _rotation_steps(compiled))
+    steps = _unrotated(compiled)
+    blocks = [(wires, u) for wires, u, _ in compiled.blocks]
+    assert sorted(steps) == sorted(blocks)
+    for q in range(16):  # blocks that share a wire never trade places
+        assert [b for b in steps if q in b[0]] == [b for b in blocks if q in b[0]]
+    kernels = [step for step in compiled.steps if step[1] is not None]
+    assert sum(window is None for _, _, window in kernels) < sum(
+        window is None for _, _, window in compiled.blocks)
+
+
+def _planned_cases():
+    """(family or "random", circuit) at 12 and 16 qubits: each family (QCNN
+    at 16 only, as it needs a power of two), and random real and complex
+    circuits with four far pairs."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (12, 16):
+        for family in ["qcnn_ry", "qcnn_so4", "qcnn_su4", "hea_ry", "hea_rxrzrx"]:
+            if family.startswith("qcnn") and n == 12:
+                continue
+            circ, _ = build_ansatz(AnsatzSpec(family, n, 4 if family.startswith("qcnn") else 2))
+            cases.append(pytest.param(family, circ, id=f"{family}-n{n}"))
+        for real in (True, False):
+            circ = random_circuit(n, rng, n_gates=40, param_count=5, real=real)
+            for a in range(4):  # pairs n - 1 - a wires apart
+                circ.gates.append(sim.Gate("u2", (a, n - 1), matrix=random_unitary4(rng, real)))
+            kind = "real" if real else "complex"
+            cases.append(pytest.param("random", circ, id=f"random-{kind}-n{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("name,circ", _planned_cases())
+def test_layout_plan_pass_gradient_and_memo_match_the_tensordot_oracle(name, circ):
+    # one state at 16 qubits, where the oracle's gradient takes about a second
+    # a state, two at 12 (two row chunks)
+    n = circ.num_qubits
+    compiled = sim.CompiledCircuit(circ)
+    if name in ("qcnn_ry", "qcnn_su4", "random"):
+        assert _rotation_steps(compiled)
+    rng = np.random.default_rng(n)
+    params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
+    states = np.array([random_state(n, rng) for _ in range(2 if n < 16 else 1)])
+    if compiled.real:
+        states = np.ascontiguousarray(states.real)
+    psi = compiled.run(params, states)
+    assert np.max(np.abs(psi - tensordot_pass(circ, params, states))) < 1e-12
+    assert np.max(np.abs(psi - canonical_pass(compiled, params, states))) < 1e-12
+    lam = np.array([[0.7], [-1.3]])[: len(states)] * sim.z_signs(n, 0) * psi
+    assert np.max(np.abs(compiled.gradient(params, psi, lam)
+                         - tensordot_gradient(circ, params, psi, lam))) < 1e-12
+    # a memo pass after a step in the slot first driven at the latest step
+    memo = sim.PassMemo()
+    compiled.run(params, states, memo)
+    stepped = params.copy()
+    stepped[np.argmax(compiled.first[: circ.param_count])] += 0.3
+    kept = compiled.run(stepped, states, memo)
+    assert np.array_equal(kept, compiled.run(stepped, states))
+    assert np.max(np.abs(kept - tensordot_pass(circ, stepped, states))) < 1e-12
 
 
 def test_no_module_imports_a_private_name_of_another_module():
