@@ -103,7 +103,7 @@ def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
         target = {"readout": readout_qubit(spec)}
     else:
         target = {"discard": _resolve_discard(config, pooled)}
-    compiled = compile_for(circuit, config.task, target.get("readout"))
+    compiled = compile_for(circuit, config.task, **target)
     record = train(config.task, compiled, dataset, optimizer or config.optimizer,
                    init_seed=seed, **target)
     return record, compiled, target
@@ -180,7 +180,7 @@ def cmd_eval(config: BenchConfig, args) -> int:
     dataset = _read_data(path, spec.num_qubits, "evaluation")
     key = "readout" if config.task == "classify" else "discard"
     target = {key: model[key]}
-    compiled = compile_for(circuit, config.task, target.get("readout"))
+    compiled = compile_for(circuit, config.task, **target)
     report = _evaluate(config, compiled, model["params"], dataset, out_dir, **target)
     if config.task == "classify":
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
@@ -208,6 +208,7 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
         "N": spec.num_qubits,
         "layers": spec.layers,
         "n_params": param_count(spec),
+        "live_params": None,
         "train_size": size,
         "optimizer": config.optimizer.kind,
         "seed": seed,
@@ -228,6 +229,7 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
             row["metric_value"], row["auc"] = report.accuracy, report.auc
         else:
             row["metric_value"] = report.mean_fidelity
+        row["live_params"] = record.live_params
         row["time_total_s"] = record.wall_time_total
         row["time_per_sample_s"] = record.wall_time_per_sample
         if not record.converged:

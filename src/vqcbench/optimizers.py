@@ -76,8 +76,8 @@ class OptimizerConfig:
 
 @dataclass
 class TrainRecord:
-    """Outcome of one optimization run; ``training.train`` times the run and
-    sets the two wall times."""
+    """Outcome of one optimization run; ``training.train`` times the run,
+    sets the two wall times and counts the slots it trained."""
 
     final_params: np.ndarray
     cost_history: list[float] = field(default_factory=list)
@@ -85,6 +85,7 @@ class TrainRecord:
     wall_time_per_sample: float = 0.0
     converged: bool = False
     final_cost: float = math.nan  # cost at final_params, as evaluated in the run
+    live_params: int | None = None  # slots the minimizer saw, of len(final_params)
 
     @property
     def evaluations(self) -> int:

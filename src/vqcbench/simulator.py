@@ -38,15 +38,17 @@ the state entering the first step the last change reached, when no step
 before it changed.  Every block matrix and every kernel input is bit for bit
 the one a pass without the memo would use.
 
-A caller that reads only qubits Q, such as a classifier's <Z> on its readout,
-compiles with ``observed=Q``.  A gate acts as the identity on every wire but
-its targets, so a gate whose wires no later gate links to Q cannot change
-what is read on Q (the backward light cone of a local cost, Cerezo et al.,
+A caller that reads only qubits Q, such as a classifier's <Z> on its readout
+or an autoencoder's discarded qubits, compiles with ``observed=Q``; without
+it, Q is every qubit.  A gate acts as the identity on every wire but its
+targets, so a gate whose wires no later gate links to Q cannot change what is
+read on Q (the backward light cone of a local cost, Cerezo et al.,
 arXiv:2001.00550).  The compiler walks the gates backwards from Q, keeps a
 gate one of whose targets is already in the cone and adds its targets to the
-cone; only the kept gates are folded into blocks.  A slot with no kept gate
-drives no block, so its gradient is exactly 0 and a memo pass that moves only
-it returns the kept output.
+cone; only the kept gates are folded into blocks, and with Q every qubit
+every gate is kept.  A slot with no kept gate drives no block, so its
+gradient is exactly 0, and ``training.train`` leaves it out of the vector its
+minimizer sees.
 
 A pass walks the steps of a layout plan (``_plan``), made once at compile
 time.  A kernel is fast on a block whose window has many columns, and slow on
@@ -482,21 +484,19 @@ class CompiledCircuit:
     first step whose chain it drives (the step count if none); slot
     ``param_count`` stands for no slot.
 
-    With ``observed`` qubits, only the gates in their backward light cone
-    (module docstring) are compiled, so a slot none of whose gates is in it
-    drives no chain."""
+    Only the gates in the backward light cone of the ``observed`` qubits
+    (module docstring; every qubit when None) are compiled, so a slot none of
+    whose gates is in it drives no chain: its ``first`` is the step count."""
 
     def __init__(self, circuit: Circuit, observed=None):
         n = self.num_qubits = circuit.num_qubits
         self.param_count = circuit.param_count
-        gates = circuit.gates
-        if observed is not None:
-            cone, gates = set(observed), []
-            for g in reversed(circuit.gates):
-                if cone.intersection(g.targets):
-                    cone.update(g.targets)
-                    gates.append(g)
-            gates.reverse()
+        cone, gates = set(range(n) if observed is None else observed), []
+        for g in reversed(circuit.gates):
+            if cone.intersection(g.targets):
+                cone.update(g.targets)
+                gates.append(g)
+        gates.reverse()
         gate_lists, last, held = [], {}, {q: [] for q in range(n)}
         for g in gates:
             a, b = g.targets[0], g.targets[-1]

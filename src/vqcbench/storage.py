@@ -48,7 +48,7 @@ FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
 
 RESULT_COLUMNS = [
-    "model", "family", "N", "layers", "n_params", "train_size",
+    "model", "family", "N", "layers", "n_params", "live_params", "train_size",
     "metric_name", "metric_value", "auc",
     "time_total_s", "time_per_sample_s", "optimizer", "seed", "status",
 ]
@@ -262,6 +262,7 @@ def write_train_record(path, record: TrainRecord) -> None:
         "final_cost": float(record.final_cost),
         "best_cost": float(min(record.cost_history)),
         "evaluations": record.evaluations,
+        "live_params": record.live_params,
         "wall_time_total": record.wall_time_total,
         "wall_time_per_sample": record.wall_time_per_sample,
         "converged": record.converged,

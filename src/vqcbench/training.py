@@ -60,10 +60,10 @@ class _Objective:
 
     It keeps no pass of its own: the cost's and the gradient's passes go
     through the run's one ``PassMemo``.  A pass that changes no block (the
-    gradient at the cost's parameters, a Powell step outside the light cone)
-    returns the last output; one that moves a few slots recomputes only the
-    block matrices they reach and applies only the blocks from the first of
-    them on.  Either result is bit for bit the full pass's."""
+    gradient at the cost's parameters) returns the last output; one that
+    moves a few slots recomputes only the block matrices they reach and
+    applies only the blocks from the first of them on.  Either result is bit
+    for bit the full pass's."""
 
     def __init__(self, compiled: CompiledCircuit, dataset, task: str, readout=None,
                  discard=None):
@@ -97,20 +97,17 @@ class _Objective:
         return self.compiled.gradient(params, psi, weights[:, None] * self.obs * psi)
 
 
-def compile_for(circuit: Circuit, task: str, readout: int | None = None) -> CompiledCircuit:
+def compile_for(circuit: Circuit, task: str, readout: int | None = None,
+                discard=None) -> CompiledCircuit:
     """The circuit compiled as its task reads it, the one compile that
-    ``train``, evaluation and ``param_shift_gradient`` run.  A classifier reads
-    <Z> on its readout qubit alone, so only that qubit's backward light cone
-    is compiled (``CompiledCircuit``'s ``observed``).  An autoencoder is
-    compiled whole, though it too reads only its discarded qubits: its cost
-    reads their <Z>, and its fidelity F = ||A^dagger a0||^2
-    (``vqcbench.metrics``) is built from A^dagger A, their reduced state, so
-    a gate outside their cone, which acts on kept qubits alone, changes
-    neither.  The whole compile stays so that autoencoder outputs stay bit
-    for bit those of earlier runs: a cone compile rounds differently (its
-    gradient reads exactly 0 on slots outside the cone, where the whole
-    compile's reads about 1e-17)."""
-    return CompiledCircuit(circuit, [readout] if task == "classify" else None)
+    ``train``, evaluation and ``param_shift_gradient`` run: only the backward
+    light cone of the qubits the task reads (``CompiledCircuit``'s
+    ``observed``).  A classifier reads <Z> on its readout qubit.  An
+    autoencoder reads its discarded qubits: its cost reads their <Z>, and its
+    fidelity F = ||A^dagger a0||^2 (``vqcbench.metrics``) is built from
+    A^dagger A, their reduced state, so a gate outside their cone, which acts
+    on kept qubits alone, changes neither."""
+    return CompiledCircuit(circuit, [readout] if task == "classify" else discard)
 
 
 def param_shift_gradient(
@@ -127,7 +124,7 @@ def param_shift_gradient(
     of the circuit, on every call.  ``train`` calls ``_Objective.gradient``
     instead, and this wrapper stays only because the benchmark harness under
     ``bench/`` imports it."""
-    compiled = compile_for(circuit, task, readout)
+    compiled = compile_for(circuit, task, readout, discard)
     return _Objective(compiled, dataset, task, readout, discard).gradient(params)
 
 
@@ -148,17 +145,31 @@ def train(
 ) -> TrainRecord:
     """Minimize the task cost of the compiled circuit from
     ``initial_parameters(..., init_seed)``; wall time covers the optimizer
-    call only."""
+    call only.  The minimizer sees only the live slots, those that drive a
+    step of the compile (``first`` before the step count); the cost reads no
+    other, so the others keep their initial draw in ``final_params``."""
     x0 = initial_parameters(compiled.param_count, init_seed)
+    live = np.flatnonzero(compiled.first[:-1] < len(compiled.steps))
     objective = _Objective(compiled, dataset, task, readout, discard)
+
+    def full(x):
+        params = x0.copy()
+        params[live] = x
+        return params
+
+    def gradient(x):
+        return objective.gradient(full(x))[live]
+
     minimize = {  # OptimizerConfig has checked the kind
         "powell": powell_minimize, "nelder_mead": nelder_mead_minimize, "spsa": spsa_minimize,
-        "param_shift_gd": lambda f, x, c: gradient_descent_minimize(f, objective.gradient, x, c),
+        "param_shift_gd": lambda f, x, c: gradient_descent_minimize(f, gradient, x, c),
     }[optimizer.kind]
     t0 = time.perf_counter()
-    record = minimize(objective.cost, x0, optimizer)
+    record = minimize(lambda x: objective.cost(full(x)), x0[live], optimizer)
     elapsed = time.perf_counter() - t0
 
+    record.final_params = full(record.final_params)
+    record.live_params = len(live)
     record.wall_time_total = elapsed
     record.wall_time_per_sample = elapsed / len(dataset)
     return record

@@ -1021,12 +1021,13 @@ def test_a_benchmark_cell_compiles_its_circuit_once(tmp_path, monkeypatch, task,
 
 @pytest.mark.parametrize("task,model,observed", [
     ("classify", {"family": "hea_ry", "num_qubits": 4, "layers": 1}, [0]),
-    ("autoencode", _QCNN4, None),
+    ("autoencode", _QCNN4, [1, 2, 3]),
 ])
-def test_train_and_eval_compile_the_readout_cone_or_the_whole_circuit(tmp_path, monkeypatch,
+def test_train_and_eval_compile_the_cone_of_the_qubits_the_task_reads(tmp_path, monkeypatch,
                                                                       task, model, observed):
-    # a classifier reads <Z> on its readout only; the reset-channel fidelity
-    # of an autoencoder reads every qubit
+    # a classifier reads <Z> on its readout only; an autoencoder's cost and
+    # reset-channel fidelity read only its discarded qubits (here the pooled
+    # ones, the default discard set)
     seen = []
     init = simulator.CompiledCircuit.__init__
 

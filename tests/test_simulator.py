@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from vqcbench import simulator as sim
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, readout_qubit
-from vqcbench.spinmodels import SpinModel, ground_state
-from vqcbench.training import compile_for
+from vqcbench.metrics import reconstruct_fidelity
+from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
+from vqcbench.training import _Objective, compile_for
 from vqcbench.simulator import (
     Circuit,
     cnot,
@@ -656,6 +657,34 @@ def test_cone_compile_equals_the_full_compile_on_every_observed_qubit(case):
         for slot in range(circ.param_count):
             stepped[slot] += 0.4
             assert np.array_equal(cone.run(stepped, states, memo), cone.run(stepped, states))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_cases(), st.data())
+def test_cone_of_an_observed_set_reads_as_the_full_compile(case, data):
+    # an autoencoder observes its discarded qubits D: its cost reads their
+    # <Z>, but its reset-channel fidelity reads their whole reduced state
+    circ, params, states, _ = case
+    n = circ.num_qubits
+    observed = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                        max_size=min(3, n))))
+    full, cone = sim.CompiledCircuit(circ), sim.CompiledCircuit(circ, observed=observed)
+    dataset = Dataset("tfi", n, [DataRecord(state, 0.0, 1) for state in states])
+    costs = [_Objective(c, dataset, "autoencode", discard=observed).cost(params)
+             for c in (full, cone)]
+    assert abs(costs[1] - costs[0]) < 1e-12
+    fidelities = [reconstruct_fidelity(c, params, observed, states) for c in (full, cone)]
+    assert np.max(np.abs(fidelities[1] - fidelities[0])) < 1e-12
+    signs = sum(sim.z_signs(n, q) for q in observed)  # O, the sum of Z over D
+
+    def gradient(compiled):  # lam = O psi
+        psi = compiled.run(params, states)
+        return compiled.gradient(params, psi, signs * psi)
+
+    g_full, g_cone = gradient(full), gradient(cone)
+    driving = cone.drives[: circ.param_count].any(axis=1)
+    assert np.max(np.abs(g_cone - g_full)[driving], initial=0.0) < 1e-12
+    assert np.all(g_cone[~driving] == 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

@@ -308,7 +308,7 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     states = rng.normal(size=(4, 1 << n))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
-    compiled = training.compile_for(circ, task, target.get("readout"))
+    compiled = training.compile_for(circ, task, **target)
     objective = training._Objective(compiled, ds, task, **target)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
@@ -326,13 +326,14 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
 def test_param_shift_gradient_is_the_gradient_train_runs(family, layers, task, rng,
                                                          monkeypatch):
     # the gradient the benchmark checks against finite differences is bit for
-    # bit the one train hands its minimizer: a classifier's through the
-    # readout's light cone, an autoencoder's through the whole circuit
+    # bit the one train runs, through the light cone of the qubits the task
+    # reads (the readout, or the discarded qubits), and its minimizer is
+    # handed that gradient on the live slots alone
     circ, pooled = build_ansatz(AnsatzSpec(family, 8, layers))
     states = rng.normal(size=(8, 256))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1] * 4, 8)
     target = {"readout": 0} if task == "classify" else {"discard": pooled or [1, 3]}
-    compiled = training.compile_for(circ, task, target.get("readout"))
+    compiled = training.compile_for(circ, task, **target)
     handed = []
 
     def minimizer(f, grad, x0, config):
@@ -344,16 +345,53 @@ def test_param_shift_gradient_is_the_gradient_train_runs(family, layers, task, r
     train(task, compiled, ds, OptimizerConfig(kind="param_shift_gd"), init_seed=5, **target)
     params = initial_parameters(circ.param_count, 5)
     grad = param_shift_gradient(circ, ds, params, task, **target)
-    assert np.array_equal(grad, handed[0])
-    assert np.array_equal(grad, training._Objective(compiled, ds, task, **target).gradient(params))
     outside = ~compiled.drives[: circ.param_count].any(axis=1)
-    if task == "classify":
-        assert np.count_nonzero(outside) == {"hea_ry": 13, "hea_rxrzrx": 39}.get(family, 0)
-        assert np.all(grad[outside] == 0.0)
-    else:
-        assert not outside.any()
-        whole = training._Objective(CompiledCircuit(circ), ds, task, **target)
-        assert np.array_equal(grad, whole.gradient(params))
+    assert np.array_equal(grad[~outside], handed[0])
+    assert np.array_equal(grad, training._Objective(compiled, ds, task, **target).gradient(params))
+    # a full-depth QCNN's last rotation acts on qubit 0 alone, which it keeps
+    dead = {"classify": {"hea_ry": 13, "hea_rxrzrx": 39},
+            "autoencode": {"hea_ry": 9, "hea_rxrzrx": 27}}[task].get(
+                family, 1 if task == "autoencode" else 0)
+    assert np.count_nonzero(outside) == dead
+    assert np.all(grad[outside] == 0.0)
+    whole = training._Objective(CompiledCircuit(circ), ds, task, **target).gradient(params)
+    assert np.max(np.abs(grad - whole)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,minimizer", [
+    ("powell", "powell_minimize"), ("spsa", "spsa_minimize"),
+    ("nelder_mead", "nelder_mead_minimize"), ("param_shift_gd", "gradient_descent_minimize"),
+])
+@pytest.mark.parametrize("family,task,live", [
+    ("hea_ry", "classify", 3), ("hea_ry", "autoencode", 5),
+    ("hea_rxrzrx", "classify", 9), ("hea_rxrzrx", "autoencode", 15),
+])
+def test_slots_outside_the_cone_keep_their_initial_values(kind, minimizer, family, task, live,
+                                                          monkeypatch):
+    # the cost reads no slot outside the light cone of the qubits its task
+    # reads, so the minimizer sees only the live slots, and the others keep
+    # their initial draw bit for bit
+    circ, _ = build_ansatz(AnsatzSpec(family, 4, 1))
+    states = np.random.default_rng(6).normal(size=(4, 16))
+    ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1] * 2, 4)
+    target = {"readout": 0} if task == "classify" else {"discard": [0, 1]}
+    compiled = training.compile_for(circ, task, **target)
+    handed, minimize = [], getattr(training, minimizer)
+
+    def recording(f, *args):  # (x0, config), after the gradient under param_shift_gd
+        handed.append(len(args[-2]))
+        return minimize(f, *args)
+
+    monkeypatch.setattr(training, minimizer, recording)
+    record = train(task, compiled, ds, OptimizerConfig(kind=kind, max_iterations=4),
+                   init_seed=3, **target)
+    assert handed == [live] and record.live_params == live
+    dead = ~compiled.drives[: circ.param_count].any(axis=1)
+    assert np.count_nonzero(~dead) == live
+    x0 = initial_parameters(circ.param_count, 3)
+    assert np.array_equal(record.final_params[dead], x0[dead])
+    assert record.final_cost == training._Objective(compiled, ds, task, **target).cost(
+        record.final_params)
 
 
 def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
