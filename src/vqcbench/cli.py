@@ -303,7 +303,7 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
 
 
 def _worker_count(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -336,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--model", default=None, help="model file (default: out/model.json)")
         if name == "benchmark":
-            p.add_argument("--threads", type=_worker_count, default=1, help="worker threads")
+            p.add_argument("--threads", type=_worker_count, default=1,
+                           help="benchmark cells run at once (whatever it is, a pass "
+                                "shares N = 16 rows across the CPUs)")
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="results format")
     return parser

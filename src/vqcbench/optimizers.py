@@ -77,7 +77,8 @@ class OptimizerConfig:
 @dataclass
 class TrainRecord:
     """Outcome of one optimization run; ``training.train`` times the run,
-    sets the two wall times and counts the slots it trained."""
+    sets the two wall times, counts the slots it trained and records the
+    threads its passes could share rows over."""
 
     final_params: np.ndarray
     cost_history: list[float] = field(default_factory=list)
@@ -86,6 +87,7 @@ class TrainRecord:
     converged: bool = False
     final_cost: float = math.nan  # cost at final_params, as evaluated in the run
     live_params: int | None = None  # slots the minimizer saw, of len(final_params)
+    pass_workers: int | None = None  # simulator.pass_workers() during the run
 
     @property
     def evaluations(self) -> int:

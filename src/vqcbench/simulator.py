@@ -26,7 +26,15 @@ adjoint sweep (``CompiledCircuit.gradient``), take its rows a chunk at a time
 (``_row_chunks``: up to half a megabyte of amplitudes, or one larger row), so
 that a chunk stays in cache through every block instead of the whole batch
 streaming through each one.  A kernel gives each row the same result
-whatever chunk it is in.
+whatever chunk it is in.  Each walker walks a chunk by one function, which
+``_walk_chunks`` maps over the chunks.  Chunks of a single row (rows of
+2^16 amplitudes, or complex rows of 2^15) go to a pool of one thread per CPU
+the process may use, since numpy releases the GIL in the matmuls and
+transposes where a walk spends its time; every other batch is walked inline,
+where a thread's hand-off would cost more than it saves.  Both ways give the
+same result bit for bit: a chunk writes only its own rows, and whatever is
+gathered over chunks (a memo's checkpoints, the sweep's sums) is gathered in
+chunk order.
 
 A third way through the blocks serves a caller that runs one circuit on one
 input many times, changing a few parameters at a time (Powell's line
@@ -77,6 +85,9 @@ a far pair's product.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -102,6 +113,10 @@ _AFFINE = {
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 _MAX_WINDOW = 5  # wires in the widest matmul window (a 32 x 32 matrix)
 _SWEEP_BYTES = 1 << 20  # a chunk's input and output in a pass, or its (psi, lam) in the sweep
+# threads that walk single-row chunks (``_walk_chunks``); the pool starts on first use
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool, _POOL_LOCK = None, threading.Lock()
 # The layout plan's prices: us of one kernel call on a row of 2^16 amplitudes,
 # float64 (a real circuit's) or complex128, one BLAS thread, as measured
 # (medians inside QCNN passes where they reach the shape).  A block in a D x D
@@ -290,9 +305,35 @@ def _kernel(amp: np.ndarray, n: int, wires, window, flat: np.ndarray):
 
 def _row_chunks(amp: np.ndarray) -> list[slice]:
     """The slices of amp's rows that both walkers take at once: two chunks
-    fill _SWEEP_BYTES (one row each at N = 16 on float64)."""
+    fill _SWEEP_BYTES, or a chunk is one row where a row fills half of it
+    or more (at N = 16, and at N = 15 on complex rows).  ``_walk_chunks``
+    walks single-row chunks on its pool and all others inline, with the same
+    result bit for bit."""
     rows = max(1, _SWEEP_BYTES // (2 * amp.itemsize * amp.shape[1]))
     return [slice(start, start + rows) for start in range(0, len(amp), rows)]
+
+
+def pass_workers() -> int:
+    """Threads a pass may share its single-row chunks over (``_walk_chunks``),
+    one per CPU the process may use."""
+    return _WORKERS
+
+
+def _walk_chunks(walk, chunks: list[slice]) -> list:
+    """[walk(i) for every chunk i], in chunk order.  Two or more chunks of
+    one row each are walked on a pool of ``_WORKERS`` threads, started on
+    first use; every other batch, or any batch with one worker, inline.  A
+    pooled walk returns once every chunk is done, and raises the first
+    failure in chunk order."""
+    global _pool
+    if _WORKERS < 2 or len(chunks) < 2 or chunks[0].stop - chunks[0].start > 1:
+        return [walk(i) for i in range(len(chunks))]
+    with _POOL_LOCK:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="vqcbench-pass")
+    futures = [_pool.submit(walk, i) for i in range(len(chunks))]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _rotate(amp: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -570,11 +611,11 @@ class CompiledCircuit:
         block, and each rotation of the register between them (``_rotate``),
         so that the output is in the canonical layout.  A batch of more than
         one chunk (``_row_chunks``) goes through every step a chunk at a
-        time, into the rows of the result.  With a ``memo`` of the last pass
-        on the same input, a pass that changes no block returns its output;
-        any other starts at its checkpoint when no step before it changed
-        (``_recall``), and keeps the state entering the first changed step
-        and its own output, made read-only."""
+        time (``_walk_chunks``), into the rows of the result.  With a
+        ``memo`` of the last pass on the same input, a pass that changes no
+        block returns its output; any other starts at its checkpoint when no
+        step before it changed (``_recall``), and keeps the state entering
+        the first changed step and its own output, made read-only."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
@@ -596,24 +637,31 @@ class CompiledCircuit:
         # a lone chunk is the input itself, not a view of it, so that with no
         # other reference left a converted input is freed after the first block
         del amp
-        kept = []
-        for i, rows in enumerate(chunks):
-            chunk, entries[i] = entries[i], None
+
+        def walk(i):
+            """(the output, if chunk i is the only one, else None after
+            writing it into the chunk's rows; the state entering step mark)."""
+            chunk, entries[i], kept = entries[i], None, None
             for k in range(start, len(self.steps)):
                 if k == mark:
-                    kept.append(chunk)
+                    kept = chunk
                 wires, u, window = self.steps[k]
                 if u is None:  # a rotation by ``wires`` wires
                     chunk = _rotate(chunk, n, wires)
                 else:
                     chunk = _kernel(chunk, n, wires, window, flats[u])[0]
             if out is None:
-                out = chunk
-            else:
-                out[rows] = chunk
+                return chunk, kept
+            out[chunks[i]] = chunk
+            return None, kept
+
+        walked = _walk_chunks(walk, chunks)
+        if out is None:
+            out = walked[0][0]
         if memo is not None:
             out.setflags(write=False)
-            memo.params, memo.start, memo.checkpoint, memo.output = params.copy(), mark, kept, out
+            memo.params, memo.start, memo.output = params.copy(), mark, out
+            memo.checkpoint = [kept for _, kept in walked]
         return out
 
     def _recall(self, memo: PassMemo, params: np.ndarray, amplitudes) -> tuple:
@@ -653,30 +701,38 @@ class CompiledCircuit:
         Adjoint differentiation (Jones and Gacon, arXiv:2009.02823) by one
         backward sweep over the steps, one kernel call per block: psi and lam
         are walked back together, stacked in one array, a chunk of rows
-        (``_row_chunks``) at a time so that the chunk stays in cache through
-        the sweep.  A rotation step is undone by the inverse rotation, and
-        adds nothing to the gradient.
+        (``_row_chunks``, walked by ``_walk_chunks``) at a time so that the
+        chunk stays in cache through the sweep.  A rotation step is undone by
+        the inverse rotation, and adds nothing to the gradient.
         With block B undone, W = conj(B) sum conj(lam) psi^T over its wires
         gives slot theta 2 Re sum(dB/dtheta * W).  The sum is read from the
         layout the kernel used, with no pair-first copy (``_adjoint_outer``),
-        and summed over chunks before conj(B) multiplies it.  dB/dtheta sums,
-        over the block's factors in that slot, the later factors times the
-        factor's derivative times the earlier."""
+        and summed over chunks in chunk order, from zero, before conj(B)
+        multiplies it.  dB/dtheta sums, over the block's factors in that slot,
+        the later factors times the factor's derivative times the earlier."""
         n = self.num_qubits
         factors, derivatives = self.factors(params)
         conj = self.block_matrices(factors).conj()
         undo = _padded(conj.transpose(0, 2, 1))
         placed = [k for k, (_, u, _) in enumerate(self.steps) if u is not None]
-        outers = np.zeros((len(self.steps), 4, 4), np.result_type(psi, lam))
-        for rows in _row_chunks(psi):
+        chunks, dtype = _row_chunks(psi), np.result_type(psi, lam)
+
+        def sweep(i):
+            """Each step's 4x4 sum over the rows of chunk i."""
             # psi over lam in one array, so each block is undone on both in one call
-            both = np.concatenate([psi[rows], lam[rows]])
+            both = np.concatenate([psi[chunks[i]], lam[chunks[i]]])
+            outers = np.zeros((len(self.steps), 4, 4), dtype)
             for k, (wires, u, window) in reversed(list(enumerate(self.steps))):
                 if u is None:  # undo a rotation by ``wires`` wires
                     both = _rotate(both, n, n - wires)
                     continue
                 both, product = _kernel(both, n, wires, window, undo[u])
-                outers[k] += _adjoint_outer(both, window, product)
+                outers[k] = _adjoint_outer(both, window, product)
+            return outers
+
+        outers = np.zeros((len(self.steps), 4, 4), dtype)
+        for chunk_outers in _walk_chunks(sweep, chunks):
+            outers += chunk_outers
         us = [self.steps[k][1] for k in placed]
         w = np.zeros(conj.shape, outers.dtype)
         np.add.at(w, us, conj[us] @ outers[placed])

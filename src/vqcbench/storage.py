@@ -264,6 +264,7 @@ def write_train_record(path, record: TrainRecord) -> None:
         "evaluations": record.evaluations,
         "live_params": record.live_params,
         "wall_time_total": record.wall_time_total,
+        "pass_workers": record.pass_workers,
         "wall_time_per_sample": record.wall_time_per_sample,
         "converged": record.converged,
     }

@@ -37,7 +37,8 @@ from .optimizers import (
     powell_minimize,
     spsa_minimize,
 )
-from .simulator import Circuit, CompiledCircuit, PassMemo, expectation, z_signs
+from .simulator import (Circuit, CompiledCircuit, PassMemo, expectation, pass_workers,
+                        z_signs)
 
 TASKS = ("classify", "autoencode")
 
@@ -147,7 +148,9 @@ def train(
     ``initial_parameters(..., init_seed)``; wall time covers the optimizer
     call only.  The minimizer sees only the live slots, those that drive a
     step of the compile (``first`` before the step count); the cost reads no
-    other, so the others keep their initial draw in ``final_params``."""
+    other, so the others keep their initial draw in ``final_params``.  The
+    record keeps how many threads a pass could share single-row chunks over
+    (``pass_workers``), which a wall time depends on."""
     x0 = initial_parameters(compiled.param_count, init_seed)
     live = np.flatnonzero(compiled.first[:-1] < len(compiled.steps))
     objective = _Objective(compiled, dataset, task, readout, discard)
@@ -171,5 +174,6 @@ def train(
     record.final_params = full(record.final_params)
     record.live_params = len(live)
     record.wall_time_total = elapsed
+    record.pass_workers = pass_workers()
     record.wall_time_per_sample = elapsed / len(dataset)
     return record

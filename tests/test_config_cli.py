@@ -661,6 +661,21 @@ def test_train_classify_writes_model_with_9_params(tmp_path):
     assert record["evaluations"] == len(record["cost_history"])
 
 
+def test_train_record_keeps_the_pass_worker_count_beside_the_wall_time(tmp_path, monkeypatch):
+    # a reader can tell a time taken on one CPU from one taken on several
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    for workers in (1, 3):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "train_record.json").read_text())
+        keys = list(record)
+        assert keys[keys.index("wall_time_total") + 1] == "pass_workers"
+        assert record["pass_workers"] == workers
+
+
 def test_train_autoencode_records_discard(tmp_path):
     cfg = tmp_path / "c.json"
     write_config(
@@ -1155,6 +1170,7 @@ def test_benchmark_threads_flag(tmp_path):
     (["train", "--format", "json"], "unrecognized arguments: --format json"),
     (["benchmark", "--threads", "0"], "--threads: expected a positive integer, got '0'"),
     (["benchmark", "--threads", "-2"], "--threads: expected a positive integer, got '-2'"),
+    (["benchmark", "--threads", "\u00b2"], "--threads: expected a positive integer, got '\u00b2'"),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, message):
     # each flag exists only on the commands that read it, so none is ignored

@@ -3,9 +3,13 @@ of the circuit-inversion and reset-channel oracles in conftest.  States are
 rows of a (batch, 2^N) array; a single state runs as a batch of one."""
 
 import ast
+import os
 import re
+import sys
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from vqcbench import simulator as sim
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, readout_qubit
-from vqcbench.metrics import reconstruct_fidelity
+from vqcbench.metrics import evaluate_classifier, reconstruct_fidelity
+from vqcbench.optimizers import OptimizerConfig
 from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
-from vqcbench.training import _Objective, compile_for
+from vqcbench.training import _Objective, compile_for, train
 from vqcbench.simulator import (
     Circuit,
     cnot,
@@ -463,6 +468,203 @@ def test_chunked_pass_memory_stays_within_the_output_and_three_chunks(rng):
     assert len(chunks) == 4
     # plus the block matrices and a window's gathered 32 x 32 matrix, under 32 KiB
     assert peak <= out.nbytes + 3 * out[chunks[0]].nbytes + (1 << 15)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets ``sim._WORKERS``; a pool that starts in the test is its own, and is
+    shut down after it."""
+    monkeypatch.setattr(sim, "_pool", None)
+    yield lambda count: monkeypatch.setattr(sim, "_WORKERS", count)
+    if sim._pool is not None:
+        sim._pool.shutdown()
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the pass pool started")
+
+
+def _single_rows(monkeypatch, amp):
+    """Patches ``_SWEEP_BYTES`` so that amp's chunks hold one row each."""
+    monkeypatch.setattr(sim, "_SWEEP_BYTES", 3 * amp[0].nbytes)
+    assert len(sim._row_chunks(amp)) == len(amp)
+
+
+def _pass_memo_and_gradient(compiled, params, states, obs):
+    """A pass without a memo, a memo pass that resumes at its checkpoint
+    after a one-slot move, and the gradient at the first pass."""
+    out = compiled.run(params, states)
+    memo, slot = sim.PassMemo(), int(np.argmax(compiled.first[:-1]))
+    first, second = params.copy(), params.copy()
+    first[slot] += 0.3
+    second[slot] += 0.5
+    compiled.run(params, states, memo)
+    compiled.run(first, states, memo)
+    assert memo.start == compiled.first[slot] > 0  # the next pass resumes here
+    resumed = compiled.run(second, states, memo)
+    return out, resumed, compiled.gradient(params, out, obs * out)
+
+
+def test_pass_workers_are_the_cpus_the_process_may_use():
+    assert sim.pass_workers() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_pooled_walk_equals_the_inline_walk(real, workers, monkeypatch, rng):
+    circ = random_circuit(6, rng, n_gates=30, param_count=5, real=real)
+    circ.gates.append(cnot(0, 5))  # a far pair
+    compiled = sim.CompiledCircuit(circ)
+    params = rng.uniform(-np.pi, np.pi, size=5)
+    states = compiled.state(random_states(6, rng, batch=5))
+    _single_rows(monkeypatch, states)
+    workers(1)
+    inline = _pass_memo_and_gradient(compiled, params, states, sim.z_signs(6, 0))
+    assert sim._pool is None
+    workers(2)
+    pooled = _pass_memo_and_gradient(compiled, params, states, sim.z_signs(6, 0))
+    assert sim._pool is not None
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, inline))
+
+
+@pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])
+def test_pooled_walk_at_16_qubits_equals_the_inline_walk(family, tfi16_states, workers):
+    # rows of 2^16 amplitudes are chunks of one row as they stand
+    circ, _ = build_ansatz(AnsatzSpec(family, 16, 4))
+    compiled = sim.CompiledCircuit(circ)
+    params = np.random.default_rng(5).uniform(-np.pi, np.pi, size=circ.param_count)
+    obs = sim.z_signs(16, readout_qubit(AnsatzSpec(family, 16, 4)))
+    results = []
+    for count in (1, 2):
+        workers(count)
+        out = compiled.run(params, tfi16_states)
+        results.append((out, compiled.gradient(params, out, obs * out)))
+    assert sim._pool is not None
+    assert len(sim._row_chunks(results[0][0])) == len(tfi16_states)
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def test_a_chunk_that_fails_in_the_pool_fails_the_pass_and_empties_the_memo(
+        workers, monkeypatch, rng):
+    class Failed(Exception):
+        pass
+
+    circ = random_circuit(6, rng, n_gates=30, param_count=4)
+    compiled = sim.CompiledCircuit(circ)
+    params = rng.uniform(-np.pi, np.pi, size=4)
+    states = compiled.state(random_states(6, rng, batch=4))
+    _single_rows(monkeypatch, states)
+    workers(2)
+    memo = sim.PassMemo()
+    compiled.run(params, states, memo)
+    calls, kernel = [], sim._kernel
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise Failed("one chunk's kernel")
+        return kernel(*args)
+
+    monkeypatch.setattr(sim, "_kernel", failing)
+    stepped = params + 0.25
+    with pytest.raises(Failed, match="one chunk's kernel"):
+        compiled.run(stepped, states, memo)
+    assert memo.params is None and memo.output is None
+    monkeypatch.setattr(sim, "_kernel", kernel)
+    assert np.array_equal(compiled.run(stepped, states, memo), compiled.run(stepped, states))
+
+
+@pytest.mark.parametrize("family,layers", [("qcnn_ry", 3), ("hea_rxrzrx", 1)])
+def test_the_pool_never_starts_in_a_sweep_n8_cell(family, layers, workers, monkeypatch, rng):
+    # 8 training states and 192 test states at N = 8: one chunk of float64
+    # rows, or two chunks of 128 complex rows, walked inline
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _no_pool)
+    workers(2)
+    spec = AnsatzSpec(family, 8, layers)
+    circ, _ = build_ansatz(spec)
+    readout = readout_qubit(spec)
+    compiled = compile_for(circ, "classify", readout=readout)
+
+    def dataset(size):
+        states = np.ascontiguousarray(random_states(8, rng, batch=size).real)
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        return Dataset("xxz", 8, [DataRecord(s, 0.0, 1 - 2 * (i % 2))
+                                  for i, s in enumerate(states)], {})
+
+    train_ds, test_ds = dataset(8), dataset(192)
+    record = train("classify", compiled, train_ds,
+                   OptimizerConfig(kind="powell", max_iterations=1), readout=readout)
+    _Objective(compiled, train_ds, "classify", readout).gradient(record.final_params)
+    evaluate_classifier(compiled, readout, record.final_params, test_ds)
+    assert len(sim._row_chunks(compiled.state(test_ds.amplitudes()))) == 1 + (not compiled.real)
+    assert sim._pool is None
+
+
+def test_concurrent_passes_share_one_pool_and_equal_the_inline_pass(workers, monkeypatch, rng):
+    # benchmark cells running at once (cli --threads) share the pool: more
+    # workers than CPUs and a short switch interval let a lost write show
+    circ = random_circuit(6, rng, n_gates=30, param_count=4)
+    compiled = sim.CompiledCircuit(circ)
+    states = compiled.state(random_states(6, rng, batch=6))
+    _single_rows(monkeypatch, states)
+    points = rng.uniform(-np.pi, np.pi, size=(8, 4))
+    workers(1)
+    inline = [compiled.run(p, states) for p in points]
+    workers(4)
+    started = []
+    pool_class = sim.ThreadPoolExecutor
+
+    def slow_start(*args, **kwargs):  # a wide window for a second start
+        started.append(1)
+        time.sleep(0.05)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", slow_start)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(compiled.run, p, states) for p in points]
+            done, _ = wait(futures, timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(done) == len(points) and started == [1]
+    assert all(np.array_equal(f.result(), want) for f, want in zip(futures, inline))
+
+
+def test_the_pool_does_not_start_with_one_worker(workers, monkeypatch, rng):
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", _no_pool)
+    workers(1)
+    circ = random_circuit(6, rng, n_gates=30, param_count=4)
+    compiled = sim.CompiledCircuit(circ)
+    states = compiled.state(random_states(6, rng, batch=4))
+    _single_rows(monkeypatch, states)
+    _pass_memo_and_gradient(compiled, rng.uniform(-np.pi, np.pi, size=4), states,
+                            sim.z_signs(6, 0))
+    assert sim._pool is None
+
+
+def test_pooled_pass_memory_stays_within_the_output_and_three_chunks_a_worker(
+        workers, rng):
+    # each worker holds at most its chunk, a far pair's pair-first copy and
+    # its product at once
+    n = 16
+    circ = random_circuit(n, rng, n_gates=40, param_count=4, real=True)
+    circ.gates.append(cnot(0, n - 1))
+    compiled = sim.CompiledCircuit(circ)
+    assert any(window is None for _, _, window in compiled.blocks)
+    params = rng.uniform(-np.pi, np.pi, size=4)
+    states = np.ascontiguousarray(random_states(n, rng, batch=4).real)
+    workers(2)
+    compiled.run(params, states)  # starts the pool and its threads
+    tracemalloc.start()
+    try:
+        out = compiled.run(params, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunks = sim._row_chunks(out)
+    assert len(chunks) == 4
+    assert peak <= out.nbytes + 3 * sim._WORKERS * out[chunks[0]].nbytes + (1 << 15)
 
 
 @pytest.mark.parametrize("family", ["qcnn_ry", "qcnn_su4"])

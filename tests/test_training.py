@@ -17,7 +17,7 @@ from vqcbench.optimizers import (
     spsa_minimize,
 )
 from vqcbench.metrics import evaluate_autoencoder, evaluate_classifier
-from vqcbench.simulator import Circuit, CompiledCircuit, Gate, ry
+from vqcbench.simulator import Circuit, CompiledCircuit, Gate, pass_workers, ry
 from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
 from vqcbench.training import (
     TASKS,
@@ -551,6 +551,8 @@ def test_train_owns_the_run_timing():
     record = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=1)
     assert record.wall_time_total > 0.0
     assert record.wall_time_per_sample == record.wall_time_total / 2
+    assert bare.pass_workers is None
+    assert record.pass_workers == pass_workers()
 
 
 def test_initial_parameters_seeded_and_bounded():
