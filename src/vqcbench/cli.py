@@ -20,7 +20,7 @@ from .ansatz import AnsatzSpec, build_ansatz, param_count, readout_qubit
 from .config import BenchConfig, ConfigError, cell_seed, load_config
 from .metrics import evaluate_autoencoder, evaluate_classifier
 from .simulator import CompiledCircuit
-from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset
+from .spinmodels import Dataset, LanczosConvergenceError, generate_dataset, train_count
 from .storage import (
     atomic_write,
     config_hash,
@@ -30,7 +30,6 @@ from .storage import (
     write_model,
     write_report,
     write_results_csv,
-    write_results_json,
     write_train_record,
 )
 from .training import compile_for, train
@@ -251,18 +250,24 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
             raise ConfigError(f"benchmark cell {name} at train size "
                               f"{'all' if size is None else size} is listed twice")
 
-    train_ds, test_ds = _generate(config)
-    eval_ds = train_ds if config.eval_on == "train" else test_ds
-    if len(eval_ds) == 0:
+    # both split sizes follow from the config, so a bad one is refused before any solve
+    count = len(config.data.h_values)
+    n_train = train_count(config.data.train_fraction, count)
+    if (n_train if config.eval_on == "train" else count - n_train) == 0:
         raise ConfigError(
             "evaluation split is empty; adjust train_fraction or eval_on"
         )
-    sizes = [s if s is not None else len(train_ds) for s in sizes]
+    if n_train == 0:
+        raise ConfigError("training split is empty; adjust train_fraction")
+    sizes = [s if s is not None else n_train for s in sizes]
     for s in sizes:
-        if s > len(train_ds):
+        if s > n_train:
             raise ConfigError(
-                f"train_size {s} exceeds the {len(train_ds)} available training records"
+                f"train_size {s} exceeds the {n_train} available training records"
             )
+
+    train_ds, test_ds = _generate(config)
+    eval_ds = train_ds if config.eval_on == "train" else test_ds
 
     cells = []
     for mi, spec in enumerate(models):
@@ -290,12 +295,8 @@ def cmd_benchmark(config: BenchConfig, args) -> int:
         "rows": len(rows),
         "failed_cells": len(failures),
     }
-    if args.format == "json":
-        write_results_json(out_dir / "results.json", rows)
-        print(f"wrote {len(rows)} rows to {out_dir / 'results.json'}")
-    else:
-        write_results_csv(out_dir / "results.csv", rows)
-        print(f"wrote {len(rows)} rows to {out_dir / 'results.csv'}")
+    write_results_csv(out_dir / "results.csv", rows)
+    print(f"wrote {len(rows)} rows to {out_dir / 'results.csv'}")
     atomic_write(out_dir / "benchmark_meta.json", json.dumps(meta, indent=2) + "\n")
     for r in failures:
         print(f"cell {r['model']} size {r['train_size']}: {r['status']}", file=sys.stderr)
@@ -339,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=_worker_count, default=1,
                            help="benchmark cells run at once (whatever it is, a pass "
                                 "shares N = 16 rows across the CPUs)")
-            p.add_argument("--format", choices=("csv", "json"), default="csv",
-                           help="results format")
     return parser
 
 

@@ -193,15 +193,14 @@ class DataSpec:
 
 def optimizer_from_dict(d: dict, where: str = "optimizer") -> OptimizerConfig:
     allowed = {"kind", "max_iterations", "cost_tolerance", "param_tolerance",
-               "learning_rate", "spsa", "seed", "line_search_step", "line_search_tol"}
+               "learning_rate", "spsa", "seed", "line_search_tol"}
     _check_keys(d, allowed, where)
     kwargs = {"kind": d.get("kind", "powell")}
     if "max_iterations" in d:
         kwargs["max_iterations"] = integer(d["max_iterations"], "max_iterations", where)
     if "seed" in d:
         kwargs["seed"] = seed(d["seed"], "seed", where)
-    for key in ("cost_tolerance", "param_tolerance", "learning_rate",
-                "line_search_step", "line_search_tol"):
+    for key in ("cost_tolerance", "param_tolerance", "learning_rate", "line_search_tol"):
         if key in d:
             kwargs[key] = number(d[key], key, where)
     spsa = d.get("spsa", {})

@@ -1,7 +1,7 @@
-"""Derivative-free minimizers (Powell, Nelder-Mead, SPSA) and a plain
-gradient-descent driver.
+"""Derivative-free minimizers (Powell, SPSA) and a plain gradient-descent
+driver.
 
-All four share one result contract: they return only a TrainRecord, whose
+All three share one result contract: they return only a TrainRecord, whose
 final_params is the best parameter vector, final_cost the cost at that
 vector and cost_history every objective evaluation in call order; its
 evaluations count is the length of that history.
@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OPTIMIZER_KINDS = ("powell", "nelder_mead", "spsa", "param_shift_gd")
+OPTIMIZER_KINDS = ("powell", "spsa", "param_shift_gd")
+
+# Powell's initial bracket step along a direction, in radians.  Every cost is
+# 2 pi-periodic in every parameter, so a step longer than 2 pi would mean
+# nothing; 0.5 stays well inside that.
+_BRACKET_STEP = 0.5
 
 _GOLD = 1.618034
 _CGOLD = 0.3819660
@@ -31,14 +36,13 @@ class OptimizerConfig:
     kind: str = "powell"
     max_iterations: int = 1000
     cost_tolerance: float = 1e-8
-    param_tolerance: float = 1e-8
+    param_tolerance: float = 1e-8  # param_shift_gd only
     learning_rate: float = 0.1  # param_shift_gd only
     spsa_a: float = 0.2
     spsa_c: float = 0.1
     spsa_alpha: float = 0.602
     spsa_gamma: float = 0.101
     seed: int = 0
-    line_search_step: float = 0.5  # Powell initial bracket step (radians)
     line_search_tol: float = 1e-10
 
     def __post_init__(self):
@@ -68,10 +72,6 @@ class OptimizerConfig:
                     raise ValueError(
                         f"{power} {getattr(self, power)!r} makes the gain {gain}/(k+1)^{power} "
                         f"reach 0 within max_iterations {self.max_iterations}")
-        # every cost is 2 pi-periodic in every parameter, so a longer bracket
-        # step means nothing
-        if not 0.0 < self.line_search_step <= 2 * math.pi:
-            raise ValueError("line_search_step must be in (0, 2 pi]")
 
 
 @dataclass
@@ -226,13 +226,13 @@ def _brent(g, xa, xb, xc, fb, tol, max_iter=100):
     return x, fx
 
 
-def _line_minimize(f, x, direction, fx, step, tol):
+def _line_minimize(f, x, direction, fx, tol):
     """Minimize f along x + alpha*direction; returns (alpha, f_min)."""
 
     def g(alpha):
         return f(x + alpha * direction)
 
-    xa, xb, xc, fa, fb, fc = _bracket(g, 0.0, step, fx, g(step))
+    xa, xb, xc, fa, fb, fc = _bracket(g, 0.0, _BRACKET_STEP, fx, g(_BRACKET_STEP))
     if not math.isfinite(xc - xa):
         raise FloatingPointError(
             f"line search diverged: the bracket [{xa:.3g}, {xc:.3g}] has a non-finite width"
@@ -248,7 +248,7 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
 
     Each iteration line-minimizes along every maintained direction (Brent
     line search to ``line_search_tol`` in the line parameter, initial
-    bracket step ``line_search_step``), then applies the standard
+    bracket step ``_BRACKET_STEP``), then applies the standard
     largest-decrease replacement rule.  Terminates when the relative cost
     decrease over a full cycle drops below cost_tolerance.
     """
@@ -265,9 +265,7 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
         i_big = 0
         for i in range(n):
             f_before = fx
-            alpha, fx = _line_minimize(
-                tracker, x, directions[i], fx, config.line_search_step, config.line_search_tol
-            )
+            alpha, fx = _line_minimize(tracker, x, directions[i], fx, config.line_search_tol)
             x = x + alpha * directions[i]
             if f_before - fx > delta:
                 delta = f_before - fx
@@ -286,69 +284,12 @@ def powell_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
                 new_dir = x - x_start
                 norm = np.linalg.norm(new_dir)
                 if norm > 1e-14:
-                    alpha, fx = _line_minimize(
-                        tracker, x, new_dir, fx,
-                        config.line_search_step, config.line_search_tol,
-                    )
+                    alpha, fx = _line_minimize(tracker, x, new_dir, fx, config.line_search_tol)
                     x = x + alpha * new_dir
                     directions[i_big] = directions[n - 1]
                     directions[n - 1] = new_dir / norm
 
     return _finish(tracker, x, fx, converged)
-
-
-def nelder_mead_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:
-    """Nelder-Mead simplex with coefficients (1, 2, 0.5, 0.5).
-
-    The initial simplex is x0 plus 0.1-radian steps along each coordinate.
-    Termination mirrors Powell's contract on the simplex: the relative
-    spread of cost values must fall below cost_tolerance together with the
-    simplex diameter below param_tolerance.  A simplex whose cost values are
-    exactly identical (constant objective) converges immediately; a pure
-    cost-spread test alone would also stop on a symmetric straddle of the
-    minimum, which is why the diameter is consulted.
-    """
-    x = _check_x0(x0)
-    n = x.size
-    tracker = _Tracker(f)
-
-    simplex = np.vstack([x] + [x + 0.1 * np.eye(n)[i] for i in range(n)])
-    values = np.array([tracker(v) for v in simplex])
-    converged = False
-
-    for _ in range(config.max_iterations):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-        f_best, f_worst = values[0], values[-1]
-        flat = _small_change(f_worst, f_best, config.cost_tolerance)
-        small = np.max(np.abs(simplex[1:] - simplex[0])) <= config.param_tolerance
-        if (flat and small) or f_worst == f_best:
-            converged = True
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_ref = tracker(reflected)
-        if f_ref < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_exp = tracker(expanded)
-            if f_exp < f_ref:
-                simplex[-1], values[-1] = expanded, f_exp
-            else:
-                simplex[-1], values[-1] = reflected, f_ref
-        elif f_ref < values[-2]:
-            simplex[-1], values[-1] = reflected, f_ref
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_con = tracker(contracted)
-            if f_con < values[-1]:
-                simplex[-1], values[-1] = contracted, f_con
-            else:  # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = tracker(simplex[i])
-
-    order = np.argsort(values, kind="stable")
-    return _finish(tracker, simplex[order[0]].copy(), values[order[0]], converged)
 
 
 def spsa_minimize(f, x0, config: OptimizerConfig) -> TrainRecord:

@@ -311,6 +311,12 @@ def uniform_grid(start: float, stop: float, count: int) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
+def train_count(train_fraction: float, count: int) -> int:
+    """The size of the training split of count records: round(train_fraction
+    * count), halves rounded up."""
+    return int(math.floor(train_fraction * count + 0.5))
+
+
 def generate_dataset(
     kind: str,
     num_sites: int,
@@ -323,7 +329,7 @@ def generate_dataset(
     """Solve every grid point, label by sign(h - h_c), split by seeded shuffle.
 
     Records stay in h_grid order inside each split; the shuffle only decides
-    membership.  Train size is round(train_fraction * count).
+    membership.  Train size is ``train_count(train_fraction, count)``.
     """
     if h_c is None:
         h_c = CRITICAL_POINT[kind]
@@ -344,7 +350,7 @@ def generate_dataset(
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(records))
-    n_train = int(math.floor(train_fraction * len(records) + 0.5))
+    n_train = train_count(train_fraction, len(records))
     train_idx = sorted(perm[:n_train].tolist())
     test_idx = sorted(perm[n_train:].tolist())
 

@@ -286,8 +286,3 @@ def write_results_csv(path, rows: list[dict]) -> None:
     for row in ordered:
         writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in RESULT_COLUMNS})
     atomic_write(path, buf.getvalue())
-
-
-def write_results_json(path, rows: list[dict]) -> None:
-    ordered = sorted(rows, key=lambda r: (str(r.get("model")), int(r.get("train_size", 0))))
-    atomic_write(path, json.dumps(ordered, indent=2) + "\n")

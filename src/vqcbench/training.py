@@ -33,7 +33,6 @@ from .optimizers import (
     OptimizerConfig,
     TrainRecord,
     gradient_descent_minimize,
-    nelder_mead_minimize,
     powell_minimize,
     spsa_minimize,
 )
@@ -164,7 +163,7 @@ def train(
         return objective.gradient(full(x))[live]
 
     minimize = {  # OptimizerConfig has checked the kind
-        "powell": powell_minimize, "nelder_mead": nelder_mead_minimize, "spsa": spsa_minimize,
+        "powell": powell_minimize, "spsa": spsa_minimize,
         "param_shift_gd": lambda f, x, c: gradient_descent_minimize(f, gradient, x, c),
     }[optimizer.kind]
     t0 = time.perf_counter()

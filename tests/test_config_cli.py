@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import vqcbench
-from vqcbench import cli, simulator, storage
+from vqcbench import cli, simulator, spinmodels, storage
 from vqcbench.config import BenchConfig, ConfigError, cell_seed, load_config
 from vqcbench.optimizers import TrainRecord
 from vqcbench.spinmodels import DataRecord, Dataset, generate_dataset
@@ -24,7 +24,6 @@ from vqcbench.storage import (
     write_model,
     write_report,
     write_results_csv,
-    write_results_json,
     write_train_record,
 )
 
@@ -242,8 +241,7 @@ def test_model_roundtrip_full_precision(tmp_path):
         path, TrainRecord(np.zeros(1), cost_history=[v], final_cost=v)),
     lambda path, v: write_report(path, "classify", {"accuracy": v}),
     lambda path, v: write_results_csv(path, [{"model": "m", "metric_value": v}]),
-    lambda path, v: write_results_json(path, [{"model": "m", "metric_value": v}]),
-], ids=["dataset", "model", "train_record", "report", "results_csv", "results_json"])
+], ids=["dataset", "model", "train_record", "report", "results_csv"])
 def test_failed_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, write):
     path = tmp_path / "sub" / "out.file"
     write(path, 0.0)  # creates the directory
@@ -607,8 +605,8 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 
 # A line_search_step of 1e308 used to expand Powell's bracket until the run
-# ended in exit 4 with ``message``; every cost is 2 pi-periodic, so the
-# config now rejects any step above 2 pi before anything runs.
+# ended in exit 4 with ``message``; the bracket step is now fixed, and the
+# config refuses the key before anything runs.
 @pytest.mark.parametrize("seed,data,message", [
     (42, {"kind": "tfi", "num_sites": 4, "h_start": 0.2, "h_stop": 1.8, "h_count": 16,
           "seed": 7}, "non-finite parameters"),
@@ -625,19 +623,9 @@ def test_diverging_powell_line_search_exits_4_without_traceback(tmp_path, capsys
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "line_search_step must be in (0, 2 pi]" in err
+    assert "unknown key 'line_search_step' in optimizer" in err
     assert message not in err
     assert not out.exists()
-
-
-def test_powell_line_search_step_of_two_pi_trains(tmp_path):
-    cfg = tmp_path / "c.json"
-    write_config(cfg, optimizer={"kind": "powell", "max_iterations": 2,
-                                 "line_search_step": 2 * np.pi})
-    out = tmp_path / "run"
-    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
-    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "train_record.json").exists()
 
 
 def test_train_missing_dataset_exits_3(tmp_path):
@@ -975,6 +963,43 @@ def test_benchmark_size_exceeding_records_exits_2(tmp_path):
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+_DATA16 = {"kind": "tfi", "num_sites": 4, "h_start": 0.2, "h_stop": 1.8, "h_count": 16, "seed": 7}
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"train_sizes": [100]}, "train_size 100 exceeds the 12 available training records"),
+    ({"data": dict(_DATA16, train_fraction=1.0)},
+     "evaluation split is empty; adjust train_fraction or eval_on"),
+    ({"data": dict(_DATA16, train_fraction=0.0), "eval_on": "train"},
+     "evaluation split is empty; adjust train_fraction or eval_on"),
+    # every cell would train on no state
+    ({"data": dict(_DATA16, train_fraction=0.0)}, "training split is empty; adjust train_fraction"),
+], ids=["oversized-train-size", "empty-test-split", "empty-train-split", "no-training-state"])
+def test_benchmark_refuses_a_bad_split_before_any_solve(tmp_path, capsys, monkeypatch, extra,
+                                                        message):
+    # both split sizes follow from the config, so no ground state is solved
+    solves = []
+    solve = spinmodels.ground_state
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spinmodels, "ground_state", counted)
+    cfg = tmp_path / "c.json"
+    write_config(cfg, **extra)
+    out = tmp_path / "o"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert solves == []
+    assert not (out / "results.csv").exists()
+    # the same data section does solve every grid point once the split is not refused
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(solves) == 16
+
+
 _QCNN4 = {"family": "qcnn_ry", "num_qubits": 4, "layers": 2}
 
 
@@ -1076,7 +1101,9 @@ def test_classify_config_with_a_discard_list_exits_2_naming_it(tmp_path, capsys)
     ("model", {"family": "hea_ry", "num_qubits": 4, "layers": 1, "weight_sharing": False},
      "invalid model: weight_sharing false applies to QCNN families only, not hea_ry"),
     ("optimizer", {"kind": "adam"}, "invalid optimizer: unknown optimizer kind 'adam'; "
-     "expected one of ['powell', 'nelder_mead', 'spsa', 'param_shift_gd']"),
+     "expected one of ['powell', 'spsa', 'param_shift_gd']"),
+    ("optimizer", {"kind": "nelder_mead"}, "invalid optimizer: unknown optimizer kind "
+     "'nelder_mead'; expected one of ['powell', 'spsa', 'param_shift_gd']"),
 ])
 def test_a_key_or_kind_that_cannot_apply_exits_2_naming_it(tmp_path, capsys, section, value,
                                                             message):
@@ -1113,22 +1140,6 @@ def test_train_and_eval_name_a_dataset_of_the_wrong_size(tmp_path, capsys):
     assert "Traceback" not in err
     assert f"{data} holds 2-site states but the model acts on 4 qubits" in err
     assert not (toy / "report.json").exists()
-
-
-def test_benchmark_json_format(tmp_path):
-    cfg = tmp_path / "c.json"
-    write_config(
-        cfg,
-        data={"kind": "tfi", "num_sites": 4, "h_count": 8, "seed": 7},
-        optimizer={"kind": "powell", "max_iterations": 2},
-        train_sizes=[4],
-    )
-    out = tmp_path / "o"
-    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out),
-                     "--format", "json"]) == 0
-    rows = json.loads((out / "results.json").read_text())
-    assert len(rows) == 1
-    assert rows[0]["metric_name"] == "test_accuracy"
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -1171,6 +1182,8 @@ def test_benchmark_threads_flag(tmp_path):
     (["benchmark", "--threads", "0"], "--threads: expected a positive integer, got '0'"),
     (["benchmark", "--threads", "-2"], "--threads: expected a positive integer, got '-2'"),
     (["benchmark", "--threads", "\u00b2"], "--threads: expected a positive integer, got '\u00b2'"),
+    (["benchmark", "--format", "json"], "unrecognized arguments: --format json"),
+    (["benchmark", "--format", "csv"], "unrecognized arguments: --format csv"),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, message):
     # each flag exists only on the commands that read it, so none is ignored

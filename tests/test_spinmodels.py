@@ -19,6 +19,7 @@ from vqcbench.spinmodels import (
     build_hamiltonian,
     generate_dataset,
     ground_state,
+    train_count,
     uniform_grid,
 )
 
@@ -368,6 +369,18 @@ def test_generate_dataset_split_sizes():
     train, test = generate_dataset("tfi", 3, grid, train_fraction=0.75, seed=9)
     assert len(train) == 48
     assert len(test) == 16
+
+
+# benchmark sizes both splits from the config alone, before any solve, so
+# train_count must be the size generate_dataset splits to; halves round up
+@pytest.mark.parametrize("fraction,count,expected", [
+    (0.75, 8, 6), (0.5, 5, 3), (0.1, 5, 1), (0.3, 10, 3), (0.0, 4, 0), (1.0, 4, 4),
+])
+def test_train_count_is_the_size_generate_dataset_splits_to(fraction, count, expected):
+    assert train_count(fraction, count) == expected
+    grid = [0.2 + 0.15 * i for i in range(count)]
+    train, test = generate_dataset("tfi", 3, grid, train_fraction=fraction, seed=4)
+    assert (len(train), len(test)) == (expected, count - expected)
 
 
 def test_generate_dataset_rejects_critical_grid_point():

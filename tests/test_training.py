@@ -360,7 +360,7 @@ def test_param_shift_gradient_is_the_gradient_train_runs(family, layers, task, r
 
 @pytest.mark.parametrize("kind,minimizer", [
     ("powell", "powell_minimize"), ("spsa", "spsa_minimize"),
-    ("nelder_mead", "nelder_mead_minimize"), ("param_shift_gd", "gradient_descent_minimize"),
+    ("param_shift_gd", "gradient_descent_minimize"),
 ])
 @pytest.mark.parametrize("family,task,live", [
     ("hea_ry", "classify", 3), ("hea_ry", "autoencode", 5),
