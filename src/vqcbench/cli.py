@@ -240,6 +240,10 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
 
 
 def cmd_benchmark(config: BenchConfig, args) -> int:
+    for key in ("train_path", "test_path"):
+        if getattr(config.data, key) is not None:
+            raise ConfigError(f"data.{key} is not read by benchmark, which generates "
+                              "its data in process; remove it")
     out_dir = Path(args.out or config.out_dir)
     run_seed = args.seed if args.seed is not None else config.seed
     sizes = config.train_sizes or [None]

@@ -6,7 +6,8 @@ silently falling back to defaults.  Numeric keys take finite JSON numbers
 only, never null, booleans or strings, and a fraction given for an
 integer key (counts, sizes, seeds, qubit indices) is rejected, not
 truncated.  Path keys (``train_path``, ``test_path``, ``out_dir``) take
-strings only.  The schema is the set of keys each
+strings only; ``benchmark``, which generates its data in process, refuses
+``train_path`` and ``test_path``.  The schema is the set of keys each
 ``from_dict`` below accepts; what the values mean is documented where they
 are used: model families and parameter counts in ``vqcbench.ansatz``
 (``param_count``), datasets in ``vqcbench.spinmodels``, optimizers in
@@ -100,13 +101,43 @@ def checked_discard(discard: list[int], num_qubits: int, where: str) -> list[int
         raise ConfigError(f"{where}.discard: {exc} for {num_qubits} qubits") from exc
 
 
+def _not_utf8(path, exc: UnicodeDecodeError, offset: int = 0) -> ValueError:
+    return ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {offset + exc.start})")
+
+
 def read_text(path) -> str:
     """The UTF-8 text of the file at path; other bytes raise a ValueError
     naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise _not_utf8(path, exc) from None
+
+
+# A read buffer that holds a whole N = 16 dataset record (about 1.4 MB of
+# text): a line is one read, not some 170 of the default 8 KiB.  Freed when
+# the file closes, it also lifts glibc's dynamic mmap and trim thresholds past
+# the (batch, 2^16) arrays of training and evaluation, so the heap is not
+# trimmed between phases and refaulted.
+_READ_BUFFER = 1 << 22
+
+
+def read_lines(path):
+    """The lines of ``read_text(path).splitlines()``, read and decoded one
+    newline-ended line of the file at a time; a byte that is not UTF-8 raises
+    the same ValueError, with its offset in the file, when its line is read."""
+    offset = 0
+    with open(path, "rb", buffering=_READ_BUFFER) as f:
+        for raw in f:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc, offset) from None
+            offset += len(raw)
+            del raw  # at most two copies of a line are alive at once
+            lines = text.splitlines()
+            del text
+            yield from lines
 
 
 def _path(section: dict, key: str, where: str, default=None):

@@ -13,6 +13,13 @@ reader rejects, with the file and record in the message, a line that is
 not JSON, a header ``N`` outside [1, MAX_SITES] and any field of the wrong
 type, a boolean among amplitudes included.
 
+Datasets are written and read one record at a time, so neither side holds
+more than a record's text: ``write_dataset`` refuses a non-finite value
+before the file opens, then streams each record's text into the temporary
+file of ``atomic_write``; ``read_dataset`` reads, decodes and checks one
+line at a time (``config.read_lines``), and names a byte that is not UTF-8
+by its offset in the file.
+
 Every file is written atomically by ``atomic_write``: a temporary file in
 the target's directory, then ``os.replace``, so a failed write leaves the
 previous file as it was.
@@ -38,6 +45,7 @@ from .config import (
     items,
     model_spec_from_dict,
     number,
+    read_lines,
     read_text,
 )
 from .optimizers import TrainRecord
@@ -65,31 +73,33 @@ def _loads(line: str, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _floats_text(values) -> str:
-    """``_dumps(values.tolist())`` for a 1-D array read as float64, with each
-    distinct bit pattern (so -0.0 apart from 0.0) formatted once by
-    ``float.__repr__``, the text json writes for a finite float."""
+def _floats_items(values) -> str:
+    """The text inside the brackets of ``_dumps(values.tolist())`` for a finite
+    1-D array read as float64, with each distinct bit pattern (so -0.0 apart
+    from 0.0) formatted once by ``float.__repr__``, the text json writes for a
+    finite float."""
     values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        _dumps(float(values[~finite][0]))  # raises json's ValueError
     unique, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(float.__repr__, unique.view(np.float64).tolist())), dtype=object)
-    return "[" + ",".join(texts[inverse].tolist()) + "]"
+    return ",".join(texts[inverse].tolist())
 
 
-def atomic_write(path, text: str) -> None:
-    """Replace path's contents with text, creating its directory.
+def atomic_write(path, text) -> None:
+    """Replace path's contents with text, a string or an iterable of strings
+    written one at a time, creating its directory.
 
     The text goes to a temporary file beside path, which ``os.replace`` then
-    moves over it; on any failure the temporary file is removed and path
-    keeps its previous contents.
+    moves over it; on any failure, one raised while the iterable yields its
+    strings included, the temporary file is removed and path keeps its
+    previous contents.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_bytes(text.encode())
+        with open(tmp, "wb") as f:
+            for chunk in [text] if isinstance(text, str) else text:
+                f.write(chunk.encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -117,23 +127,35 @@ def write_dataset(dataset: Dataset, path) -> None:
         "split": meta.get("split"),
         "phase_convention": meta.get("phase_convention"),
     }
-    lines = [_dumps(header)]
-    for rec in dataset.records:
-        state = np.asarray(rec.state)
-        line = _dumps({"h": float(rec.h), "label": int(rec.label)})[:-1]  # open for "re"
-        line += ',"re":' + _floats_text(state.real)
-        if np.iscomplexobj(state) and np.any(state.imag != 0.0):
-            line += ',"im":' + _floats_text(state.imag)
-        lines.append(line + "}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    head = _dumps(header) + "\n"
+    for rec in dataset.records:  # a non-finite value is refused before the file opens
+        for part in (rec.h, np.real(rec.state), np.imag(rec.state)):
+            values = np.asarray(part, dtype=float).ravel()
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                _dumps(float(bad[0]))  # raises json's ValueError
+
+    def chunks():
+        yield head
+        for rec in dataset.records:
+            state = np.asarray(rec.state)
+            yield _dumps({"h": float(rec.h), "label": int(rec.label)})[:-1] + ',"re":['
+            yield _floats_items(state.real)
+            if np.iscomplexobj(state) and np.any(state.imag != 0.0):
+                yield '],"im":['
+                yield _floats_items(state.imag)
+            yield "]}\n"
+
+    atomic_write(path, chunks())
 
 
 def read_dataset(path) -> Dataset:
     path = Path(path)
-    lines = [line for line in read_text(path).splitlines() if line.strip()]
-    if not lines:
+    lines = (line for line in read_lines(path) if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty dataset file")
-    header = _loads(lines[0], f"{path}: header")
+    header = _loads(first, f"{path}: header")
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -150,40 +172,9 @@ def read_dataset(path) -> Dataset:
     critical = h_c is not None and not (isinstance(h_c, float) and np.isnan(h_c))
     if critical:
         number(h_c, "h_c", f"{path}: header")
-    records = []
-    for i, line in enumerate(lines[1:], 1):
-        where = f"{path}: record {i}"
-        obj = _loads(line, where)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where} is not a JSON object")
-        h = number(obj.get("h"), "h", where)
-        label = integer(obj.get("label"), "label", where)
-        parts = {"re": obj.get("re")}
-        if "im" in obj:
-            parts["im"] = obj["im"]
-        for key, values in parts.items():
-            # no dtype here, so strings, nulls and nesting show in the dtype
-            part = parts[key] = np.asarray(values)
-            if part.shape != (dim,) or part.dtype.kind not in "iuf":
-                raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
-                                 f"got shape {part.shape} of {part.dtype}")
-            if bool in set(map(type, values)):  # np.asarray reads them as 0 and 1
-                raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
-                                 "got a boolean among them")
-        state = parts["re"].astype(float, copy=False)
-        if "im" in parts:  # assigned, not re + 1j * im, which turns -0.0 into 0.0
-            state = state.astype(complex)
-            state.imag = parts["im"]
-        if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(f"{where} at h={h} is not normalized")
-        if label not in (-1, 1):
-            raise ValueError(f"{where}: label must be +-1, got {label}")
-        if critical:
-            if abs(h - h_c) < 1e-9:
-                raise ValueError(f"{where} is at the critical point h={h}")
-            if label != (1 if h > h_c else -1):
-                raise ValueError(f"{where}: label {label} inconsistent with h={h}")
-        records.append(DataRecord(state=state, h=h, label=label))
+    # one record's parsed text is freed before the next line is read
+    records = [_read_record(line, f"{path}: record {i}", dim, h_c if critical else None)
+               for i, line in enumerate(lines, 1)]
     metadata = {
         "h_c": h_c,
         "h_grid": header.get("h_grid", []),
@@ -194,6 +185,42 @@ def read_dataset(path) -> Dataset:
         "phase_convention": header.get("phase_convention"),
     }
     return Dataset(header["model"], n, records, metadata)
+
+
+def _read_record(line: str, where: str, dim: int, h_c) -> DataRecord:
+    """The record a dataset line holds, checked; h_c is None where the header
+    gives no critical point."""
+    obj = _loads(line, where)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    h = number(obj.get("h"), "h", where)
+    label = integer(obj.get("label"), "label", where)
+    parts = {"re": obj.get("re")}
+    if "im" in obj:
+        parts["im"] = obj["im"]
+    for key, values in parts.items():
+        # no dtype here, so strings, nulls and nesting show in the dtype
+        part = parts[key] = np.asarray(values)
+        if part.shape != (dim,) or part.dtype.kind not in "iuf":
+            raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
+                             f"got shape {part.shape} of {part.dtype}")
+        if bool in set(map(type, values)):  # np.asarray reads them as 0 and 1
+            raise ValueError(f"{where}: {key!r} must be a list of {dim} numbers, "
+                             "got a boolean among them")
+    state = parts["re"].astype(float, copy=False)
+    if "im" in parts:  # assigned, not re + 1j * im, which turns -0.0 into 0.0
+        state = state.astype(complex)
+        state.imag = parts["im"]
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"{where} at h={h} is not normalized")
+    if label not in (-1, 1):
+        raise ValueError(f"{where}: label must be +-1, got {label}")
+    if h_c is not None:
+        if abs(h - h_c) < 1e-9:
+            raise ValueError(f"{where} is at the critical point h={h}")
+        if label != (1 if h > h_c else -1):
+            raise ValueError(f"{where}: label {label} inconsistent with h={h}")
+    return DataRecord(state=state, h=h, label=label)
 
 
 def write_model(path, task, model_spec_dict, params, readout=None, discard=None,

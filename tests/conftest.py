@@ -3,7 +3,8 @@ the strided kernels, a per-gate np.tensordot statevector pass and its
 adjoint gradient, the canonical per-block walk of a compiled circuit (its
 blocks in order, with no layout plan), circuit inversion, the Kraus branches
 of the reset channel, parameter-shift gradients, the adjoint sweep's
-per-block contraction, full-space ground states, the text of a dataset file
+per-block contraction, full-space ground states and the cold sector solve
+of one chain, the text of a dataset file
 and the pairwise AUC and threshold-sweep ROC, plus state vectors and random
 circuit/state generators.  The uncompiled path (``expectation_z_batch`` on
 ``run_circuit_batch``, and the task costs on a fresh compile) is here too:
@@ -23,7 +24,8 @@ import scipy.linalg
 
 from vqcbench import simulator as sim
 from vqcbench import training
-from vqcbench.spinmodels import SpinModel, build_hamiltonian
+from vqcbench import spinmodels
+from vqcbench.spinmodels import SpinModel, build_hamiltonian, ground_states
 from vqcbench.storage import BIT_ORDER, FORMAT_VERSION
 
 
@@ -306,6 +308,13 @@ def full_space_ground(kind, n, h):
     ham = build_hamiltonian(SpinModel(kind, n, h)).to_dense()
     w, v = scipy.linalg.eigh(ham, subset_by_index=(0, 1))
     return float(w[0]), float(w[1] - w[0]), v[:, 0]
+
+
+def ground_state(model, solver="auto"):
+    """(energy, full-space vector, solver used) of one chain, solved cold in
+    its sector (Lanczos from all-ones): ``ground_states`` on it alone."""
+    [(energy, state)] = ground_states([model], solver)
+    return energy, state, spinmodels._resolve(solver, model.num_sites)
 
 
 # results CSV columns that vary across runs even with fixed seeds

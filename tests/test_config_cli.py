@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,29 @@ def test_dataset_roundtrip_byte_identical(tmp_path):
     write_dataset(train, p1)
     write_dataset(read_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_write_and_read_hold_one_record_at_a_time(tmp_path, monkeypatch):
+    train, _ = generate_dataset("tfi", 14, [0.3, 0.6, 0.8, 1.2, 1.5, 1.8], train_fraction=1.0)
+    path = tmp_path / "d.jsonl"
+    # the reader's fixed 4 MiB file buffer would hide what it holds itself
+    monkeypatch.setattr("vqcbench.config._READ_BUFFER", 1 << 16)
+    tracemalloc.start()
+    try:
+        write_dataset(train, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_dataset(path)
+        kept, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == reference_dataset_text(train).encode()
+    assert len(back) == 6
+    # about 0.35 MB of text a record; holding the whole file's text peaked near
+    # 19 records' worth when writing, and near 10 beyond the states read back
+    record_text = path.stat().st_size / len(train)
+    assert write_peak < 4 * record_text
+    assert read_peak - kept < 4 * record_text
 
 
 def test_dataset_reader_validates(tmp_path):
@@ -846,6 +870,24 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, na
     assert not (toy / "report.json").exists()
 
 
+def test_a_bad_byte_inside_a_record_exits_2_with_its_offset_in_the_file(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "train.jsonl"
+    text = path.read_bytes()
+    lines = text.splitlines(keepends=True)
+    offset = sum(map(len, lines[:4])) + 30  # inside record 4, past the header and 3 records
+    path.write_bytes(text[:offset] + b"\xff" + text[offset + 1:])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}: not UTF-8 text (invalid start byte at byte {offset})" in err
+    assert not (out / "model.json").exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("params", [0.1] * 8, "params holds 8 values, but the model has 9 parameters"),
     ("n_params", 99, "n_params is 99, but the model has 9 parameters"),
@@ -979,13 +1021,13 @@ def test_benchmark_refuses_a_bad_split_before_any_solve(tmp_path, capsys, monkey
                                                         message):
     # both split sizes follow from the config, so no ground state is solved
     solves = []
-    solve = spinmodels.ground_state
+    solve = spinmodels._solve  # every ground state, cold or warm-started, is one call
 
     def counted(*args, **kwargs):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(spinmodels, "ground_state", counted)
+    monkeypatch.setattr(spinmodels, "_solve", counted)
     cfg = tmp_path / "c.json"
     write_config(cfg, **extra)
     out = tmp_path / "o"
@@ -998,6 +1040,24 @@ def test_benchmark_refuses_a_bad_split_before_any_solve(tmp_path, capsys, monkey
     # the same data section does solve every grid point once the split is not refused
     assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(solves) == 16
+
+
+@pytest.mark.parametrize("key", ["train_path", "test_path"])
+def test_benchmark_refuses_a_dataset_path_before_any_solve(tmp_path, capsys, monkeypatch, key):
+    # benchmark generates its data in process, so a path it would not read is refused
+    solves = []
+    monkeypatch.setattr(spinmodels, "_solve", lambda *args: solves.append(args))
+    cfg = tmp_path / "c.json"
+    data = {"kind": "tfi", "num_sites": 4, "h_count": 8, "seed": 7,
+            key: str(tmp_path / "missing.jsonl")}
+    write_config(cfg, data=data)
+    out = tmp_path / "o"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config error: data.{key} is not read by benchmark" in err
+    assert solves == []
+    assert not (out / "results.csv").exists()
 
 
 _QCNN4 = {"family": "qcnn_ry", "num_qubits": 4, "layers": 2}

@@ -17,7 +17,7 @@ from vqcbench.metrics import (
     roc_points,
 )
 from vqcbench.simulator import Circuit, CompiledCircuit, run_circuit_batch
-from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
+from vqcbench.spinmodels import DataRecord, Dataset, SpinModel
 from vqcbench.training import _Objective, train
 from vqcbench.optimizers import OptimizerConfig
 
@@ -26,6 +26,7 @@ from conftest import (
     basis_state,
     circuit_full_matrix,
     expectation_z_batch,
+    ground_state,
     inverse_circuit,
     kraus_fidelity,
     random_circuit,

@@ -21,7 +21,7 @@ from vqcbench import simulator as sim
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, readout_qubit
 from vqcbench.metrics import evaluate_classifier, reconstruct_fidelity
 from vqcbench.optimizers import OptimizerConfig
-from vqcbench.spinmodels import DataRecord, Dataset, SpinModel, ground_state
+from vqcbench.spinmodels import DataRecord, Dataset, SpinModel
 from vqcbench.training import _Objective, compile_for, train
 from vqcbench.simulator import (
     Circuit,
@@ -42,6 +42,7 @@ from conftest import (
     circuit_full_matrix,
     expectation_z_batch,
     gate_full_matrix,
+    ground_state,
     inverse_circuit,
     kraus_reset_branches,
     pairs_outer_oracle,

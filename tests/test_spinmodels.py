@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import expectation_z_batch, full_space_ground
+from conftest import expectation_z_batch, full_space_ground, ground_state
 from vqcbench import cli, spinmodels
 from vqcbench.spinmodels import (
     MODEL_KINDS,
@@ -18,7 +18,7 @@ from vqcbench.spinmodels import (
     SpinModel,
     build_hamiltonian,
     generate_dataset,
-    ground_state,
+    ground_states,
     train_count,
     uniform_grid,
 )
@@ -288,6 +288,41 @@ def test_lanczos_memory_stays_far_below_a_krylov_basis():
         tracemalloc.stop()
     # 160 full-space float64 vectors; a 300-vector Krylov basis alone exceeds it
     assert peak < 160 * 8 * (1 << n)
+
+
+@pytest.mark.parametrize("kind,grid", [
+    ("tfi", [-1.3, -0.6, -0.2, 0.0, 0.2, 0.45, 0.9, 1.0, 1.1, 1.6]),  # h and -h share a solve
+    ("xxz", [0.2, 0.5, 0.8, 0.95, 1.0, 1.05, 1.4, 1.8]),
+])
+def test_warm_started_walk_matches_cold_solves_whatever_the_grid_order(kind, grid,
+                                                                      monkeypatch):
+    # N = 13 is the smallest chain auto solves by Lanczos
+    models = [SpinModel(kind, 13, h) for h in grid]
+    warm = ground_states(models)
+    for model, (energy, state) in zip(models, warm, strict=True):
+        cold_energy, cold, solver = ground_state(model)
+        assert solver == "lanczos"
+        assert abs(energy - cold_energy) <= 1e-12
+        assert np.max(np.abs(state - cold)) <= 1e-12
+    # the walk follows the couplings, not the grid: a shuffled grid solves the same
+    cold_starts = []
+    solve = spinmodels._solve
+
+    def recorded(sector, coupling, solver, start=None):
+        cold_starts.append(start is None)
+        return solve(sector, coupling, solver, start)
+
+    monkeypatch.setattr(spinmodels, "_solve", recorded)
+    order = np.random.default_rng(5).permutation(len(grid))
+    train, _ = generate_dataset(kind, 13, [grid[i] for i in order], h_c=0.7,
+                                train_fraction=1.0)
+    assert train.metadata["solver"] == "lanczos"
+    # one solve a distinct coupling, and one cold start a sector: XXZ from h = 1
+    # on is the polarized sector of one state
+    assert len(cold_starts) == len({abs(h) for h in grid})
+    assert sum(cold_starts) == (1 if kind == "tfi" else 2)
+    for i, rec in zip(order, train.records, strict=True):
+        assert rec.h == grid[i] and np.array_equal(rec.state, warm[i][1])
 
 
 def _reversed_sites(n):
