@@ -93,38 +93,37 @@ def cmd_gen_data(config: BenchConfig, args) -> int:
 
 def _train_once(config: BenchConfig, spec: AnsatzSpec, dataset, seed: int,
                 optimizer=None):
-    """Build and compile the circuit for spec and train it on dataset; returns
-    (record, compiled, target), where target is the readout qubit or the
-    discard list as a keyword argument of ``train``, ``_save_training`` and
-    ``_evaluate``, and the compiled circuit is the one ``_evaluate`` runs."""
+    """Build the circuit for spec, compile it for the readout qubit or the
+    discard list and train it on dataset; returns (record, compiled), whose
+    ``observed`` carries that target to ``_evaluate`` and ``_save_training``."""
     circuit, pooled = build_ansatz(spec)
     if config.task == "classify":
-        target = {"readout": readout_qubit(spec)}
+        compiled = compile_for(circuit, "classify", readout=readout_qubit(spec))
     else:
-        target = {"discard": _resolve_discard(config, pooled)}
-    compiled = compile_for(circuit, config.task, **target)
-    record = train(config.task, compiled, dataset, optimizer or config.optimizer,
-                   init_seed=seed, **target)
-    return record, compiled, target
+        compiled = compile_for(circuit, "autoencode", discard=_resolve_discard(config, pooled))
+    record = train(config.task, compiled, dataset, optimizer or config.optimizer, init_seed=seed)
+    return record, compiled
 
 
-def _save_training(config: BenchConfig, spec: AnsatzSpec, record, seed: int, out_dir: Path,
-                   readout=None, discard=None) -> None:
-    """Write out_dir/model.json and out_dir/train_record.json."""
+def _save_training(config: BenchConfig, spec: AnsatzSpec, record, compiled: CompiledCircuit,
+                   seed: int, out_dir: Path) -> None:
+    """Write out_dir/model.json, with the readout qubit or the discard list
+    the model was compiled for, and out_dir/train_record.json."""
+    target = ({"readout": compiled.observed[0]} if config.task == "classify"
+              else {"discard": compiled.observed})
     write_model(out_dir / "model.json", config.task, asdict(spec), record.final_params,
-                readout=readout, discard=discard, init_seed=seed,
-                metadata=_run_metadata(config))
+                init_seed=seed, metadata=_run_metadata(config), **target)
     write_train_record(out_dir / "train_record.json", record)
 
 
 def _evaluate(config: BenchConfig, compiled: CompiledCircuit, params, dataset: Dataset,
-              out_dir: Path, readout=None, discard=None, final_cost=None):
+              out_dir: Path, final_cost=None):
     """Run the task's evaluator on the compiled circuit and write its report
     to out_dir/report.json."""
     if config.task == "classify":
-        report = evaluate_classifier(compiled, readout, params, dataset)
+        report = evaluate_classifier(compiled, params, dataset)
     else:
-        report = evaluate_autoencoder(compiled, params, discard, dataset, final_cost=final_cost)
+        report = evaluate_autoencoder(compiled, params, dataset, final_cost=final_cost)
     write_report(out_dir / "report.json", config.task, asdict(report))
     return report
 
@@ -150,8 +149,8 @@ def cmd_train(config: BenchConfig, args) -> int:
     train_path, _ = _dataset_paths(config, out_dir)
     dataset = _read_data(train_path, config.model.num_qubits, "training")
     seed = args.seed if args.seed is not None else config.seed
-    record, _, target = _train_once(config, config.model, dataset, seed)
-    _save_training(config, config.model, record, seed, out_dir, **target)
+    record, compiled = _train_once(config, config.model, dataset, seed)
+    _save_training(config, config.model, record, compiled, seed, out_dir)
     status = "converged" if record.converged else "not converged"
     print(
         f"trained {model_name(config.model)} on {len(dataset)} samples: "
@@ -177,10 +176,8 @@ def cmd_eval(config: BenchConfig, args) -> int:
     train_path, test_path = _dataset_paths(config, out_dir)
     path = train_path if config.eval_on == "train" else test_path
     dataset = _read_data(path, spec.num_qubits, "evaluation")
-    key = "readout" if config.task == "classify" else "discard"
-    target = {key: model[key]}
-    compiled = compile_for(circuit, config.task, **target)
-    report = _evaluate(config, compiled, model["params"], dataset, out_dir, **target)
+    compiled = compile_for(circuit, config.task, model.get("readout"), model.get("discard"))
+    report = _evaluate(config, compiled, model["params"], dataset, out_dir)
     if config.task == "classify":
         headline = f"accuracy {report.accuracy:.4f}, auc {report.auc}"
     else:
@@ -221,9 +218,9 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
     try:
         subset = _subsample(train_ds, size, seed)
         optimizer = replace(config.optimizer, seed=seed)
-        record, compiled, target = _train_once(config, spec, subset, seed, optimizer)
+        record, compiled = _train_once(config, spec, subset, seed, optimizer)
         report = _evaluate(config, compiled, record.final_params, eval_ds, cell_dir,
-                           final_cost=record.final_cost, **target)
+                           final_cost=record.final_cost)
         if config.task == "classify":
             row["metric_value"], row["auc"] = report.accuracy, report.auc
         else:
@@ -233,7 +230,7 @@ def _benchmark_cell(config: BenchConfig, spec: AnsatzSpec, size: int, seed: int,
         row["time_per_sample_s"] = record.wall_time_per_sample
         if not record.converged:
             row["status"] = "ok (optimizer hit iteration cap)"
-        _save_training(config, spec, record, seed, cell_dir, **target)
+        _save_training(config, spec, record, compiled, seed, cell_dir)
     except Exception as exc:  # cell failures land in the row, the sweep goes on
         row["status"] = f"error: {exc}"
     return row

@@ -34,7 +34,7 @@ from .spinmodels import (
     SOLVERS,
     uniform_grid,
 )
-from .training import TASKS, check_discard
+from .training import TASKS
 
 
 class ConfigError(ValueError):
@@ -93,12 +93,13 @@ def items(section: dict, key: str, where: str, parse) -> list:
 
 
 def checked_discard(discard: list[int], num_qubits: int, where: str) -> list[int]:
-    """``check_discard`` of the discard list read from ``where``, whose
-    ValueError becomes a ConfigError naming ``where``.discard."""
-    try:
-        return check_discard(discard, num_qubits)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.discard: {exc} for {num_qubits} qubits") from exc
+    """The discard list read from ``where``, sorted and de-duplicated; one
+    that is empty or out of range raises a ConfigError naming it."""
+    discard = sorted(set(discard))
+    if not discard or discard[0] < 0 or discard[-1] >= num_qubits:
+        raise ConfigError(f"{where}.discard: {discard} must be a non-empty set of qubits "
+                          f"in [0, {num_qubits})")
+    return discard
 
 
 def _not_utf8(path, exc: UnicodeDecodeError, offset: int = 0) -> ValueError:

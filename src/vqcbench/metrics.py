@@ -14,8 +14,10 @@ takes a (batch, 2^N) amplitude matrix and returns F for every row from one
 batched encoder pass.
 
 Every evaluator takes the caller's ``CompiledCircuit``, the one the model
-was trained through, and runs its pass itself; the classifier reads it out
-with ``simulator.expectation``, as the training cost does.
+was trained through (``training.compile_for``), runs its pass itself and
+reads its target from it: the classifier reads <Z> on its one observed qubit
+(``training.observable``), as the training cost does, and the autoencoder
+resets its observed qubits.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import CompiledCircuit, expectation, z_signs
-from .training import check_discard
+from .simulator import CompiledCircuit, expectation
+from .training import observable
 
 
 @dataclass
@@ -86,11 +88,10 @@ def auc_score(scores, labels) -> float | None:
     return area2 / (2 * fp[-1] * tp[-1])
 
 
-def evaluate_classifier(compiled: CompiledCircuit, readout: int, params,
-                        test) -> ClassificationReport:
-    """Accuracy from sign predictions (sign(<Z_readout>), an exact zero
-    predicting +1) plus the exact ROC curve and AUC."""
-    obs = z_signs(compiled.num_qubits, readout)
+def evaluate_classifier(compiled: CompiledCircuit, params, test) -> ClassificationReport:
+    """Accuracy from sign predictions (sign(<Z_r>) on the compile's readout
+    qubit r, an exact zero predicting +1) plus the exact ROC curve and AUC."""
+    obs = observable(compiled, "classify")
     out = compiled.run(params, test.amplitudes())
     labels = [int(l) for l in test.labels()]
     scores = [float(m) for m in expectation(out, obs)]
@@ -113,12 +114,11 @@ def evaluate_classifier(compiled: CompiledCircuit, readout: int, params,
     )
 
 
-def reconstruct_fidelity(encoder: CompiledCircuit, params, discard,
-                         amplitudes: np.ndarray) -> np.ndarray:
+def reconstruct_fidelity(encoder: CompiledCircuit, params, amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of the decode(reset(encode(state))) round trip for every
-    row of a (batch, 2^N) amplitude matrix, resetting the ``discard`` qubits."""
-    n = encoder.num_qubits
-    discard = check_discard(discard, n)
+    row of a (batch, 2^N) amplitude matrix, resetting the qubits the encoder
+    was compiled for (its ``observed``)."""
+    n, discard = encoder.num_qubits, encoder.observed
     encoded = encoder.run(params, amplitudes)
     batch = encoded.shape[0]
     kept = [q for q in range(n) if q not in discard]
@@ -129,17 +129,12 @@ def reconstruct_fidelity(encoder: CompiledCircuit, params, discard,
     return np.sum(np.abs(np.matmul(a0_dagger, a)[:, 0]) ** 2, axis=1)  # ||A^dagger a0||^2
 
 
-def evaluate_autoencoder(
-    encoder: CompiledCircuit,
-    params,
-    discard,
-    test,
-    final_cost: float | None = None,
-) -> CompressionReport:
-    fidelities = reconstruct_fidelity(encoder, params, discard, test.amplitudes()).tolist()
+def evaluate_autoencoder(encoder: CompiledCircuit, params, test,
+                         final_cost: float | None = None) -> CompressionReport:
+    fidelities = reconstruct_fidelity(encoder, params, test.amplitudes()).tolist()
     return CompressionReport(
         fidelities=fidelities,
         mean_fidelity=float(np.mean(fidelities)),
-        n_d=len(set(discard)),
+        n_d=len(encoder.observed),
         final_cost=final_cost,
     )

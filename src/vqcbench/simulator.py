@@ -56,7 +56,8 @@ gate one of whose targets is already in the cone and adds its targets to the
 cone; only the kept gates are folded into blocks, and with Q every qubit
 every gate is kept.  A slot with no kept gate drives no block, so its
 gradient is exactly 0, and ``training.train`` leaves it out of the vector its
-minimizer sees.
+minimizer sees.  The compile is right for Q alone, so it keeps Q, and
+training and evaluation read their target from it.
 
 A pass walks the steps of a layout plan (``_plan``), made once at compile
 time.  A kernel is fast on a block whose window has many columns, and slow on
@@ -526,13 +527,18 @@ class CompiledCircuit:
     ``param_count`` stands for no slot.
 
     Only the gates in the backward light cone of the ``observed`` qubits
-    (module docstring; every qubit when None) are compiled, so a slot none of
-    whose gates is in it drives no chain: its ``first`` is the step count."""
+    (module docstring) are compiled, so a slot none of whose gates is in it
+    drives no chain: its ``first`` is the step count.  ``observed`` keeps
+    those qubits, sorted and distinct (every qubit when None)."""
 
     def __init__(self, circuit: Circuit, observed=None):
         n = self.num_qubits = circuit.num_qubits
         self.param_count = circuit.param_count
-        cone, gates = set(range(n) if observed is None else observed), []
+        observed = list(range(n) if observed is None else observed)
+        if not observed or any(q not in range(n) for q in observed):  # also refuses None
+            raise ValueError(f"observed qubits {observed} must be a non-empty set in [0, {n})")
+        self.observed = sorted({int(q) for q in observed})
+        cone, gates = set(self.observed), []
         for g in reversed(circuit.gates):
             if cone.intersection(g.targets):
                 cone.update(g.targets)
@@ -754,11 +760,9 @@ class CompiledCircuit:
 
 @lru_cache(maxsize=None)
 def z_signs(num_qubits: int, qubit: int) -> np.ndarray:
-    """The diagonal of Z on ``qubit`` over the 2^N basis states, +1 where the
-    qubit is 0 and -1 where it is 1; cached and read-only.  The one range
-    check of a readout qubit, in training and evaluation alike."""
-    if qubit not in range(num_qubits):  # also refuses None
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+    """The diagonal of Z on ``qubit`` (in [0, N), as a compile's ``observed``
+    are) over the 2^N basis states, +1 where the qubit is 0 and -1 where it
+    is 1; cached and read-only."""
     signs = 1.0 - 2.0 * ((np.arange(1 << num_qubits) >> (num_qubits - 1 - qubit)) & 1)
     signs.setflags(write=False)
     return signs

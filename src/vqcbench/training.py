@@ -17,7 +17,9 @@ adjoint sweep ``CompiledCircuit.gradient``, fed with lam_i = (dC/dm_i) O psi_i.
 ``train`` runs the caller's ``CompiledCircuit``, which the caller compiles
 once per model through ``compile_for`` and hands on to evaluation
 (``vqcbench.metrics``), and builds one objective per run (``_Objective``),
-which prepares the dataset once.
+which prepares the dataset once.  ``compile_for`` maps the task to the
+qubits it reads, and the compile keeps them (``CompiledCircuit.observed``):
+it is the one carrier of a run's target.
 Under ``param_shift_gd`` the gradient at x gets the pass the cost call at x
 left in the run's ``PassMemo``, so k steps make k + 1 forward passes and k
 sweeps.
@@ -42,21 +44,25 @@ from .simulator import (Circuit, CompiledCircuit, PassMemo, expectation, pass_wo
 TASKS = ("classify", "autoencode")
 
 
-def check_discard(discard, num_qubits: int) -> list[int]:
-    """Sorted, de-duplicated discard qubits; non-empty and in [0, num_qubits)."""
-    discard = sorted(set(int(q) for q in discard))
-    if not discard:
-        raise ValueError("discard set must be non-empty")
-    if discard[0] < 0 or discard[-1] >= num_qubits:
-        raise ValueError(f"discard qubits {discard} out of range")
-    return discard
+def observable(compiled: CompiledCircuit, task: str) -> np.ndarray:
+    """The diagonal of the task's observable O on the compile's ``observed``:
+    Z on a classifier's readout, which must be its one observed qubit, or the
+    sum of Z over an autoencoder's discarded qubits (one qubit's cached
+    ``z_signs`` alone), for training and evaluation alike."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    first, *rest = compiled.observed
+    if task == "classify" and rest:
+        raise ValueError(f"a classifier reads one qubit, but its compile observes "
+                         f"{compiled.observed}")
+    n = compiled.num_qubits
+    return sum((z_signs(n, q) for q in rest), z_signs(n, first))
 
 
 class _Objective:
     """The task cost of one run over its whole dataset: the caller's compiled
-    circuit, one prepared input, the task's diagonal observable O (Z on the
-    readout qubit, or the sum of Z on the discarded qubits) and
-    loss(m) = (C, dC/dm) in the m_i = <O>_i.
+    circuit, one prepared input, the task's diagonal observable O
+    (``observable``) and loss(m) = (C, dC/dm) in the m_i = <O>_i.
 
     It keeps no pass of its own: the cost's and the gradient's passes go
     through the run's one ``PassMemo``.  A pass that changes no block (the
@@ -65,21 +71,16 @@ class _Objective:
     applies only the blocks from the first of them on.  Either result is bit
     for bit the full pass's."""
 
-    def __init__(self, compiled: CompiledCircuit, dataset, task: str, readout=None,
-                 discard=None):
-        n, size = compiled.num_qubits, len(dataset)
+    def __init__(self, compiled: CompiledCircuit, dataset, task: str):
+        self.obs, size = observable(compiled, task), len(dataset)
         if task == "classify":
-            self.obs = z_signs(n, readout)
             labels = dataset.labels().astype(float)
             # C = (1/M) sum (l_i - m_i)^2
             self.loss = lambda m: (np.mean((labels - m) ** 2), 2.0 * (m - labels) / size)
-        elif task == "autoencode":
-            discard = check_discard(discard or (), n)
-            self.obs = sum(z_signs(n, q) for q in discard)
-            # C = (1/M) sum (n_d - s_i)/2
-            self.loss = lambda m: (np.mean(0.5 * (len(discard) - m)), np.full(size, -0.5 / size))
         else:
-            raise ValueError(f"unknown task {task!r}")
+            n_d = len(compiled.observed)
+            # C = (1/M) sum (n_d - s_i)/2
+            self.loss = lambda m: (np.mean(0.5 * (n_d - m)), np.full(size, -0.5 / size))
         self.compiled = compiled
         self.mat = compiled.state(dataset.amplitudes())
         self._memo = PassMemo()
@@ -101,13 +102,14 @@ def compile_for(circuit: Circuit, task: str, readout: int | None = None,
                 discard=None) -> CompiledCircuit:
     """The circuit compiled as its task reads it, the one compile that
     ``train``, evaluation and ``param_shift_gradient`` run: only the backward
-    light cone of the qubits the task reads (``CompiledCircuit``'s
-    ``observed``).  A classifier reads <Z> on its readout qubit.  An
+    light cone of the qubits the task reads, which the compile keeps as its
+    ``observed``.  A classifier reads <Z> on its readout qubit.  An
     autoencoder reads its discarded qubits: its cost reads their <Z>, and its
     fidelity F = ||A^dagger a0||^2 (``vqcbench.metrics``) is built from
     A^dagger A, their reduced state, so a gate outside their cone, which acts
-    on kept qubits alone, changes neither."""
-    return CompiledCircuit(circuit, [readout] if task == "classify" else discard)
+    on kept qubits alone, changes neither.  A task with no target is refused."""
+    observed = [readout] if task == "classify" else discard
+    return CompiledCircuit(circuit, () if observed is None else observed)
 
 
 def param_shift_gradient(
@@ -124,8 +126,7 @@ def param_shift_gradient(
     of the circuit, on every call.  ``train`` calls ``_Objective.gradient``
     instead, and this wrapper stays only because the benchmark harness under
     ``bench/`` imports it."""
-    compiled = compile_for(circuit, task, readout, discard)
-    return _Objective(compiled, dataset, task, readout, discard).gradient(params)
+    return _Objective(compile_for(circuit, task, readout, discard), dataset, task).gradient(params)
 
 
 def initial_parameters(param_count: int, seed: int) -> np.ndarray:
@@ -139,20 +140,19 @@ def train(
     compiled: CompiledCircuit,
     dataset,
     optimizer: OptimizerConfig,
-    readout: int | None = None,
-    discard=None,
     init_seed: int = 0,
 ) -> TrainRecord:
     """Minimize the task cost of the compiled circuit from
     ``initial_parameters(..., init_seed)``; wall time covers the optimizer
-    call only.  The minimizer sees only the live slots, those that drive a
-    step of the compile (``first`` before the step count); the cost reads no
-    other, so the others keep their initial draw in ``final_params``.  The
-    record keeps how many threads a pass could share single-row chunks over
-    (``pass_workers``), which a wall time depends on."""
+    call only.  The cost reads the qubits the circuit was compiled for
+    (``compile_for``) from the compile.  The minimizer sees only the live
+    slots, those that drive a step of the compile (``first`` before the step
+    count); the cost reads no other, so the others keep their initial draw in
+    ``final_params``.  The record keeps how many threads a pass could share
+    single-row chunks over (``pass_workers``), which a wall time depends on."""
     x0 = initial_parameters(compiled.param_count, init_seed)
     live = np.flatnonzero(compiled.first[:-1] < len(compiled.steps))
-    objective = _Objective(compiled, dataset, task, readout, discard)
+    objective = _Objective(compiled, dataset, task)
 
     def full(x):
         params = x0.copy()

@@ -7,8 +7,9 @@ per-block contraction, full-space ground states and the cold sector solve
 of one chain, the text of a dataset file
 and the pairwise AUC and threshold-sweep ROC, plus state vectors and random
 circuit/state generators.  The uncompiled path (``expectation_z_batch`` on
-``run_circuit_batch``, and the task costs on a fresh compile) is here too:
-the program compiles each model once and runs that, and must match it.
+``run_circuit_batch``, a whole compile, and the task costs on a fresh
+``compile_for``) is here too: the program compiles each model once for the
+qubits its task reads and runs that, and must match it.
 
 A single state here is a 1-D complex vector of 2^N amplitudes; the
 simulator takes states as rows of a (batch, 2^N) array, so a test runs
@@ -231,15 +232,17 @@ def expectation_z_batch(amplitudes, num_qubits, qubit):
 
 
 def classification_cost(circuit, readout, dataset, params):
-    """Mean squared error between labels and readout expectations, in [0, 4]."""
-    compiled = sim.CompiledCircuit(circuit)
-    return training._Objective(compiled, dataset, "classify", readout=readout).cost(params)
+    """Mean squared error between labels and readout expectations, in [0, 4],
+    on a fresh compile for the readout, as ``train`` runs it."""
+    compiled = training.compile_for(circuit, "classify", readout=readout)
+    return training._Objective(compiled, dataset, "classify").cost(params)
 
 
 def autoencoder_cost(encoder, discard, dataset, params):
-    """Mean reset-penalty cost over the dataset, in [0, n_d]."""
-    compiled = sim.CompiledCircuit(encoder)
-    return training._Objective(compiled, dataset, "autoencode", discard=discard).cost(params)
+    """Mean reset-penalty cost over the dataset, in [0, n_d], on a fresh
+    compile for the discard set, as ``train`` runs it."""
+    compiled = training.compile_for(encoder, "autoencode", discard=discard)
+    return training._Objective(compiled, dataset, "autoencode").cost(params)
 
 
 # Two-point rule for rotation generators with eigenvalues +-1/2, and the

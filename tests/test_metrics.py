@@ -18,7 +18,7 @@ from vqcbench.metrics import (
 )
 from vqcbench.simulator import Circuit, CompiledCircuit, run_circuit_batch
 from vqcbench.spinmodels import DataRecord, Dataset, SpinModel
-from vqcbench.training import _Objective, train
+from vqcbench.training import _Objective, compile_for, train
 from vqcbench.optimizers import OptimizerConfig
 
 from conftest import (
@@ -77,7 +77,7 @@ def density_matrix_fidelity(encoder, params, discard, state):
 
 def test_predict_identity_circuit():
     ds = make_dataset([basis_state(1, 0), basis_state(1, 1)], [1, -1], 1)
-    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), [], ds)
     assert report.predictions == [1, -1]
 
 
@@ -85,17 +85,9 @@ def test_predict_tie_breaks_positive():
     # |+> has <Z> = 0 exactly, and an exact zero predicts +1
     plus = np.full(2, 1 / np.sqrt(2))
     ds = make_dataset([plus], [-1], 1)
-    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), [], ds)
     assert report.scores[0] == 0.0
     assert report.predictions == [1]
-
-
-def test_evaluate_classifier_rejects_an_out_of_range_readout():
-    # the readout check training uses (in simulator.z_signs), before any pass runs
-    ds = make_dataset([zero_state(2)], [1], 2)
-    for readout in (2, -1, None):
-        with pytest.raises(ValueError, match=f"qubit {readout} out of range for 2 qubits"):
-            evaluate_classifier(CompiledCircuit(Circuit(2)), readout, [], ds)
 
 
 def test_perfect_separation_report():
@@ -168,48 +160,69 @@ def test_auc_and_roc_edge_cases_equal_their_oracles(scores, labels):
 def test_evaluate_classifier_end_to_end():
     # identity circuit on |0>, |1>: perfectly separable
     ds = make_dataset([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [1, -1], 1)
-    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), [], ds)
     assert report.accuracy == 1.0
     assert report.auc == 1.0
     assert report.confusion == {"tp": 1, "tn": 1, "fp": 0, "fn": 0}
     # deterministic
-    report2 = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
+    report2 = evaluate_classifier(CompiledCircuit(Circuit(1)), [], ds)
     assert report == report2
 
 
 def test_accuracy_zero_when_labels_flipped():
     ds = make_dataset([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [-1, 1], 1)
-    report = evaluate_classifier(CompiledCircuit(Circuit(1)), 0, [], ds)
+    report = evaluate_classifier(CompiledCircuit(Circuit(1)), [], ds)
     assert report.accuracy == 0.0
     assert report.auc == 0.0
 
 
-@pytest.mark.parametrize("real", [True, False])
-def test_evaluators_equal_the_uncompiled_path_exactly(rng, real):
-    # a compiled circuit that a training objective has already run gives
-    # the evaluators bit for bit what a fresh compile and the plain readout
-    # give; the fidelity's reference runs the closed form on the pass
-    # run_circuit_batch made, through an encoder with no gates
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        circ = random_circuit(n, rng, n_gates=12, param_count=3, real=real)
-        params = rng.uniform(-np.pi, np.pi, size=3)
-        states = rng.normal(size=(4, 1 << n))
-        if not real:
-            states = states + 1j * rng.normal(size=states.shape)
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        ds = make_dataset(states, [1, -1, 1, -1], n)
-        readout = int(rng.integers(n))
-        discard = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
-        compiled = CompiledCircuit(circ)
-        _Objective(compiled, ds, "classify", readout=readout).cost(params + 0.5)
+@st.composite
+def evaluation_cases(draw):
+    """A random real or complex circuit on 2-6 qubits, 1-4 states (complex
+    for a complex circuit), a readout qubit and a discard set."""
+    n = draw(st.integers(2, 6))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circ = random_circuit(n, rng, n_gates=draw(st.integers(0, 14)), param_count=3, real=real)
+    params = rng.uniform(-np.pi, np.pi, size=3)
+    states = rng.normal(size=(draw(st.integers(1, 4)), 1 << n))
+    if not real:
+        states = states + 1j * rng.normal(size=states.shape)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    ds = make_dataset(states, [1 - 2 * (i % 2) for i in range(len(states))], n)
+    readout = draw(st.integers(0, n - 1))
+    discard = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    return circ, params, ds, readout, discard
 
-        encoded = run_circuit_batch(circ, params, ds.amplitudes())
-        scores = evaluate_classifier(compiled, readout, params, ds).scores
-        assert scores == expectation_z_batch(encoded, n, readout).tolist()
-        got = reconstruct_fidelity(compiled, params, discard, ds.amplitudes())
-        want = reconstruct_fidelity(CompiledCircuit(Circuit(n)), [], discard, encoded)
-        assert got.tolist() == want.tolist()
+
+@settings(max_examples=60, deadline=None)
+@given(evaluation_cases())
+def test_evaluators_through_compile_for_equal_the_uncompiled_path(case):
+    # each evaluator reads its target from the compile: the scores are <Z_r>
+    # of the whole circuit's output (run_circuit_batch), and the fidelity is
+    # the Kraus-branch simulation's and the closed form's on that output,
+    # through an encoder with no gates compiled for the discard set.  A
+    # compile that a training objective has already run gives the evaluators
+    # bit for bit what a fresh compile gives
+    circ, params, ds, readout, discard = case
+    n = circ.num_qubits
+    classifier = compile_for(circ, "classify", readout=readout)
+    encoder = compile_for(circ, "autoencode", discard=discard)
+    for compiled, task in ((classifier, "classify"), (encoder, "autoencode")):
+        _Objective(compiled, ds, task).cost(params + 0.5)
+
+    encoded = run_circuit_batch(circ, params, ds.amplitudes())
+    scores = evaluate_classifier(classifier, params, ds).scores
+    assert scores == evaluate_classifier(compile_for(circ, "classify", readout=readout), params,
+                                         ds).scores
+    assert np.max(np.abs(np.subtract(scores, expectation_z_batch(encoded, n, readout)))) < 1e-12
+    got = reconstruct_fidelity(encoder, params, ds.amplitudes())
+    fresh = compile_for(circ, "autoencode", discard=discard)
+    assert got.tolist() == reconstruct_fidelity(fresh, params, ds.amplitudes()).tolist()
+    closed = reconstruct_fidelity(CompiledCircuit(Circuit(n), discard), [], encoded)
+    assert np.max(np.abs(got - closed)) < 1e-12
+    kraus = [kraus_fidelity(circ, params, discard, state) for state in ds.amplitudes()]
+    assert np.max(np.abs(got - kraus)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +230,14 @@ def test_evaluators_equal_the_uncompiled_path_exactly(rng, real):
 
 
 def test_identity_encoder_on_zero_state():
-    got = reconstruct_fidelity(CompiledCircuit(Circuit(4)), [], [0, 2], [zero_state(4)])
+    got = reconstruct_fidelity(CompiledCircuit(Circuit(4), [0, 2]), [], [zero_state(4)])
     assert got == pytest.approx([1.0])
 
 
 def test_identity_encoder_plus_tensor_zero():
     amp = np.zeros(4, dtype=complex)
     amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
-    got = reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], [0], [amp])
+    got = reconstruct_fidelity(CompiledCircuit(Circuit(2), [0]), [], [amp])
     assert got == pytest.approx([0.5])
 
 
@@ -236,7 +249,7 @@ def test_fidelity_matches_density_matrix_oracle(rng):
         states = np.array([random_state(n, rng) for _ in range(3)])
         n_d = int(rng.integers(1, n))
         discard = tuple(sorted(rng.choice(n, size=n_d, replace=False).tolist()))
-        got = reconstruct_fidelity(CompiledCircuit(circ), params, discard, states)
+        got = reconstruct_fidelity(compile_for(circ, "autoencode", discard=discard), params, states)
         oracle = [density_matrix_fidelity(circ, params, list(discard), s) for s in states]
         assert got == pytest.approx(oracle, abs=1e-10)
         assert np.all((0.0 <= got) & (got <= 1.0 + 1e-9))
@@ -258,7 +271,8 @@ def compression_cases(draw):
 @given(compression_cases())
 def test_closed_form_fidelity_matches_kraus_and_density_oracles(case):
     circ, params, discard, state = case
-    [got] = reconstruct_fidelity(CompiledCircuit(circ), params, discard, [state])
+    [got] = reconstruct_fidelity(compile_for(circ, "autoencode", discard=discard), params,
+                                 [state])
     kraus = kraus_fidelity(circ, params, discard, state)
     dense = density_matrix_fidelity(circ, params, list(discard), state)
     assert got == pytest.approx(kraus, abs=1e-10)
@@ -275,11 +289,11 @@ def test_fidelity_memory_stays_within_a_few_states(rng):
     params = rng.uniform(-np.pi, np.pi, size=4)
     discard = list(range(0, n, 2))
     state = random_state(n, rng)[None, :]
-    compiled = CompiledCircuit(circ)
-    reconstruct_fidelity(compiled, params, discard, state)
+    compiled = compile_for(circ, "autoencode", discard=discard)
+    reconstruct_fidelity(compiled, params, state)
     tracemalloc.start()
     try:
-        reconstruct_fidelity(compiled, params, discard, state)
+        reconstruct_fidelity(compiled, params, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -295,7 +309,7 @@ def test_fidelity_one_when_encoder_output_factorizes(rng):
     from vqcbench.simulator import ry
 
     circ = Circuit(n, [ry(2, angle=0.7)])
-    got = reconstruct_fidelity(CompiledCircuit(circ), [], [0, 1], state)
+    got = reconstruct_fidelity(compile_for(circ, "autoencode", discard=[0, 1]), [], state)
     assert got == pytest.approx([1.0], abs=1e-12)
 
 
@@ -304,14 +318,13 @@ def test_trained_cost_zero_implies_fidelity_one():
     circ, discard = build_ansatz(AnsatzSpec("qcnn_ry", 4, 1))
     _, state, _ = ground_state(SpinModel("tfi", 4, 1.8))
     ds = make_dataset([state], [1], 4)
+    encoder = compile_for(circ, "autoencode", discard=discard)
     record = train(
-        "autoencode", CompiledCircuit(circ), ds,
-        OptimizerConfig(kind="powell", max_iterations=200, cost_tolerance=1e-14),
-        discard=discard, init_seed=1,
+        "autoencode", encoder, ds,
+        OptimizerConfig(kind="powell", max_iterations=200, cost_tolerance=1e-14), init_seed=1,
     )
     cost = min(record.cost_history)
-    [fid] = reconstruct_fidelity(CompiledCircuit(circ), record.final_params, discard,
-                                 ds.amplitudes())
+    [fid] = reconstruct_fidelity(encoder, record.final_params, ds.amplitudes())
     if cost < 1e-9:
         assert fid >= 1 - 1e-6
     assert fid >= 1 - 2 * cost  # general cost-fidelity bound direction
@@ -323,29 +336,29 @@ def test_evaluate_autoencoder_report(rng):
     _, s1, _ = ground_state(SpinModel("tfi", 4, 0.5))
     _, s2, _ = ground_state(SpinModel("tfi", 4, 1.5))
     ds = make_dataset([s1, s2], [-1, 1], 4)
-    report = evaluate_autoencoder(CompiledCircuit(circ), params, discard, ds, final_cost=0.123)
+    encoder = compile_for(circ, "autoencode", discard=discard)
+    report = evaluate_autoencoder(encoder, params, ds, final_cost=0.123)
     assert len(report.fidelities) == 2
     assert report.mean_fidelity == pytest.approx(np.mean(report.fidelities))
     assert report.n_d == 2
     assert report.final_cost == 0.123
     for f in report.fidelities:
         assert 0.0 <= f <= 1.0 + 1e-9
-    single = evaluate_autoencoder(CompiledCircuit(circ), params, discard,
-                                  make_dataset([s1], [1], 4))
+    single = evaluate_autoencoder(encoder, params, make_dataset([s1], [1], 4))
     assert single.mean_fidelity == pytest.approx(single.fidelities[0])
 
 
 def test_compression_spec_validation():
-    # the discard list is checked where the fidelity is computed: non-empty,
-    # in range, and read as a set
+    # the discard list is checked where the encoder is compiled for it:
+    # non-empty, in range, and read as a set
     for bad in ([], [-1], [2], [0, 5]):
         with pytest.raises(ValueError):
-            reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], bad, [zero_state(2)])
+            compile_for(Circuit(2), "autoencode", discard=bad)
     amp = np.zeros(4)
     amp[0b00] = amp[0b10] = 1 / np.sqrt(2)
     for same in ([0], [0, 0], (0,)):
-        got = reconstruct_fidelity(CompiledCircuit(Circuit(2)), [], same, [amp])
+        got = reconstruct_fidelity(compile_for(Circuit(2), "autoencode", discard=same), [], [amp])
         assert got == pytest.approx([0.5])
-    report = evaluate_autoencoder(CompiledCircuit(Circuit(3)), [], [2, 0, 2],
+    report = evaluate_autoencoder(compile_for(Circuit(3), "autoencode", discard=[2, 0, 2]), [],
                                   make_dataset([zero_state(3)], [1], 3))
     assert report.n_d == 2

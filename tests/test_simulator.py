@@ -592,10 +592,9 @@ def test_the_pool_never_starts_in_a_sweep_n8_cell(family, layers, workers, monke
                                   for i, s in enumerate(states)], {})
 
     train_ds, test_ds = dataset(8), dataset(192)
-    record = train("classify", compiled, train_ds,
-                   OptimizerConfig(kind="powell", max_iterations=1), readout=readout)
-    _Objective(compiled, train_ds, "classify", readout).gradient(record.final_params)
-    evaluate_classifier(compiled, readout, record.final_params, test_ds)
+    record = train("classify", compiled, train_ds, OptimizerConfig(kind="powell", max_iterations=1))
+    _Objective(compiled, train_ds, "classify").gradient(record.final_params)
+    evaluate_classifier(compiled, record.final_params, test_ds)
     assert len(sim._row_chunks(compiled.state(test_ds.amplitudes()))) == 1 + (not compiled.real)
     assert sim._pool is None
 
@@ -866,25 +865,27 @@ def test_cone_compile_equals_the_full_compile_on_every_observed_qubit(case):
 @given(circuit_cases(), st.data())
 def test_cone_of_an_observed_set_reads_as_the_full_compile(case, data):
     # an autoencoder observes its discarded qubits D: its cost reads their
-    # <Z>, but its reset-channel fidelity reads their whole reduced state
+    # <Z>, but its reset-channel fidelity reads their whole reduced state.
+    # The cone compile for D reads both as the whole circuit's output does
+    # (run_circuit_batch), and its gradient is the per-gate oracle's
     circ, params, states, _ = case
     n = circ.num_qubits
     observed = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
                                         max_size=min(3, n))))
-    full, cone = sim.CompiledCircuit(circ), sim.CompiledCircuit(circ, observed=observed)
+    cone = sim.CompiledCircuit(circ, observed=observed)
+    encoded = sim.run_circuit_batch(circ, params, states)
     dataset = Dataset("tfi", n, [DataRecord(state, 0.0, 1) for state in states])
-    costs = [_Objective(c, dataset, "autoencode", discard=observed).cost(params)
-             for c in (full, cone)]
-    assert abs(costs[1] - costs[0]) < 1e-12
-    fidelities = [reconstruct_fidelity(c, params, observed, states) for c in (full, cone)]
+    m = sum(expectation_z_batch(encoded, n, q) for q in observed)
+    cost = _Objective(cone, dataset, "autoencode").cost(params)
+    assert abs(cost - np.mean(0.5 * (len(observed) - m))) < 1e-12
+    identity = sim.CompiledCircuit(sim.Circuit(n), observed)  # the closed form on ``encoded``
+    fidelities = [reconstruct_fidelity(cone, params, states),
+                  reconstruct_fidelity(identity, [], encoded)]
     assert np.max(np.abs(fidelities[1] - fidelities[0])) < 1e-12
     signs = sum(sim.z_signs(n, q) for q in observed)  # O, the sum of Z over D
-
-    def gradient(compiled):  # lam = O psi
-        psi = compiled.run(params, states)
-        return compiled.gradient(params, psi, signs * psi)
-
-    g_full, g_cone = gradient(full), gradient(cone)
+    psi = cone.run(params, states)
+    g_cone = cone.gradient(params, psi, signs * psi)  # lam = O psi
+    g_full = tensordot_gradient(circ, params, encoded, signs * encoded)
     driving = cone.drives[: circ.param_count].any(axis=1)
     assert np.max(np.abs(g_cone - g_full)[driving], initial=0.0) < 1e-12
     assert np.all(g_cone[~driving] == 0.0)
@@ -955,7 +956,7 @@ def test_layout_plan_is_the_fold_itself_at_8_qubits_or_fewer(family, n):
     for spec in specs:
         circ, _ = build_ansatz(spec)
         compiles = [compile_for(circ, "classify", readout_qubit(spec)),
-                    compile_for(circ, "autoencode"), sim.CompiledCircuit(circ),
+                    compile_for(circ, "autoencode", discard=[0, 1]), sim.CompiledCircuit(circ),
                     sim.CompiledCircuit(circ, observed=[n - 1])]
         for compiled in compiles:
             assert _rotation_steps(compiled) == []

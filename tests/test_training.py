@@ -1,13 +1,22 @@
 """Cost functions, adjoint gradients against the parameter-shift rule and
 finite differences, and the end-to-end training loop."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import autoencoder_cost, classification_cost, param_shift_oracle, random_circuit
+from conftest import (
+    autoencoder_cost,
+    classification_cost,
+    expectation_z_batch,
+    param_shift_oracle,
+    random_circuit,
+    tensordot_gradient,
+    tensordot_pass,
+)
 from vqcbench import simulator, training
 from vqcbench.ansatz import AnsatzSpec, build_ansatz, build_hea, build_qcnn
 from vqcbench.optimizers import (
@@ -122,9 +131,9 @@ def test_register_size_mismatch_rejected_everywhere():
         with pytest.raises(ValueError):
             param_shift_gradient(circ, ds, params, task=task, **target)
     with pytest.raises(ValueError):
-        evaluate_classifier(CompiledCircuit(circ), 0, params, ds)
+        evaluate_classifier(training.compile_for(circ, "classify", readout=0), params, ds)
     with pytest.raises(ValueError):
-        evaluate_autoencoder(CompiledCircuit(circ), params, [1], ds)
+        evaluate_autoencoder(training.compile_for(circ, "autoencode", discard=[1]), params, ds)
     # a record whose length disagrees with the dataset's own register size
     bad = make_dataset([np.eye(4)[0], np.eye(8)[0]], [1, -1], 2)
     with pytest.raises(ValueError, match="record 1"):
@@ -309,7 +318,7 @@ def test_gradient_closure_equals_param_shift_gradient(spec, task, rng):
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1, -1], n)
     target = {"readout": 0} if task == "classify" else {"discard": [1, 3]}
     compiled = training.compile_for(circ, task, **target)
-    objective = training._Objective(compiled, ds, task, **target)
+    objective = training._Objective(compiled, ds, task)
     for _ in range(2):
         params = rng.uniform(-np.pi, np.pi, size=circ.param_count)
         expected = param_shift_gradient(circ, ds, params, task=task, **target)
@@ -342,19 +351,27 @@ def test_param_shift_gradient_is_the_gradient_train_runs(family, layers, task, r
         return TrainRecord(np.asarray(x0))
 
     monkeypatch.setattr(training, "gradient_descent_minimize", minimizer)
-    train(task, compiled, ds, OptimizerConfig(kind="param_shift_gd"), init_seed=5, **target)
+    train(task, compiled, ds, OptimizerConfig(kind="param_shift_gd"), init_seed=5)
     params = initial_parameters(circ.param_count, 5)
     grad = param_shift_gradient(circ, ds, params, task, **target)
     outside = ~compiled.drives[: circ.param_count].any(axis=1)
     assert np.array_equal(grad[~outside], handed[0])
-    assert np.array_equal(grad, training._Objective(compiled, ds, task, **target).gradient(params))
+    assert np.array_equal(grad, training._Objective(compiled, ds, task).gradient(params))
     # a full-depth QCNN's last rotation acts on qubit 0 alone, which it keeps
     dead = {"classify": {"hea_ry": 13, "hea_rxrzrx": 39},
             "autoencode": {"hea_ry": 9, "hea_rxrzrx": 27}}[task].get(
                 family, 1 if task == "autoencode" else 0)
     assert np.count_nonzero(outside) == dead
     assert np.all(grad[outside] == 0.0)
-    whole = training._Objective(CompiledCircuit(circ), ds, task, **target).gradient(params)
+    # the whole circuit's gradient by the per-gate oracle, which compiles nothing
+    psi = tensordot_pass(circ, params, ds.amplitudes())
+    if task == "classify":
+        obs = simulator.z_signs(8, 0)
+        weights = 2.0 * (expectation_z_batch(psi, 8, 0) - ds.labels()) / len(ds)
+    else:
+        obs = sum(simulator.z_signs(8, q) for q in target["discard"])
+        weights = np.full(len(ds), -0.5 / len(ds))
+    whole = tensordot_gradient(circ, params, psi, weights[:, None] * obs * psi)
     assert np.max(np.abs(grad - whole)) < 1e-12
 
 
@@ -384,14 +401,13 @@ def test_slots_outside_the_cone_keep_their_initial_values(kind, minimizer, famil
 
     monkeypatch.setattr(training, minimizer, recording)
     record = train(task, compiled, ds, OptimizerConfig(kind=kind, max_iterations=4),
-                   init_seed=3, **target)
+                   init_seed=3)
     assert handed == [live] and record.live_params == live
     dead = ~compiled.drives[: circ.param_count].any(axis=1)
     assert np.count_nonzero(~dead) == live
     x0 = initial_parameters(circ.param_count, 3)
     assert np.array_equal(record.final_params[dead], x0[dead])
-    assert record.final_cost == training._Objective(compiled, ds, task, **target).cost(
-        record.final_params)
+    assert record.final_cost == training._Objective(compiled, ds, task).cost(record.final_params)
 
 
 def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeypatch):
@@ -400,9 +416,9 @@ def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeyp
     compiles = []
     init = simulator.CompiledCircuit.__init__
 
-    def counting(self, circuit):
+    def counting(self, circuit, observed=None):
         compiles.append(1)
-        init(self, circuit)
+        init(self, circuit, observed)
 
     monkeypatch.setattr(simulator.CompiledCircuit, "__init__", counting)
     circ, _ = build_ansatz(AnsatzSpec("qcnn_ry", 4, 2))
@@ -410,10 +426,10 @@ def test_gradient_descent_compiles_the_circuit_a_bounded_number_of_times(monkeyp
     counts = []
     for steps in (3, 6):
         compiles.clear()
-        record = train("classify", CompiledCircuit(circ), ds,
+        record = train("classify", training.compile_for(circ, "classify", readout=0), ds,
                        OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
                                        learning_rate=0.05),
-                       readout=0, init_seed=1)
+                       init_seed=1)
         assert len(record.cost_history) == steps + 1  # no early stop
         counts.append(len(compiles))
     assert counts == [1, 1]
@@ -436,34 +452,40 @@ def test_gradient_descent_step_makes_one_forward_pass_and_one_sweep(steps, monke
     circ, _ = build_ansatz(AnsatzSpec("qcnn_su4", 8, 3))
     states = np.random.default_rng(4).normal(size=(3, 256))
     ds = make_dataset(states / np.linalg.norm(states, axis=1, keepdims=True), [1, -1, 1], 8)
-    record = train("classify", CompiledCircuit(circ), ds,
+    compiled = training.compile_for(circ, "classify", readout=0)
+    record = train("classify", compiled, ds,
                    OptimizerConfig(kind="param_shift_gd", max_iterations=steps,
                                    learning_rate=0.05),
-                   readout=0, init_seed=1)
+                   init_seed=1)
     assert len(record.cost_history) == steps + 1  # no early stop
-    blocks = len(simulator.CompiledCircuit(circ).blocks)
+    blocks = len(compiled.blocks)
     # the gradient's forward run returns the output the cost's run kept
     assert calls == {"run": 2 * steps + 1, "gradient": steps,
                      "kernel": (2 * steps + 1) * blocks}
 
 
-@pytest.mark.parametrize("family,layers", [("qcnn_ry", 3), ("qcnn_su4", 2), ("hea_rxrzrx", 1)])
+@pytest.mark.parametrize("family,layers,readout", [
+    ("qcnn_ry", 3, 0), ("qcnn_su4", 2, 0), ("hea_rxrzrx", 1, 7),
+])
 def test_powell_through_the_pass_memo_keeps_the_cost_history_of_fresh_passes(
-        family, layers, monkeypatch):
+        family, layers, readout, monkeypatch):
     # XXZ ground states tie costs to the last bit (Powell's Brent search
-    # compares them), so any rounding change would show in the history
+    # compares them), so any rounding change would show in the history.  A
+    # one-layer HEA's cone of qubit 0 is one block, which leaves the memo
+    # nothing to skip; its cone of qubit 7 runs back along the whole CZ chain
     train_set, _ = generate_dataset("xxz", 8, np.linspace(0.2, 1.8, 16), train_fraction=0.5,
                                     seed=0, solver="dense")
-    compiled = CompiledCircuit(build_ansatz(AnsatzSpec(family, 8, layers))[0])
+    compiled = training.compile_for(build_ansatz(AnsatzSpec(family, 8, layers))[0], "classify",
+                                    readout=readout)
     config = OptimizerConfig(kind="powell", max_iterations=1, line_search_tol=1e-4)
     calls = []
     kernel = simulator._kernel
     monkeypatch.setattr(simulator, "_kernel", lambda *args: calls.append(1) or kernel(*args))
-    kept = train("classify", compiled, train_set, config, readout=0, init_seed=3)
+    kept = train("classify", compiled, train_set, config, init_seed=3)
     kept_calls = len(calls)
     calls.clear()
     monkeypatch.setattr(training, "PassMemo", lambda: None)  # every pass from block 0
-    fresh = train("classify", compiled, train_set, config, readout=0, init_seed=3)
+    fresh = train("classify", compiled, train_set, config, init_seed=3)
     assert kept.cost_history == fresh.cost_history
     assert np.array_equal(kept.final_params, fresh.final_params)
     assert kept_calls < 0.8 * len(calls)
@@ -479,9 +501,8 @@ def test_train_separable_pair_reaches_tiny_cost():
     circ = build_hea(spec)
     ds = make_dataset([np.eye(8)[0], np.eye(8)[7]], [+1, -1], n)
     record = train(
-        "classify", CompiledCircuit(circ), ds,
-        OptimizerConfig(kind="powell", max_iterations=60),
-        readout=0, init_seed=5,
+        "classify", training.compile_for(circ, "classify", readout=0), ds,
+        OptimizerConfig(kind="powell", max_iterations=60), init_seed=5,
     )
     assert min(record.cost_history) < 1e-3
     assert record.wall_time_per_sample == record.wall_time_total / 2
@@ -492,8 +513,8 @@ def test_train_deterministic_given_seed():
     circ = build_hea(AnsatzSpec("hea_ry", n, 1))
     ds = make_dataset([np.eye(4)[0], np.eye(4)[3]], [+1, -1], n)
     cfg = OptimizerConfig(kind="powell", max_iterations=10)
-    rec_a = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=9)
-    rec_b = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=9)
+    rec_a, rec_b = (train("classify", training.compile_for(circ, "classify", readout=0), ds, cfg,
+                          init_seed=9) for _ in range(2))
     assert rec_a.cost_history == rec_b.cost_history
     assert np.array_equal(rec_a.final_params, rec_b.final_params)
 
@@ -504,9 +525,8 @@ def test_train_autoencode_path():
     amp[0] = 1.0
     ds = make_dataset([amp], [1], 4)
     record = train(
-        "autoencode", CompiledCircuit(circ), ds,
-        OptimizerConfig(kind="powell", max_iterations=20),
-        discard=discard, init_seed=2,
+        "autoencode", training.compile_for(circ, "autoencode", discard=discard), ds,
+        OptimizerConfig(kind="powell", max_iterations=20), init_seed=2,
     )
     assert min(record.cost_history) < 1e-6  # |0000> is compressible trivially
 
@@ -517,7 +537,7 @@ def test_train_with_gd_optimizer():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0], [1.0, 0.0]], [+1, -1], 1)
     cfg = OptimizerConfig(kind="param_shift_gd", max_iterations=300, learning_rate=0.2)
-    objective = training._Objective(CompiledCircuit(circ), ds, "classify", readout=0)
+    objective = training._Objective(CompiledCircuit(circ), ds, "classify")
     record = gradient_descent_minimize(objective.cost, objective.gradient, np.array([0.3]), cfg)
     assert record.cost_history[-1] == pytest.approx(1.0, abs=1e-8)
     assert record.final_params[0] == pytest.approx(np.pi / 2, abs=1e-4)
@@ -528,18 +548,46 @@ def test_train_validates_inputs():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0]], [1], 1)
     with pytest.raises(ValueError):
-        train("classify", CompiledCircuit(circ), ds, OptimizerConfig(), readout=None)
-    with pytest.raises(ValueError):
-        train("autoencode", CompiledCircuit(circ), ds, OptimizerConfig(), discard=set())
-    with pytest.raises(ValueError):
-        train("rank", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0)
+        train("rank", CompiledCircuit(circ), ds, OptimizerConfig())
+
+
+def test_a_compile_refuses_a_target_outside_the_register():
+    # the compile is the one carrier of its task's target: an empty set, a
+    # qubit at N or at -1, or a task with no target is refused
+    circ = Circuit(2, [ry(0, slot=0), ry(1, slot=1)], param_count=2)
+    for observed in ([], [2], [-1], [0, 2]):
+        with pytest.raises(ValueError, match=rf"observed qubits {re.escape(str(observed))}"):
+            CompiledCircuit(circ, observed)
+    for readout in (2, -1, None):
+        with pytest.raises(ValueError, match=rf"observed qubits \[{readout}\]"):
+            training.compile_for(circ, "classify", readout=readout)
+    with pytest.raises(ValueError, match=r"observed qubits \[None\]"):
+        training.compile_for(circ, "classify")
+    for discard in (None, set(), {2}, [-1, 0]):
+        with pytest.raises(ValueError, match="observed qubits"):
+            training.compile_for(circ, "autoencode", discard=discard)
+    assert CompiledCircuit(circ).observed == [0, 1]
+    assert training.compile_for(circ, "autoencode", discard={1, 0, 1}).observed == [0, 1]
+
+
+def test_a_classifier_refuses_a_compile_that_observes_more_than_one_qubit():
+    # a whole compile of a 2-qubit circuit observes both qubits: training and
+    # evaluation refuse it rather than pick one
+    circ = Circuit(2, [ry(0, slot=0), ry(1, slot=1)], param_count=2)
+    ds = make_dataset([np.eye(4)[0], np.eye(4)[3]], [1, -1], 2)
+    whole = CompiledCircuit(circ)
+    message = r"a classifier reads one qubit, but its compile observes \[0, 1\]"
+    with pytest.raises(ValueError, match=message):
+        train("classify", whole, ds, OptimizerConfig())
+    with pytest.raises(ValueError, match=message):
+        evaluate_classifier(whole, [0.1, 0.2], ds)
 
 
 def test_train_rejects_an_unknown_task_by_name():
     circ = Circuit(1, [ry(0, slot=0)], param_count=1)
     ds = make_dataset([[1.0, 0.0]], [1], 1)
     with pytest.raises(ValueError, match="unknown task 'regress'"):
-        train("regress", CompiledCircuit(circ), ds, OptimizerConfig(), readout=0)
+        train("regress", CompiledCircuit(circ), ds, OptimizerConfig())
 
 
 def test_train_owns_the_run_timing():
@@ -548,7 +596,7 @@ def test_train_owns_the_run_timing():
     cfg = OptimizerConfig(kind="spsa", max_iterations=5)
     bare = spsa_minimize(lambda x: float(np.sum(x ** 2)), [0.3], cfg)
     assert bare.wall_time_total == bare.wall_time_per_sample == 0.0
-    record = train("classify", CompiledCircuit(circ), ds, cfg, readout=0, init_seed=1)
+    record = train("classify", CompiledCircuit(circ), ds, cfg, init_seed=1)
     assert record.wall_time_total > 0.0
     assert record.wall_time_per_sample == record.wall_time_total / 2
     assert bare.pass_workers is None
