@@ -56,10 +56,10 @@ class AnsatzSpec:
         if self.family in QCNN_FAMILIES:
             if not _is_power_of_two(self.num_qubits):
                 raise ValueError("QCNN families require a power-of-two qubit count")
-            if (1 << self.layers) > self.num_qubits:
+            if self.layers > self.full_depth:  # not 1 << layers, which overflows
                 raise ValueError(
                     f"QCNN with {self.num_qubits} qubits supports at most "
-                    f"{self.num_qubits.bit_length() - 1} layers"
+                    f"{self.full_depth} layers"
                 )
         if self.hea_template not in HEA_TEMPLATES:
             raise ValueError(f"unknown HEA template {self.hea_template!r}")

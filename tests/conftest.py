@@ -4,8 +4,8 @@ adjoint gradient, the canonical per-block walk of a compiled circuit (its
 blocks in order, with no layout plan), circuit inversion, the Kraus branches
 of the reset channel, parameter-shift gradients, the adjoint sweep's
 per-block contraction, full-space ground states and the cold sector solve
-of one chain, the text of a dataset file
-and the pairwise AUC and threshold-sweep ROC, plus state vectors and random
+of one chain, the text of a dataset file and the check that a file reads
+as it, and the pairwise AUC and threshold-sweep ROC, plus state vectors and random
 circuit/state generators.  The uncompiled path (``expectation_z_batch`` on
 ``run_circuit_batch``, a whole compile, and the task costs on a fresh
 ``compile_for``) is here too: the program compiles each model once for the
@@ -337,7 +337,10 @@ REAL_KINDS = ["ry", "x", "h", "cnot", "cz", "cry", "u2"]
 
 def reference_dataset_text(dataset):
     """The text of a dataset file as ``json.dumps`` writes it, every amplitude
-    through ``tolist()``; raises ValueError on a NaN or infinite value."""
+    through ``tolist()`` and a missing ``h_c`` as null; raises ValueError on a
+    NaN or infinite value.  The program writes this header byte for byte,
+    and records that stdlib json reads to the same values
+    (``assert_dataset_file_reads_as_reference``)."""
     def dumps(obj):
         return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
@@ -346,7 +349,7 @@ def reference_dataset_text(dataset):
         "format_version": FORMAT_VERSION,
         "model": dataset.kind,
         "N": dataset.num_sites,
-        "h_c": float(meta.get("h_c", float("nan"))),
+        "h_c": None if meta.get("h_c") is None else float(meta["h_c"]),
         "bit_order": BIT_ORDER,
         "solver": meta.get("solver"),
         "seed": meta.get("seed"),
@@ -364,6 +367,29 @@ def reference_dataset_text(dataset):
             obj["im"] = np.asarray(state.imag, dtype=float).tolist()
         lines.append(dumps(obj))
     return "\n".join(lines) + "\n"
+
+
+def assert_dataset_file_reads_as_reference(data: bytes, dataset):
+    """``data``, the bytes of a dataset file, holds the header of
+    ``reference_dataset_text(dataset)`` byte for byte, and one record line
+    for each of its lines that stdlib json reads to the same keys, label
+    and float bits; a float may be spelled otherwise (``1e16`` for
+    ``1e+16``)."""
+    def bits(value):  # an integer among the floats fails
+        values = value if isinstance(value, list) else [value]
+        assert all(type(v) is float for v in values)
+        return np.array(values).view(np.uint64)
+
+    got = data.decode().split("\n")
+    want = reference_dataset_text(dataset).split("\n")
+    assert got[0] == want[0]
+    assert len(got) == len(want) and got[-1] == ""
+    for line, ref in zip(got[1:-1], want[1:-1]):
+        line, ref = json.loads(line), json.loads(ref)
+        assert list(line) == list(ref)
+        assert type(line["label"]) is int and line["label"] == ref["label"]
+        for key in set(line) - {"label"}:
+            assert np.array_equal(bits(line[key]), bits(ref[key]))
 
 
 def roc_oracle(scores, labels):

@@ -28,7 +28,11 @@ from vqcbench.storage import (
     write_train_record,
 )
 
-from conftest import reference_dataset_text, strip_timing_columns
+from conftest import (
+    assert_dataset_file_reads_as_reference,
+    reference_dataset_text,
+    strip_timing_columns,
+)
 
 
 def write_config(path, **overrides):
@@ -144,7 +148,7 @@ def test_dataset_write_and_read_hold_one_record_at_a_time(tmp_path, monkeypatch)
         kept, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert path.read_bytes() == reference_dataset_text(train).encode()
+    assert_dataset_file_reads_as_reference(path.read_bytes(), train)
     assert len(back) == 6
     # about 0.35 MB of text a record; holding the whole file's text peaked near
     # 19 records' worth when writing, and near 10 beyond the states read back
@@ -196,6 +200,8 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
     (1, "'re'", lambda rec: {**rec, "re": [1, False] + [0] * (len(rec["re"]) - 2)}),
     (1, "'re'", lambda rec: {**rec, "re": [True] + [0.0] * (len(rec["re"]) - 1)}),
     (1, "not normalized", lambda rec: {**rec, "re": [float("nan")] + rec["re"][1:]}),
+    (1, "label must be +-1", lambda rec: {**rec, "label": 10**30}),
+    (1, "not normalized", lambda rec: {**rec, "re": [10**30] + rec["re"][1:]}),
     (1, "not a JSON object", lambda rec: [rec]),
     (0, "N", lambda header: {**header, "N": None}),
     (0, "h_c", lambda header: {**header, "h_c": "1.0"}),
@@ -207,6 +213,7 @@ def test_dataset_reader_rejects_a_part_of_the_wrong_length(tmp_path, amplitudes)
     (0, "header.N must be in [1, 16], got 100000", lambda header: {**header, "N": 100000}),
 ], ids=["h-string", "h-null", "h-bool", "label-bool", "re-strings", "re-nested",
         "re-missing", "im-strings", "re-bool-mixed", "re-bool-float-mixed", "re-nan",
+        "label-30-digits", "re-30-digits",
         "record-list", "header-N-null", "header-h_c-string", "header-list",
         "header-model-missing", "header-N-negative", "header-N-zero", "header-N-17",
         "header-N-100000"])
@@ -302,12 +309,13 @@ def _write_read_write(write, read, obj):
 
 
 @st.composite
-def amplitude_parts(draw, dim, count):
+def amplitude_parts(draw, dim, count, edge_values=st.sampled_from(EDGE_FLOATS[:3])):
     """``count`` real vectors of length ``dim`` whose joint norm is 1; drawn
-    positions hold a signed zero or a subnormal, which leave the norm be."""
+    positions hold an ``edge_values`` float, by default a signed zero or a
+    subnormal, which leave the norm be."""
     body = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
                      for _ in range(count)])
-    edges = draw(st.lists(st.sampled_from(EDGE_FLOATS[:3]), min_size=count * dim,
+    edges = draw(st.lists(edge_values, min_size=count * dim,
                           max_size=count * dim))
     at = np.array(draw(st.lists(st.booleans(), min_size=count * dim,
                                 max_size=count * dim))).reshape(count, dim)
@@ -335,41 +343,132 @@ def datasets(draw):
         records.append(DataRecord(state=state, h=h, label=1 if h > h_c else -1))
     meta = {"h_c": h_c, "h_grid": draw(st.lists(h_values, max_size=4)),
             "solver": draw(st.sampled_from([None, "dense", "lanczos"])),
-            "seed": draw(st.integers(0, 2**32)), "train_fraction": draw(st.floats(0.0, 1.0)),
+            "seed": draw(st.integers(0, 2**80)), "train_fraction": draw(st.floats(0.0, 1.0)),
             "split": draw(st.sampled_from(["train", "test"])),
             "phase_convention": "largest-amplitude-positive"}
     return Dataset(draw(st.sampled_from(["tfi", "xxz"])), n, records, meta)
 
 
-@settings(max_examples=80, deadline=None)
-@given(datasets())
-def test_dataset_write_read_write_is_byte_identical(dataset):
-    back = _write_read_write(write_dataset, read_dataset, dataset)
-    for rec, got in zip(dataset.records, back.records, strict=True):
-        assert got.h == rec.h and np.signbit(got.h) == np.signbit(rec.h)
+def _assert_same_records(got, records):
+    """got holds records' h and label, and their amplitudes bit for bit; an
+    imaginary part of exact zeros may come back as a real state."""
+    for rec, back in zip(records, got, strict=True):
+        assert back.label == rec.label
+        assert np.array_equal(np.float64(back.h).view(np.uint64), np.float64(rec.h).view(np.uint64))
         state = np.asarray(rec.state)
-        parts = [(state.real, got.state.real)]
+        parts = [(state.real, back.state.real)]
         if np.any(state.imag != 0.0):
-            parts.append((state.imag, got.state.imag))
+            parts.append((state.imag, back.state.imag))
+        else:
+            assert not np.any(back.state.imag)
         for want, have in parts:
             assert np.array_equal(want.view(np.uint64), have.view(np.uint64))
 
 
 @settings(max_examples=80, deadline=None)
 @given(datasets())
-def test_dataset_file_is_the_text_json_dumps_writes(dataset):
+def test_dataset_write_read_write_is_byte_identical(dataset):
+    back = _write_read_write(write_dataset, read_dataset, dataset)
+    _assert_same_records(back.records, dataset.records)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_dataset_file_reads_under_json_as_the_reference_text(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.jsonl"
         write_dataset(dataset, path)
-        assert path.read_bytes() == reference_dataset_text(dataset).encode()
+        assert_dataset_file_reads_as_reference(path.read_bytes(), dataset)
 
 
 @pytest.mark.parametrize("kind,h_values", [("tfi", [0.3, 0.9, 1.2, 1.7]),
                                            ("xxz", [0.4, 0.8, 1.3, 1.6])])
-def test_generated_dataset_file_is_the_text_json_dumps_writes(tmp_path, kind, h_values):
+def test_generated_dataset_file_reads_under_json_as_the_reference_text(tmp_path, kind,
+                                                                       h_values):
     train, _ = generate_dataset(kind, 10, h_values, seed=3, train_fraction=1.0)
     write_dataset(train, tmp_path / "d.jsonl")
-    assert (tmp_path / "d.jsonl").read_bytes() == reference_dataset_text(train).encode()
+    assert_dataset_file_reads_as_reference((tmp_path / "d.jsonl").read_bytes(), train)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets())
+def test_dataset_file_in_the_json_dumps_text_reads_bit_for_bit(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(reference_dataset_text(dataset))
+        back = read_dataset(path)
+    _assert_same_records(back.records, dataset.records)
+
+
+# Floats that orjson and repr spell apart: magnitudes below 1e-4 (-0.0 and
+# subnormals among them) and from 1e16 up.
+SPELLED_APART = st.one_of(st.floats(-1e-4, 1e-4), st.sampled_from(EDGE_FLOATS),
+                          st.floats(min_value=1e16, allow_infinity=False),
+                          st.floats(max_value=-1e16, allow_infinity=False))
+
+
+@st.composite
+def datasets_of_rows(draw, parts_of, h_values):
+    """A dataset of one to three records on one to three sites, each state
+    real or complex with its parts drawn by ``parts_of(dim, count)``, and no
+    critical point, so any h and label read back."""
+    n = draw(st.integers(1, 3))
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = draw(parts_of(1 << n, draw(st.sampled_from([1, 2]))))
+        state = parts[0]
+        if len(parts) == 2:  # assigned, not re + 1j * im, which loses a -0.0
+            state = parts[0].astype(complex)
+            state.imag = parts[1]
+        records.append(DataRecord(state, draw(h_values), draw(st.sampled_from([-1, 1]))))
+    return Dataset("tfi", n, records, {"h_c": None})
+
+
+@st.composite
+def any_finite_parts(draw, dim, count):
+    values = st.one_of(finite, SPELLED_APART)
+    return np.array([draw(st.lists(values, min_size=dim, max_size=dim)) for _ in range(count)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets_of_rows(any_finite_parts, st.one_of(finite, SPELLED_APART)))
+def test_any_finite_row_reads_under_json_to_its_bits(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        write_dataset(dataset, path)
+        assert_dataset_file_reads_as_reference(path.read_bytes(), dataset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets_of_rows(lambda dim, count: amplitude_parts(
+    dim, count, st.one_of(st.sampled_from(EDGE_FLOATS[:3]), st.floats(-1e-6, 1e-6))),
+    st.one_of(finite, SPELLED_APART)))
+def test_normalized_rows_read_under_json_and_read_dataset_to_their_bits(dataset):
+    # edges below 1e-6 in magnitude move a norm of 1 by less than 1e-11
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        write_dataset(dataset, path)
+        assert_dataset_file_reads_as_reference(path.read_bytes(), dataset)
+        _assert_same_records(read_dataset(path).records, dataset.records)
+
+
+@pytest.mark.parametrize("h_c", ["null", "NaN", None])
+def test_dataset_without_a_critical_point_reads_writes_and_reads_again(tmp_path, h_c):
+    record = {"h": 0.5, "label": 1, "re": [0.6, 0.8]}
+    if h_c is None:  # a dataset whose metadata has no h_c at all
+        write_dataset(Dataset("tfi", 1, [DataRecord(np.array(record["re"]), 0.5, 1)], {}),
+                      tmp_path / "a.jsonl")
+    else:
+        header = {"format_version": 1, "model": "tfi", "N": 1,
+                  "bit_order": "q0-most-significant"}
+        (tmp_path / "a.jsonl").write_text(json.dumps(header)[:-1] + f', "h_c": {h_c}}}\n'
+                                          + json.dumps(record) + "\n")
+    first = read_dataset(tmp_path / "a.jsonl")
+    write_dataset(first, tmp_path / "b.jsonl")
+    assert json.loads((tmp_path / "b.jsonl").read_text().splitlines()[0])["h_c"] is None
+    back = _write_read_write(write_dataset, read_dataset, read_dataset(tmp_path / "b.jsonl"))
+    assert back.metadata["h_c"] is None
+    _assert_same_records(back.records, first.records)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -552,6 +651,7 @@ def test_negative_seed_exits_2_naming_its_key_before_any_solve(tmp_path, capsys,
     ("optimizer", "learning_rate", None),
     ("optimizer", "cost_tolerance", "1e-8"),
     ("model", "layers", 1.7),
+    ("model", "layers", 10**30),  # 1 << layers would overflow
     ("model", "num_qubits", None),
     ("data", "num_sites", "4"),
     ("data", "h_count", 2.5),
@@ -915,7 +1015,9 @@ def test_eval_checks_a_model_files_parameter_count(tmp_path, capsys, key, value,
      "model file was trained for task 'autoencode' but the config says 'classify'"),
     ({"model": {"family": "nope", "num_qubits": 4, "layers": 2}},
      "invalid model file: unknown ansatz family 'nope'"),
-], ids=["readout", "task", "family"])
+    ({"model": {"family": "qcnn_ry", "num_qubits": 4, "layers": 10**30}},
+     "invalid model file: QCNN with 4 qubits supports at most 2 layers"),
+], ids=["readout", "task", "family", "layers-30-digits"])
 def test_eval_names_the_model_file_it_refuses(tmp_path, capsys, change, message):
     cfg = tmp_path / "c.json"
     write_config(cfg)  # a classifier: qcnn_ry on 4 qubits, 2 layers
